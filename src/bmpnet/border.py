@@ -15,20 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheme import BilinearScheme, forward_fast_batch
-from .tensor import ShapeMismatch, scalar_from_json, scalar_to_json
-from .training import (
-    adam_update,
-    batch_slices,
-    clip_gradients,
-    gen_dataset,
-    grad_analytic,
-    init_adam_params,
-    mix64,
-    mse,
-    run_streams,
-    shuffle_seed,
-)
+from .scheme import BilinearScheme, scheme_to_json
+from .tensor import ShapeMismatch, matrix_from_json, matrix_to_json
+from .training import adam_update, fit, init_adam_params
+# imported only for perfbench/tracing.py, which wraps them in this module
+from .training import (  # noqa: F401
+    clip_gradients, forward_fast_batch, gen_dataset, grad_analytic, mse)
 
 
 class EpsilonNonpositive(ValueError):
@@ -166,8 +158,6 @@ class EpsRunRecord:
         return self.val_losses[-1]
 
     def to_json(self, include_timing=False):
-        from .scheme import scheme_to_json
-
         out = {
             "config": self.config.to_json(),
             "schedule": {"eps0": self.schedule.eps0,
@@ -190,116 +180,73 @@ class EpsRunRecord:
 
 
 def eps_scheme_to_json(es):
-    def rows(mat):
-        return [[scalar_to_json(v) for v in row] for row in np.asarray(mat)]
-
     return {
         "n": es.n,
         "r": es.r,
         "d_max": es.d_max,
         "f_min": es.f_min,
         "eps": es.eps,
-        "h_coeffs": [rows(m) for m in es.h_coeffs],
-        "k_coeffs": [rows(m) for m in es.k_coeffs],
-        "f_coeffs": [rows(m) for m in es.f_coeffs],
+        "h_coeffs": [matrix_to_json(m) for m in es.h_coeffs],
+        "k_coeffs": [matrix_to_json(m) for m in es.k_coeffs],
+        "f_coeffs": [matrix_to_json(m) for m in es.f_coeffs],
     }
 
 
 def eps_scheme_from_json(obj):
-    def mat(rows):
-        return np.array([[scalar_from_json(v) for v in row] for row in rows],
-                        dtype=np.float64)
-
     return EpsScheme(
         n=int(obj["n"]),
         r=int(obj["r"]),
         d_max=int(obj["d_max"]),
         f_min=int(obj["f_min"]),
-        h_coeffs=[mat(m) for m in obj["h_coeffs"]],
-        k_coeffs=[mat(m) for m in obj["k_coeffs"]],
-        f_coeffs=[mat(m) for m in obj["f_coeffs"]],
+        h_coeffs=[matrix_from_json(m) for m in obj["h_coeffs"]],
+        k_coeffs=[matrix_from_json(m) for m in obj["k_coeffs"]],
+        f_coeffs=[matrix_from_json(m) for m in obj["f_coeffs"]],
         eps=float(obj["eps"]),
     )
 
 
 def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
-              progress=None, regularizer=None, optimizer_hook=None):
+              progress=None):
     """Train the polynomial parameterisation while annealing eps.
 
-    Follows the plain training loop exactly (same derived seeds, same
-    batch order, same clipping and Adam constants from ``cfg``), with
-    the loss taken at the current eps and gradients pushed back to the
-    coefficient stacks.  Records eps per epoch and the validation loss
-    of the scheme frozen at ``probe_eps``.
-
-    ``regularizer`` (cancellation-penalty term) and ``optimizer_hook``
-    (alternative update rules) are reserved extension points and are not
-    implemented; passing either raises.
+    Runs the plain training loop (same derived seeds, same batch order,
+    same clipping and Adam constants from ``cfg``) with the loss taken at
+    the current eps and gradients pushed back to the coefficient stacks.
+    Records eps per epoch and the validation loss of the scheme frozen at
+    ``probe_eps``; ``progress(epoch, train_loss, val_loss, probe_loss,
+    eps)`` is called after each epoch.
     """
-    if regularizer is not None or optimizer_hook is not None:
-        raise NotImplementedError(
-            "regularizer and optimizer_hook are reserved extension points")
     if schedule is None:
         schedule = EpsSchedule()
     started = time.perf_counter()
-    streams = run_streams(cfg)
-    train_set = gen_dataset(cfg.n, cfg.train_size, streams["data"],
-                            cfg.low, cfg.high)
-    val_set = gen_dataset(cfg.n, cfg.val_size, streams["val"],
-                          cfg.low, cfg.high)
-    es = init_eps_scheme(cfg.n, cfg.r, streams["init"], cfg.alpha,
-                         d_max=d_max, f_min=f_min, eps=schedule.eps0)
-    params = tuple(es.h_coeffs + es.k_coeffs + es.f_coeffs)
-    state = init_adam_params(params)
-
-    a_rows, b_rows, t_rows = train_set.flat()
-    va_rows, vb_rows, vt_rows = val_set.flat()
-
     n_h = d_max + 1
-    eps = schedule.eps0
-    train_losses, val_losses, probe_losses, eps_path = [], [], [], []
-    for epoch in range(cfg.epochs):
-        eps = schedule.at(epoch)
-        if cfg.resample and epoch > 0:
-            fresh = gen_dataset(cfg.n, cfg.train_size,
-                                mix64(streams["data"], epoch),
-                                cfg.low, cfg.high)
-            a_rows, b_rows, t_rows = fresh.flat()
-        perm = np.random.default_rng(
-            shuffle_seed(cfg, epoch)).permutation(cfg.train_size)
-        sq_err_total = 0.0
-        for idx in batch_slices(perm, cfg.batch_size):
-            ab, bb, tb = a_rows[idx], b_rows[idx], t_rows[idx]
-            es = EpsScheme(n=cfg.n, r=cfg.r, d_max=d_max, f_min=f_min,
-                           h_coeffs=list(params[:n_h]),
-                           k_coeffs=list(params[n_h:2 * n_h]),
-                           f_coeffs=list(params[2 * n_h:]),
-                           eps=eps)
-            scheme = evaluate(es)
-            preds = forward_fast_batch(scheme, ab, bb)
-            batch_loss = mse(preds, tb)
-            d_h, d_k, d_f = grad_analytic(scheme, ab, bb, tb)
-            grads = coefficient_grads(es, d_h, d_k, d_f, eps)
-            grads = clip_gradients(grads, cfg.clip_threshold)
-            params, state = adam_update(state, params, grads, cfg.lr,
-                                        cfg.beta1, cfg.beta2, cfg.adam_eps)
-            sq_err_total += batch_loss * len(idx)
+    probe_losses, eps_path = [], []
+
+    def init(seed):
+        es = init_eps_scheme(cfg.n, cfg.r, seed, cfg.alpha,
+                             d_max=d_max, f_min=f_min, eps=schedule.eps0)
+        params = tuple(es.h_coeffs + es.k_coeffs + es.f_coeffs)
+        return params, init_adam_params(params)
+
+    def view(params, epoch):
         es = EpsScheme(n=cfg.n, r=cfg.r, d_max=d_max, f_min=f_min,
                        h_coeffs=list(params[:n_h]),
                        k_coeffs=list(params[n_h:2 * n_h]),
                        f_coeffs=list(params[2 * n_h:]),
-                       eps=eps)
-        train_losses.append(float(sq_err_total / cfg.train_size))
-        val_losses.append(mse(
-            forward_fast_batch(evaluate(es), va_rows, vb_rows), vt_rows))
-        probe_losses.append(mse(
-            forward_fast_batch(evaluate(es, probe_eps), va_rows, vb_rows),
-            vt_rows))
-        eps_path.append(eps)
-        if progress is not None:
-            progress(epoch, train_losses[-1], val_losses[-1],
-                     probe_losses[-1], eps)
+                       eps=schedule.at(epoch))
+        return evaluate(es), es
 
+    def pull(es, grads):
+        return coefficient_grads(es, *grads, es.eps)
+
+    def epoch_end(epoch, es, train_loss, val_loss, score):
+        probe_losses.append(score(evaluate(es, probe_eps)))
+        eps_path.append(es.eps)
+        if progress is not None:
+            progress(epoch, train_loss, val_loss, probe_losses[-1], es.eps)
+
+    es, train_losses, val_losses = fit(cfg, init, adam_update, epoch_end,
+                                       view, pull)
     return EpsRunRecord(
         config=cfg,
         schedule=schedule,

@@ -2,16 +2,19 @@
 
 Subcommands: demo, train, sweep, verify, welch, train-eps.  Options may
 come from flags or from a JSON config file (--config); flags win, and
-unknown config keys are rejected.  Exit codes: 0 on success, 1 when a
-requested check fails, 2 for usage or config errors.  Commands that
-write files place everything under --out next to a manifest.json listing
-the resolved options and the produced files.
+unknown config keys are rejected, and so are config values whose JSON
+type does not match the option (an int may stand for a float).  Exit
+codes: 0 on success, 1 when a requested check fails, 2 for usage or
+config errors, 3 when training diverges (a batch loss is not finite).
+Commands that write files place everything under --out next to a
+manifest.json listing the resolved options and the produced files.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +26,7 @@ from .network import strassen_stages, total_bmp, total_direct, \
 from .scheme import scheme_from_json, scheme_to_json
 from .stats import SampleStats, welch_one_tailed
 from .tensor import exact_array
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainingDiverged, train
 from .verify import known_strassen, exponent, normalize_slots, \
     round_scheme, verify_scheme
 
@@ -32,20 +35,26 @@ def _err(msg):
     print("error: %s" % msg, file=sys.stderr)
 
 
-TRAIN_KEYS = {
-    "n": 2, "r": 7, "epochs": 60, "batch_size": 32, "lr": 1e-3,
-    "clip": 10.0, "train_size": 10000, "val_size": 10000, "alpha": 1.0,
-    "seed": 0, "low": -1.0, "high": 1.0, "resample": False, "out": None,
-    "verbose": False,
-}
+# dataclass fields whose option key differs, and fields left unexposed
+_RENAMED = {"clip_threshold": "clip", "base_seed": "seed"}
+_UNEXPOSED = ("beta1", "beta2", "adam_eps")
 
-SWEEP_KEYS = {
-    "n": 3, "ranks": "19,20,21,22,23", "reps": 7, "epochs": 60,
-    "batch_size": 32, "lr": 1e-3, "clip": 10.0, "train_size": 10000,
-    "val_size": 10000, "alpha": 1.0, "seed": 0, "low": -1.0, "high": 1.0,
-    "resample": False, "out": None, "threads": 1, "top_vs_rest": False,
-    "verbose": False,
-}
+
+def _fields(cls):
+    """Option key -> dataclass field, for every exposed field of cls."""
+    return {_RENAMED.get(f.name, f.name): f for f in fields(cls)
+            if f.name not in _UNEXPOSED}
+
+
+def _defaults(cls, **extra):
+    return dict({key: f.default for key, f in _fields(cls).items()},
+                **extra)
+
+
+TRAIN_KEYS = _defaults(TrainConfig, n=2, r=7, out=None, verbose=False)
+
+SWEEP_KEYS = _defaults(SweepConfig, out=None, threads=1, top_vs_rest=False,
+                       verbose=False)
 
 VERIFY_KEYS = {
     "scheme": None, "exact": False, "round": False, "tol": 1e-8,
@@ -54,8 +63,8 @@ VERIFY_KEYS = {
 
 WELCH_KEYS = {"g1": None, "g2": None, "out": None}
 
-TRAIN_EPS_KEYS = dict(TRAIN_KEYS, eps0=0.02, decay=0.95, floor=1e-8,
-                      dmax=2, fmin=-2, probe_eps=1e-3)
+TRAIN_EPS_KEYS = dict(TRAIN_KEYS, **_defaults(EpsSchedule), dmax=2,
+                      fmin=-2, probe_eps=1e-3)
 
 DEMO_KEYS = {"which": None}
 
@@ -85,7 +94,7 @@ def build_parser():
     sp.add_argument("--ranks", help="comma separated rank list")
     sp.add_argument("--reps", type=int)
     sp.add_argument("--threads", type=int)
-    _add_common_train_flags(sp)
+    _add_field_flags(sp, TrainConfig, skip=("n", "r"))
     sp.add_argument("--top-vs-rest", dest="top_vs_rest",
                     action="store_true",
                     help="also compare the top rank against every other")
@@ -112,9 +121,7 @@ def build_parser():
     sp = add("train-eps", TRAIN_EPS_KEYS,
              help="train the vanishing-parameter extension")
     _add_train_flags(sp)
-    sp.add_argument("--eps0", type=float)
-    sp.add_argument("--decay", type=float)
-    sp.add_argument("--floor", type=float)
+    _add_field_flags(sp, EpsSchedule)
     sp.add_argument("--dmax", type=int)
     sp.add_argument("--fmin", type=int)
     sp.add_argument("--probe-eps", dest="probe_eps", type=float)
@@ -122,25 +129,21 @@ def build_parser():
     return parser
 
 
-def _add_common_train_flags(sp):
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--clip", type=float)
-    sp.add_argument("--train-size", dest="train_size", type=int)
-    sp.add_argument("--val-size", dest="val_size", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--low", type=float)
-    sp.add_argument("--high", type=float)
-    sp.add_argument("--resample", action="store_true",
-                    help="draw a fresh training set each epoch")
+def _add_field_flags(sp, cls, skip=()):
+    """One flag per exposed field of cls, typed like the field."""
+    for key, f in _fields(cls).items():
+        if key in skip:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if f.type is bool:
+            sp.add_argument(flag, dest=key, action="store_true",
+                            help=f.metadata.get("help"))
+        else:
+            sp.add_argument(flag, dest=key, type=f.type)
 
 
 def _add_train_flags(sp):
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    _add_common_train_flags(sp)
+    _add_field_flags(sp, TrainConfig)
     sp.add_argument("--out")
     sp.add_argument("--verbose", action="store_true")
 
@@ -211,15 +214,21 @@ def _write_manifest(outdir, command, options, files):
     _write_json(outdir, "manifest.json", manifest)
 
 
-def _train_config(opts, n, r, seed):
-    return TrainConfig(
-        n=n, r=r, epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]), lr=float(opts["lr"]),
-        clip_threshold=float(opts["clip"]),
-        train_size=int(opts["train_size"]),
-        val_size=int(opts["val_size"]), alpha=float(opts["alpha"]),
-        seed=seed, low=float(opts["low"]), high=float(opts["high"]),
-        resample=bool(opts["resample"]))
+def _config(cls, opts, **given):
+    """Build cls from the resolved options, converting each to its
+    field's type; a value of another JSON type is a usage error, except
+    that an int may stand for a float."""
+    for key, f in _fields(cls).items():
+        if f.name in given:
+            continue
+        value = opts[key]
+        allowed = (int, float) if f.type is float else f.type
+        if isinstance(value, bool) != (f.type is bool) \
+                or not isinstance(value, allowed):
+            raise UsageError("option %s must be %s, got %r"
+                             % (key, f.type.__name__, value))
+        given[f.name] = f.type(value)
+    return cls(**given)
 
 
 def _cmd_demo(opts):
@@ -272,8 +281,7 @@ def _demo_strassen():
 
 
 def _cmd_train(opts):
-    cfg = _train_config(opts, int(opts["n"]), int(opts["r"]),
-                        int(opts["seed"]))
+    cfg = _config(TrainConfig, opts)
     progress = None
     if opts["verbose"]:
         def progress(epoch, tr, va):
@@ -292,21 +300,17 @@ def _cmd_train(opts):
 
 def _cmd_sweep(opts):
     ranks = _parse_ranks(opts["ranks"])
-    cfg = SweepConfig(
-        n=int(opts["n"]), ranks=ranks, reps=int(opts["reps"]),
-        epochs=int(opts["epochs"]), batch_size=int(opts["batch_size"]),
-        lr=float(opts["lr"]), clip_threshold=float(opts["clip"]),
-        train_size=int(opts["train_size"]),
-        val_size=int(opts["val_size"]), alpha=float(opts["alpha"]),
-        base_seed=int(opts["seed"]), low=float(opts["low"]),
-        high=float(opts["high"]), resample=bool(opts["resample"]))
+    cfg = _config(SweepConfig, opts, ranks=ranks)
+    threads = int(opts["threads"])
+    if threads < 1:
+        raise UsageError("--threads must be at least 1, got %d" % threads)
 
     def progress(rec):
         print("rank %2d rep %d: final val loss %.6e"
               % (rec.extras["rank"], rec.extras["repetition"],
                  rec.final_val_loss))
 
-    records = sweep(cfg, threads=int(opts["threads"]), progress=progress)
+    records = sweep(cfg, threads=threads, progress=progress)
     for rank, st in per_rank_stats(records).items():
         print("rank %2d: mean %.6e  std %.6e  (n=%d)"
               % (rank, st.mean, st.std, st.count))
@@ -387,11 +391,8 @@ def _cmd_welch(opts):
 
 
 def _cmd_train_eps(opts):
-    cfg = _train_config(opts, int(opts["n"]), int(opts["r"]),
-                        int(opts["seed"]))
-    schedule = EpsSchedule(eps0=float(opts["eps0"]),
-                           decay=float(opts["decay"]),
-                           floor=float(opts["floor"]))
+    cfg = _config(TrainConfig, opts)
+    schedule = _config(EpsSchedule, opts)
     progress = None
     if opts["verbose"]:
         def progress(epoch, tr, va, probe, eps):
@@ -428,12 +429,12 @@ def main(argv=None):
     try:
         opts = _resolve(args, defaults)
         return handler(opts)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         _err(str(exc))
         return 2
-    except ValueError as exc:
+    except TrainingDiverged as exc:
         _err(str(exc))
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .stats import summarize, welch_one_tailed
 from .tensor import ShapeMismatch
@@ -63,21 +63,12 @@ def run_seed(base_seed, rank, rep):
 
 
 def make_train_config(cfg, rank, rep):
-    return TrainConfig(
-        n=cfg.n,
-        r=rank,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        clip_threshold=cfg.clip_threshold,
-        train_size=cfg.train_size,
-        val_size=cfg.val_size,
-        alpha=cfg.alpha,
-        seed=run_seed(cfg.base_seed, rank, rep),
-        low=cfg.low,
-        high=cfg.high,
-        resample=cfg.resample,
-    )
+    """One run's config: the sweep's fields that TrainConfig shares, by
+    name, plus the rank and the run seed."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
+              if hasattr(cfg, f.name)}
+    return TrainConfig(**shared, r=rank,
+                       seed=run_seed(cfg.base_seed, rank, rep))
 
 
 def _run_one(job):

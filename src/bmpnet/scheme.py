@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import strassen_pipeline
 from .tensor import (
     ShapeMismatch,
-    blow,
-    bmp,
-    contraction,
     exact_array,
-    forget,
-    scalar_from_json,
-    scalar_to_json,
+    matrix_from_json,
+    matrix_to_json,
     zeros_matching,
 )
 
@@ -106,44 +103,16 @@ def padded_square_factors(scheme):
     return H_sq, K_sq, F_sq
 
 
-def _pad_vec(v, r):
-    out = zeros_matching((r,), v)
-    out[: v.shape[0]] = v
-    return out
-
-
 def forward_bmp(scheme, a_mat, b_mat):
-    """vec(AB) via the tensor-network pipeline.
-
-    Each operand is flattened, zero-padded to length r, and pushed
-    through a two-tensor product stage that forms the r linear
-    combinations; a final three-tensor stage couples the two combination
-    vectors through a diagonal activation built from F and sums out the
-    hidden slots.  Must agree with :func:`forward_fast` on the first n^2
-    coordinates (the padding coordinates are identically zero).
+    """vec(AB) via the tensor-network pipeline: the first n^2 coordinates
+    of :func:`bmpnet.network.strassen_pipeline`, whose padding
+    coordinates are identically zero.  Must agree with
+    :func:`forward_fast`.
     """
     n = scheme.n
-    a_mat = np.asarray(a_mat)
-    b_mat = np.asarray(b_mat)
-    if a_mat.shape != (n, n) or b_mat.shape != (n, n):
+    if np.shape(a_mat) != (n, n) or np.shape(b_mat) != (n, n):
         raise ShapeMismatch("operands must be n x n matrices")
-    r = scheme.r
-    H_sq, K_sq, F_sq = padded_square_factors(scheme)
-
-    a_pad = _pad_vec(a_mat.reshape(n * n), r)
-    b_pad = _pad_vec(b_mat.reshape(n * n), r)
-    # combination stage: contracting the source slot leaves H_sq^T a
-    s1 = contraction(bmp([H_sq, blow(a_pad)]), {0})
-    s2 = contraction(bmp([K_sq, blow(b_pad)]), {0})
-
-    # product stage: both parents feed one node whose activation couples
-    # them diagonally, entry [s, t, j] = F_sq[s, j] when s == t else 0
-    coupler = np.transpose(blow(F_sq), (0, 2, 1))
-    t1 = forget(blow(s1), [2], [r])
-    t2 = blow(forget(s2, [0], [r]))
-    total = bmp([coupler, t1, t2])
-    out = contraction(total, {0, 1})
-    return out[: n * n]
+    return strassen_pipeline(a_mat, b_mat, scheme)[: n * n]
 
 
 def reconstruct(scheme, n=None):
@@ -173,31 +142,31 @@ def reconstruct(scheme, n=None):
 
 def scheme_to_json(scheme):
     """Serialise as ``{"n", "r", "H", "K", "F"}`` with nested row lists."""
-
-    def rows(mat):
-        return [[scalar_to_json(v) for v in row] for row in np.asarray(mat)]
-
     return {
         "n": scheme.n,
         "r": scheme.r,
-        "H": rows(scheme.H),
-        "K": rows(scheme.K),
-        "F": rows(scheme.F),
+        "H": matrix_to_json(scheme.H),
+        "K": matrix_to_json(scheme.K),
+        "F": matrix_to_json(scheme.F),
     }
 
 
 def scheme_from_json(obj, exact=False):
-    def mat(rows):
-        vals = [[scalar_from_json(v, exact=exact) for v in row] for row in rows]
-        return exact_array(vals) if exact else np.array(vals, dtype=np.float64)
+    """Inverse of :func:`scheme_to_json`; a missing or malformed key
+    raises ValueError naming it."""
 
-    return BilinearScheme(
-        n=int(obj["n"]),
-        r=int(obj["r"]),
-        H=mat(obj["H"]),
-        K=mat(obj["K"]),
-        F=mat(obj["F"]),
-    )
+    def get(key, parse):
+        try:
+            return parse(obj[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("scheme key %r is missing or malformed (%s: %s)"
+                             % (key, type(exc).__name__, exc)) from None
+
+    def mat(rows):
+        return matrix_from_json(rows, exact=exact)
+
+    return BilinearScheme(n=get("n", int), r=get("r", int), H=get("H", mat),
+                          K=get("K", mat), F=get("F", mat))
 
 
 def to_exact(scheme):

@@ -260,6 +260,17 @@ def scalar_from_json(v, exact=False):
     return float(Fraction(v)) if isinstance(v, str) else float(v)
 
 
+def matrix_to_json(mat):
+    """Nested row lists of JSON scalars."""
+    return [[scalar_to_json(v) for v in row] for row in np.asarray(mat)]
+
+
+def matrix_from_json(rows, exact=False):
+    """Inverse of :func:`matrix_to_json`: a Fraction or float64 matrix."""
+    vals = [[scalar_from_json(v, exact=exact) for v in row] for row in rows]
+    return exact_array(vals) if exact else np.array(vals, dtype=np.float64)
+
+
 def tensor_to_json(t):
     """Serialise as ``{"dims": [...], "data": [...]}`` with row-major data."""
     t = np.asarray(t)

@@ -8,6 +8,7 @@ draw is derived from the run seed through a fixed mixing function, so
 records reproduce bitwise.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -241,9 +242,9 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    # one fixed training set reshuffled per epoch by default; set True to
-    # draw a fresh set each epoch instead
-    resample: bool = False
+    # by default one fixed training set, reshuffled per epoch
+    resample: bool = field(default=False, metadata={
+        "help": "draw a fresh training set each epoch"})
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
@@ -261,10 +262,6 @@ class TrainConfig:
 
     def to_json(self):
         return asdict(self)
-
-
-def train_config_from_json(obj):
-    return TrainConfig(**obj)
 
 
 @dataclass
@@ -302,7 +299,7 @@ def run_record_from_json(obj):
     known = {"config", "train_losses", "val_losses", "final_val_loss",
              "scheme", "wall_seconds"}
     return RunRecord(
-        config=train_config_from_json(obj["config"]),
+        config=TrainConfig(**obj["config"]),
         train_losses=[float(v) for v in obj["train_losses"]],
         val_losses=[float(v) for v in obj["val_losses"]],
         scheme=scheme_from_json(obj["scheme"]),
@@ -331,24 +328,47 @@ def batch_slices(perm, batch_size):
         yield perm[start:start + batch_size]
 
 
-def train(cfg, progress=None):
-    """Run one full training; returns the record with per-epoch losses.
+class TrainingDiverged(ArithmeticError):
+    """A batch loss stopped being finite.  Carries the epoch and the last
+    finite per-epoch train and val losses (None within the first epoch)."""
 
-    The train loss of an epoch is the exact mean over all samples of the
-    per-batch losses seen while updating; the validation loss is scored
-    once per epoch after the updates.
+    def __init__(self, epoch, train_loss, val_loss):
+        super().__init__(epoch, train_loss, val_loss)
+        self.epoch, self.train_loss, self.val_loss = self.args
+
+    def __str__(self):
+        return ("training diverged in epoch %d: non-finite batch loss "
+                "(last finite losses: train %s, val %s)" % self.args)
+
+
+def fit(cfg, init, step, epoch_end,
+        view=lambda params, epoch: (params, params),
+        pull=lambda ctx, grads: grads):
+    """The training loop of :func:`train` and ``border.train_eps``.
+
+    ``init(seed)`` gives the parameters and the Adam state.
+    ``view(params, epoch)`` gives the scheme the loss is taken at and a
+    context, with which ``pull(context, grads)`` maps that scheme's
+    gradients back to the parameters.  ``step`` is :func:`adam_step` or
+    :func:`adam_update`.  Per epoch, the train loss is the exact sample
+    mean of the batch losses and the val loss is scored after the
+    updates; then ``epoch_end(epoch, context, train_loss, val_loss,
+    score)`` runs, where ``score(scheme)`` is any scheme's val loss.
+    Returns the last context and both loss lists.  A non-finite batch
+    loss raises :class:`TrainingDiverged`.
     """
-    started = time.perf_counter()
     streams = run_streams(cfg)
     train_set = gen_dataset(cfg.n, cfg.train_size, streams["data"],
                             cfg.low, cfg.high)
     val_set = gen_dataset(cfg.n, cfg.val_size, streams["val"],
                           cfg.low, cfg.high)
-    scheme = init_scheme(cfg.n, cfg.r, streams["init"], cfg.alpha)
-    state = init_adam(scheme)
+    params, state = init(streams["init"])
 
     a_rows, b_rows, t_rows = train_set.flat()
     va_rows, vb_rows, vt_rows = val_set.flat()
+
+    def score(scheme):
+        return mse(forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
 
     train_losses, val_losses = [], []
     for epoch in range(cfg.epochs):
@@ -362,19 +382,39 @@ def train(cfg, progress=None):
         sq_err_total = 0.0
         for idx in batch_slices(perm, cfg.batch_size):
             ab, bb, tb = a_rows[idx], b_rows[idx], t_rows[idx]
-            preds = forward_fast_batch(scheme, ab, bb)
-            batch_loss = mse(preds, tb)
-            grads = grad_analytic(scheme, ab, bb, tb)
+            scheme, ctx = view(params, epoch)
+            batch_loss = mse(forward_fast_batch(scheme, ab, bb), tb)
+            if not math.isfinite(batch_loss):
+                raise TrainingDiverged(epoch, *(
+                    (train_losses[-1], val_losses[-1]) if train_losses
+                    else (None, None)))
+            grads = pull(ctx, grad_analytic(scheme, ab, bb, tb))
             grads = clip_gradients(grads, cfg.clip_threshold)
-            scheme, state = adam_step(state, scheme, grads, cfg.lr,
-                                      cfg.beta1, cfg.beta2, cfg.adam_eps)
+            params, state = step(state, params, grads, cfg.lr, cfg.beta1,
+                                 cfg.beta2, cfg.adam_eps)
             sq_err_total += batch_loss * len(idx)
+        scheme, ctx = view(params, epoch)
         train_losses.append(float(sq_err_total / cfg.train_size))
-        val_losses.append(mse(forward_fast_batch(scheme, va_rows, vb_rows),
-                              vt_rows))
-        if progress is not None:
-            progress(epoch, train_losses[-1], val_losses[-1])
+        val_losses.append(score(scheme))
+        epoch_end(epoch, ctx, train_losses[-1], val_losses[-1], score)
+    return ctx, train_losses, val_losses
 
+
+def train(cfg, progress=None):
+    """Run one full training; returns the record with per-epoch losses.
+    ``progress(epoch, train_loss, val_loss)`` is called after each epoch.
+    """
+    started = time.perf_counter()
+
+    def init(seed):
+        scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
+        return scheme, init_adam(scheme)
+
+    def epoch_end(epoch, scheme, train_loss, val_loss, score):
+        if progress is not None:
+            progress(epoch, train_loss, val_loss)
+
+    scheme, train_losses, val_losses = fit(cfg, init, adam_step, epoch_end)
     return RunRecord(
         config=cfg,
         train_losses=train_losses,

@@ -280,12 +280,6 @@ class TestTrainEps:
         assert len(seen) == 2
         assert seen[0][0] == 0 and len(seen[0]) == 5
 
-    def test_extension_points_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            train_eps(tiny_config(), regularizer=lambda es: 0.0)
-        with pytest.raises(NotImplementedError):
-            train_eps(tiny_config(), optimizer_hook=lambda *a: None)
-
     def test_record_json(self):
         rec = train_eps(tiny_config(epochs=2))
         d = rec.to_json()

@@ -69,6 +69,13 @@ class TestTrain:
         run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(b)])
         assert (a / "run.json").read_bytes() == (b / "run.json").read_bytes()
 
+    def test_divergence_has_its_own_exit_code(self, capsys):
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, ["train"] + TINY_TRAIN
+                                   + ["--alpha", "1e200"])
+        assert code == 3
+        assert "error: training diverged in epoch 0" in err
+
 
 class TestSweep:
     def test_full_output_tree(self, capsys, tmp_path):
@@ -104,6 +111,14 @@ class TestSweep:
         for name in ("welch.json", "curves.csv", "hist.csv",
                      "runs/rank07_rep1.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run_cli(capsys, ["sweep"] + TINY_SWEEP
+                                 + ["--threads", threads])
+        assert code == 2
+        assert "--threads must be at least 1" in err
+        assert out == ""
 
     def test_duplicate_ranks_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["sweep"] + TINY_SWEEP[:2]
@@ -179,6 +194,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify"])
         assert code == 2
         assert "scheme" in err
+
+    def test_run_file_is_usage_error_naming_the_key(self, capsys, tmp_path):
+        # a train run.json nests its scheme, so the top level has no "n"
+        run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(tmp_path)])
+        code, _, err = run_cli(capsys, ["verify", "--scheme",
+                                        str(tmp_path / "run.json")])
+        assert code == 2
+        assert err.startswith("error: scheme key 'n'")
+
+    def test_malformed_key_is_usage_error(self, capsys, tmp_path):
+        doc = scheme_to_json(to_float(known_strassen()))
+        doc["K"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["verify", "--scheme", str(path)])
+        assert code == 2
+        assert err.startswith("error: scheme key 'K'")
 
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["verify", "--scheme",
@@ -265,6 +297,34 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["train", "--config", str(cfg_path)])
         assert code == 2
         assert "wrong_key" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "resample", "false"), ("train", "epochs", 1.5),
+        ("train", "epochs", True), ("train", "lr", "0.01"),
+        ("train", "clip", None), ("sweep", "seed", "1"),
+        ("train-eps", "decay", "1")])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path,
+                                                 command, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            dict({"epochs": 2, "train_size": 64, "val_size": 32,
+                  "batch_size": 16}, **{key: value})))
+        code, out, err = run_cli(capsys, [command, "--config",
+                                          str(cfg_path)])
+        assert code == 2
+        assert err.startswith("error: option %s must be" % key)
+        assert out == ""
+
+    def test_int_config_value_stands_for_float(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1, "resample": True}))
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, ["train", "--config", str(cfg_path)]
+                             + TINY_TRAIN + ["--out", str(out_dir)])
+        assert code == 0
+        config = json.loads((out_dir / "run.json").read_text())["config"]
+        assert config["lr"] == 1.0 and isinstance(config["lr"], float)
+        assert config["resample"] is True
 
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

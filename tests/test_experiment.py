@@ -3,6 +3,7 @@ statistics, flat-file export, and schedule independence."""
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bmpnet.experiment import (
     top_vs_rest_welch,
 )
 from bmpnet.tensor import ShapeMismatch
-from bmpnet.training import train
+from bmpnet.training import TrainConfig, train
 
 
 def tiny_sweep_config(**over):
@@ -71,6 +72,18 @@ class TestSeeds:
         assert tc.seed == run_seed(cfg.base_seed, 7, 1)
         assert tc.r == 7 and tc.n == cfg.n
         assert tc.epochs == cfg.epochs
+
+    def test_train_config_copies_every_shared_field(self):
+        cfg = SweepConfig(n=2, ranks=(5, 7), reps=2, epochs=3, batch_size=8,
+                          lr=0.02, clip_threshold=3.0, train_size=40,
+                          val_size=30, alpha=0.5, base_seed=9, low=-2.0,
+                          high=3.0, resample=True)
+        tc = make_train_config(cfg, 5, 0)
+        shared = [f.name for f in fields(SweepConfig)
+                  if f.name in {g.name for g in fields(TrainConfig)}]
+        assert len(shared) == 11
+        for name in shared:
+            assert getattr(tc, name) == getattr(cfg, name), name
 
 
 class TestSweep:

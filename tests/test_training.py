@@ -1,6 +1,8 @@
 """Training-loop tests: data generation, loss, gradients against the
 finite-difference oracle, clipping, Adam, and the epoch loop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from bmpnet.scheme import BilinearScheme, forward_fast_batch, init_scheme
 from bmpnet.training import (
     LengthMismatch,
     TrainConfig,
+    TrainingDiverged,
     adam_step,
     adam_update,
     batch_slices,
     clip_gradients,
+    fit,
     gen_dataset,
     global_norm,
     grad_analytic,
@@ -366,3 +370,42 @@ class TestTrain:
             tiny_config(batch_size=256, train_size=128)
         with pytest.raises(ValueError):
             tiny_config(lr=-1.0)
+
+
+class TestDivergence:
+    def test_first_epoch_divergence_names_no_losses(self):
+        with pytest.raises(TrainingDiverged) as info:
+            with np.errstate(all="ignore"):
+                train(tiny_config(alpha=1e200))
+        assert info.value.epoch == 0
+        assert info.value.train_loss is None
+        assert info.value.val_loss is None
+        assert "diverged in epoch 0" in str(info.value)
+
+    def test_later_divergence_carries_last_finite_losses(self):
+        # the loss is taken at a blown-up copy of the scheme from epoch 1
+        cfg = tiny_config(epochs=3)
+        first = train(tiny_config(epochs=1))
+
+        def init(seed):
+            scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
+            return scheme, init_adam(scheme)
+
+        def view(scheme, epoch):
+            if epoch == 0:
+                return scheme, scheme
+            return BilinearScheme(n=scheme.n, r=scheme.r, H=scheme.H * 1e200,
+                                  K=scheme.K * 1e200, F=scheme.F), scheme
+
+        with pytest.raises(TrainingDiverged) as info:
+            with np.errstate(all="ignore"):
+                fit(cfg, init, adam_step, lambda *args: None, view)
+        assert info.value.epoch == 1
+        assert info.value.train_loss == first.train_losses[0]
+        assert info.value.val_loss == first.val_losses[0]
+
+    def test_survives_pickling(self):
+        # sweep workers hand the error back to the parent process
+        exc = pickle.loads(pickle.dumps(TrainingDiverged(2, 0.5, 0.25)))
+        assert (exc.epoch, exc.train_loss, exc.val_loss) == (2, 0.5, 0.25)
+        assert str(exc) == str(TrainingDiverged(2, 0.5, 0.25))
