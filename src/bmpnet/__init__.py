@@ -1,111 +1,4 @@
 """Tensor networks over the Bhattacharya-Mesner product, with gradient
 training and exact verification of fast matrix-multiplication schemes."""
 
-from .border import (
-    EpsRunRecord,
-    EpsScheme,
-    EpsSchedule,
-    evaluate,
-    init_eps_scheme,
-    train_eps,
-    wstate_embedded,
-    wstate_eps_scheme,
-)
-from .experiment import (
-    SweepConfig,
-    adjacent_welch,
-    export,
-    per_rank_stats,
-    run_seed,
-    sweep,
-    top_vs_rest_welch,
-)
-from .network import (
-    ActivationOrderMismatch,
-    CycleDetected,
-    Network,
-    NetworkError,
-    NodeSpec,
-    OrderNotTopological,
-    StateSizeMismatch,
-    build_matmul_chain,
-    classical_2x2,
-    hidden_positions,
-    lift,
-    marginalize,
-    network_from_json,
-    network_to_json,
-    observed_total,
-    strassen_pipeline,
-    strassen_stages,
-    total_bmp,
-    total_direct,
-    validate,
-)
-from .scheme import (
-    BilinearScheme,
-    RankTooSmall,
-    forward_bmp,
-    forward_fast,
-    forward_fast_batch,
-    init_scheme,
-    reconstruct,
-    scheme_from_json,
-    scheme_to_json,
-    to_exact,
-    to_float,
-)
-from .stats import (
-    DegenerateVariance,
-    SampleStats,
-    TooFewSamples,
-    WelchReport,
-    summarize,
-    t_cdf,
-    t_quantile,
-    welch_one_tailed,
-)
-from .tensor import (
-    ArityMismatch,
-    BadIndexSet,
-    ShapeMismatch,
-    blow,
-    bmp,
-    contraction,
-    exact_array,
-    float_array,
-    forget,
-    frobenius,
-    frobenius_sq,
-    is_exact,
-    matmul_tensor,
-    tensor_from_json,
-    tensor_to_json,
-)
-from .training import (
-    AdamState,
-    Dataset,
-    RunRecord,
-    TrainConfig,
-    adam_step,
-    clip_gradients,
-    gen_dataset,
-    grad_analytic,
-    grad_fd,
-    init_adam,
-    mix64,
-    mse,
-    train,
-)
-from .verify import (
-    VerifyReport,
-    exponent,
-    known_strassen,
-    normalize_slots,
-    residual,
-    residual_sq_exact,
-    round_scheme,
-    verify_scheme,
-)
-
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ come from flags or from a JSON config file (--config); flags win, and
 unknown config keys are rejected, and so are config values whose JSON
 type does not match the option (an int may stand for a float).  Exit
 codes: 0 on success, 1 when a requested check fails, 2 for usage or
-config errors, 3 when training diverges (a batch loss is not finite).
+config errors, 3 when training diverges (a batch loss or an updated
+parameter is not finite).
 Commands that write files place everything under --out next to a
 manifest.json listing the resolved options and the produced files.
 """
@@ -171,6 +172,16 @@ def _resolve(args, defaults):
         if unknown:
             raise UsageError("unknown config keys: %s"
                              % ", ".join(unknown))
+        for key, value in loaded.items():
+            # an option whose default is a bool, int or float takes values
+            # of that type only, except that an int may stand for a float
+            kind = type(defaults[key])
+            allowed = (int, float) if kind is float else kind
+            if kind in (bool, int, float) and (
+                    isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, allowed)):
+                raise UsageError("option %s must be %s, got %r"
+                                 % (key, kind.__name__, value))
         merged.update(loaded)
     merged.update(given)
     return merged
@@ -216,18 +227,10 @@ def _write_manifest(outdir, command, options, files):
 
 def _config(cls, opts, **given):
     """Build cls from the resolved options, converting each to its
-    field's type; a value of another JSON type is a usage error, except
-    that an int may stand for a float."""
+    field's type (so an int config value becomes a float)."""
     for key, f in _fields(cls).items():
-        if f.name in given:
-            continue
-        value = opts[key]
-        allowed = (int, float) if f.type is float else f.type
-        if isinstance(value, bool) != (f.type is bool) \
-                or not isinstance(value, allowed):
-            raise UsageError("option %s must be %s, got %r"
-                             % (key, f.type.__name__, value))
-        given[f.name] = f.type(value)
+        if f.name not in given:
+            given[f.name] = f.type(opts[key])
     return cls(**given)
 
 
@@ -301,7 +304,7 @@ def _cmd_train(opts):
 def _cmd_sweep(opts):
     ranks = _parse_ranks(opts["ranks"])
     cfg = _config(SweepConfig, opts, ranks=ranks)
-    threads = int(opts["threads"])
+    threads = opts["threads"]
     if threads < 1:
         raise UsageError("--threads must be at least 1, got %d" % threads)
 
@@ -327,7 +330,7 @@ def _cmd_sweep(opts):
             _write_json(outdir, name, rec.to_json())
             files.append(name)
         files += export(records, outdir,
-                        top_vs_rest=bool(opts["top_vs_rest"]))
+                        top_vs_rest=opts["top_vs_rest"])
         opts_out = dict(opts)
         opts_out["ranks"] = list(ranks)
         _write_manifest(outdir, "sweep", opts_out, files)
@@ -346,7 +349,7 @@ def _load_scheme(opts):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read scheme %s: %s" % (source, exc))
-    return scheme_from_json(payload, exact=bool(opts["exact"]))
+    return scheme_from_json(payload, exact=opts["exact"])
 
 
 def _cmd_verify(opts):
@@ -398,8 +401,8 @@ def _cmd_train_eps(opts):
         def progress(epoch, tr, va, probe, eps):
             print("epoch %3d  train %.6e  val %.6e  probe %.6e  eps %.4e"
                   % (epoch, tr, va, probe, eps))
-    record = train_eps(cfg, schedule, d_max=int(opts["dmax"]),
-                       f_min=int(opts["fmin"]),
+    record = train_eps(cfg, schedule, d_max=opts["dmax"],
+                       f_min=opts["fmin"],
                        probe_eps=float(opts["probe_eps"]),
                        progress=progress)
     print("final val loss %.6e  probe loss %.6e  eps %.4e  (%.2f s)"

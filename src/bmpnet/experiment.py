@@ -53,10 +53,6 @@ class SweepConfig:
         return out
 
 
-def sweep_config_from_json(obj):
-    return SweepConfig(**obj)
-
-
 def run_seed(base_seed, rank, rep):
     """Seed of one run, independent of every other run in the sweep."""
     return mix64(base_seed, rank, rep)

@@ -15,7 +15,9 @@ import numpy as np
 from .network import strassen_pipeline
 from .tensor import (
     ShapeMismatch,
+    bmp,
     exact_array,
+    forget,
     matrix_from_json,
     matrix_to_json,
     zeros_matching,
@@ -24,6 +26,10 @@ from .tensor import (
 
 class RankTooSmall(ValueError):
     """The tensor-network route needs r >= n^2 to embed the operands."""
+
+
+class NonFiniteEntries(ShapeMismatch):
+    """A factor matrix holds NaN or inf."""
 
 
 @dataclass
@@ -51,7 +57,7 @@ class BilinearScheme:
             raise ShapeMismatch("F must be (r, n^2), got %s" % (self.F.shape,))
         for mat in (self.H, self.K, self.F):
             if mat.dtype != object and not np.all(np.isfinite(mat)):
-                raise ShapeMismatch("scheme entries must be finite")
+                raise NonFiniteEntries("scheme entries must be finite")
 
 
 def init_scheme(n, r, seed, alpha=1.0):
@@ -122,7 +128,10 @@ def reconstruct(scheme, n=None):
     scheme is a true rank decomposition.  F rows hold coefficients on
     the row-major flattening of AB, whereas the structure tensor's last
     slot runs over the transposed layout, so each output factor is
-    reindexed through that transpose before the outer product.
+    reindexed through that transpose first.  The sum over slots is one
+    Bhattacharya-Mesner product of the three factors, each lifted to
+    order 3 with :func:`bmpnet.tensor.forget`; its output slots come out
+    as (f, h, k), so that every term multiplies h, k, f in that order.
     """
     if n is not None and n != scheme.n:
         raise ShapeMismatch(
@@ -131,13 +140,11 @@ def reconstruct(scheme, n=None):
         )
     n = scheme.n
     m = n * n
-    out = zeros_matching((m, m, m), scheme.H)
-    for s in range(scheme.r):
-        h = scheme.H[:, s]
-        k = scheme.K[:, s]
-        f = scheme.F[s, :].reshape(n, n).T.reshape(m)
-        out = out + h[:, None, None] * k[None, :, None] * f[None, None, :]
-    return out
+    F_t = scheme.F.reshape(scheme.r, n, n).transpose(0, 2, 1).reshape(
+        scheme.r, m)
+    out = bmp([forget(scheme.H.T, [2], [m]), forget(scheme.K.T, [0], [m]),
+               forget(F_t.T, [1], [m])])
+    return out.transpose(1, 2, 0)
 
 
 def scheme_to_json(scheme):

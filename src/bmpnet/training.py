@@ -16,9 +16,9 @@ import numpy as np
 
 from .scheme import (
     BilinearScheme,
+    NonFiniteEntries,
     forward_fast_batch,
     init_scheme,
-    scheme_from_json,
     scheme_to_json,
 )
 from .tensor import ShapeMismatch
@@ -295,20 +295,6 @@ class RunRecord:
         return out
 
 
-def run_record_from_json(obj):
-    known = {"config", "train_losses", "val_losses", "final_val_loss",
-             "scheme", "wall_seconds"}
-    return RunRecord(
-        config=TrainConfig(**obj["config"]),
-        train_losses=[float(v) for v in obj["train_losses"]],
-        val_losses=[float(v) for v in obj["val_losses"]],
-        scheme=scheme_from_json(obj["scheme"]),
-        wall_seconds=float(obj.get("wall_seconds", 0.0)),
-        extras={k: v for k, v in obj.items()
-                if k not in known},
-    )
-
-
 def run_streams(cfg):
     """Derived seeds for the independent random roles of one run."""
     return {
@@ -329,16 +315,18 @@ def batch_slices(perm, batch_size):
 
 
 class TrainingDiverged(ArithmeticError):
-    """A batch loss stopped being finite.  Carries the epoch and the last
-    finite per-epoch train and val losses (None within the first epoch)."""
+    """A batch loss or an updated scheme stopped being finite.  Carries
+    the epoch and the last finite per-epoch train and val losses (None
+    within the first epoch)."""
 
     def __init__(self, epoch, train_loss, val_loss):
         super().__init__(epoch, train_loss, val_loss)
         self.epoch, self.train_loss, self.val_loss = self.args
 
     def __str__(self):
-        return ("training diverged in epoch %d: non-finite batch loss "
-                "(last finite losses: train %s, val %s)" % self.args)
+        return ("training diverged in epoch %d: non-finite loss or "
+                "parameters (last finite losses: train %s, val %s)"
+                % self.args)
 
 
 def fit(cfg, init, step, epoch_end,
@@ -355,7 +343,8 @@ def fit(cfg, init, step, epoch_end,
     updates; then ``epoch_end(epoch, context, train_loss, val_loss,
     score)`` runs, where ``score(scheme)`` is any scheme's val loss.
     Returns the last context and both loss lists.  A non-finite batch
-    loss raises :class:`TrainingDiverged`.
+    loss, or an update that leaves a non-finite scheme, raises
+    :class:`TrainingDiverged`.
     """
     streams = run_streams(cfg)
     train_set = gen_dataset(cfg.n, cfg.train_size, streams["data"],
@@ -380,20 +369,24 @@ def fit(cfg, init, step, epoch_end,
         perm = np.random.default_rng(
             shuffle_seed(cfg, epoch)).permutation(cfg.train_size)
         sq_err_total = 0.0
-        for idx in batch_slices(perm, cfg.batch_size):
-            ab, bb, tb = a_rows[idx], b_rows[idx], t_rows[idx]
+        last = (train_losses[-1], val_losses[-1]) if train_losses \
+            else (None, None)
+        try:
+            for idx in batch_slices(perm, cfg.batch_size):
+                ab, bb, tb = a_rows[idx], b_rows[idx], t_rows[idx]
+                scheme, ctx = view(params, epoch)
+                batch_loss = mse(forward_fast_batch(scheme, ab, bb), tb)
+                if not math.isfinite(batch_loss):
+                    raise TrainingDiverged(epoch, *last)
+                grads = pull(ctx, grad_analytic(scheme, ab, bb, tb))
+                grads = clip_gradients(grads, cfg.clip_threshold)
+                params, state = step(state, params, grads, cfg.lr,
+                                     cfg.beta1, cfg.beta2, cfg.adam_eps)
+                sq_err_total += batch_loss * len(idx)
             scheme, ctx = view(params, epoch)
-            batch_loss = mse(forward_fast_batch(scheme, ab, bb), tb)
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(epoch, *(
-                    (train_losses[-1], val_losses[-1]) if train_losses
-                    else (None, None)))
-            grads = pull(ctx, grad_analytic(scheme, ab, bb, tb))
-            grads = clip_gradients(grads, cfg.clip_threshold)
-            params, state = step(state, params, grads, cfg.lr, cfg.beta1,
-                                 cfg.beta2, cfg.adam_eps)
-            sq_err_total += batch_loss * len(idx)
-        scheme, ctx = view(params, epoch)
+        except NonFiniteEntries:
+            # an update overflowed, and the scheme built from it refused it
+            raise TrainingDiverged(epoch, *last) from None
         train_losses.append(float(sq_err_total / cfg.train_size))
         val_losses.append(score(scheme))
         epoch_end(epoch, ctx, train_losses[-1], val_losses[-1], score)

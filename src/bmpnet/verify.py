@@ -17,7 +17,6 @@ from .scheme import BilinearScheme, reconstruct
 from .tensor import (
     ShapeMismatch,
     exact_array,
-    frobenius,
     frobenius_sq,
     is_exact,
     matmul_tensor,
@@ -56,16 +55,22 @@ class VerifyReport:
         }
 
 
+def _residual_sq(scheme, n):
+    """Squared Frobenius distance between the scheme's reconstruction and
+    the n x n matrix-product structure tensor: a Fraction in exact mode,
+    a float otherwise."""
+    if scheme.n != n:
+        raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
+                            % (scheme.n, n))
+    return frobenius_sq(reconstruct(scheme) - matmul_tensor(
+        n, n, n, exact=is_exact(scheme.H)))
+
+
 def residual(scheme, n):
     """Frobenius distance between the scheme's reconstruction and the
     n x n matrix-product structure tensor, as a float.  In exact mode the
     squared distance is formed in rational arithmetic before the root."""
-    if scheme.n != n:
-        raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
-                            % (scheme.n, n))
-    diff = reconstruct(scheme) - matmul_tensor(n, n, n,
-                                               exact=is_exact(scheme.H))
-    return frobenius(diff)
+    return math.sqrt(float(_residual_sq(scheme, n)))
 
 
 def residual_sq_exact(scheme, n):
@@ -73,11 +78,7 @@ def residual_sq_exact(scheme, n):
     true decomposition.  Requires an exact-mode scheme."""
     if not is_exact(scheme.H):
         raise ShapeMismatch("exact residual needs an exact-mode scheme")
-    if scheme.n != n:
-        raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
-                            % (scheme.n, n))
-    diff = reconstruct(scheme) - matmul_tensor(n, n, n, exact=True)
-    return frobenius_sq(diff)
+    return _residual_sq(scheme, n)
 
 
 def slot_contribution_norms(scheme):
@@ -97,24 +98,15 @@ def slot_contribution_norms(scheme):
 def verify_scheme(scheme):
     """Full report: float residual always, exact verdict when the scheme
     carries rational entries."""
-    n = scheme.n
-    if is_exact(scheme.H):
-        sq = residual_sq_exact(scheme, n)
-        return VerifyReport(
-            n=n,
-            r=scheme.r,
-            residual=math.sqrt(float(sq)),
-            exact_zero=(sq == 0),
-            slot_norms=slot_contribution_norms(scheme),
-            note="exact rational arithmetic",
-        )
+    exact = is_exact(scheme.H)
+    sq = _residual_sq(scheme, scheme.n)
     return VerifyReport(
-        n=n,
+        n=scheme.n,
         r=scheme.r,
-        residual=residual(scheme, n),
-        exact_zero=None,
+        residual=math.sqrt(float(sq)),
+        exact_zero=(sq == 0) if exact else None,
         slot_norms=slot_contribution_norms(scheme),
-        note="float arithmetic",
+        note="exact rational arithmetic" if exact else "float arithmetic",
     )
 
 

@@ -76,6 +76,17 @@ class TestTrain:
         assert code == 3
         assert "error: training diverged in epoch 0" in err
 
+    @pytest.mark.parametrize("command, lr", [("train", "1e308"),
+                                             ("train-eps", "1e306")])
+    def test_overflowing_update_is_divergence(self, capsys, command, lr):
+        # the losses stay finite; the Adam update overflows to inf
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, [
+                command, "--lr", lr, "--epochs", "2", "--train-size", "64",
+                "--val-size", "64"])
+        assert code == 3
+        assert "error: training diverged in epoch 0" in err
+
 
 class TestSweep:
     def test_full_output_tree(self, capsys, tmp_path):
@@ -212,6 +223,16 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: scheme key 'K'")
 
+    def test_non_finite_entry_is_usage_error(self, capsys, tmp_path):
+        # a non-finite entry in a file is bad input, not divergence
+        doc = scheme_to_json(to_float(known_strassen()))
+        doc["H"][0][0] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["verify", "--scheme", str(path)])
+        assert code == 2
+        assert "scheme entries must be finite" in err
+
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["verify", "--scheme",
                                         str(tmp_path / "missing.json")])
@@ -302,7 +323,8 @@ class TestConfigFile:
         ("train", "resample", "false"), ("train", "epochs", 1.5),
         ("train", "epochs", True), ("train", "lr", "0.01"),
         ("train", "clip", None), ("sweep", "seed", "1"),
-        ("train-eps", "decay", "1")])
+        ("train-eps", "decay", "1"), ("train", "verbose", "false"),
+        ("train-eps", "dmax", 1.5)])
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path,
                                                  command, key, value):
         cfg_path = tmp_path / "cfg.json"

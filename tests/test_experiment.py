@@ -3,7 +3,7 @@ statistics, flat-file export, and schedule independence."""
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from bmpnet.experiment import (
     rank_groups,
     run_seed,
     sweep,
-    sweep_config_from_json,
     top_vs_rest_welch,
 )
 from bmpnet.tensor import ShapeMismatch
@@ -51,7 +50,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = tiny_sweep_config(resample=True, alpha=0.5)
-        back = sweep_config_from_json(cfg.to_json())
+        back = SweepConfig(**cfg.to_json())
         assert back == cfg
 
 
@@ -84,6 +83,19 @@ class TestSeeds:
         assert len(shared) == 11
         for name in shared:
             assert getattr(tc, name) == getattr(cfg, name), name
+
+    def test_shared_fields_have_the_train_defaults_and_types(self):
+        # the sweep command line reads its defaults from SweepConfig, the
+        # train command line from TrainConfig; they must not drift apart
+        train_fields = {f.name: f for f in fields(TrainConfig)}
+        shared = [f for f in fields(SweepConfig) if f.name in train_fields]
+        assert len(shared) == 11
+        for f in shared:
+            g = train_fields[f.name]
+            assert f.type is g.type, f.name
+            if g.default is not MISSING:  # n has no TrainConfig default
+                assert f.default == g.default, f.name
+                assert type(f.default) is type(g.default), f.name
 
 
 class TestSweep:

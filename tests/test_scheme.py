@@ -2,6 +2,7 @@
 invariances, and the reconstruction tensor."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from bmpnet.scheme import (
     to_exact,
     to_float,
 )
-from bmpnet.tensor import ShapeMismatch, exact_array, matmul_tensor
+from bmpnet.tensor import (ShapeMismatch, exact_array, matmul_tensor,
+                           zeros_matching)
 from bmpnet.verify import known_strassen
 
 
@@ -259,6 +261,66 @@ class TestReconstruct:
             reconstruct(known_strassen(), 3)
         out = reconstruct(known_strassen(), 2)
         assert out.shape == (4, 4, 4)
+
+
+def reconstruct_by_slots(s):
+    """Reference: add the outer products h_s (x) k_s (x) f_s one slot at a
+    time, in slot order, starting from zero in the scheme's scalar mode."""
+    m = s.n * s.n
+    out = zeros_matching((m, m, m), s.H)
+    for t in range(s.r):
+        f = s.F[t, :].reshape(s.n, s.n).T.reshape(m)
+        out = out + (s.H[:, t][:, None, None] * s.K[:, t][None, :, None]
+                     * f[None, None, :])
+    return out
+
+
+class TestReconstructMatchesSlotLoop:
+    """The single product of lifted factors adds the same terms in the
+    same order as the per-slot loop, so results agree bit for bit."""
+
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (2, 7), (3, 23)])
+    def test_float_bitwise_with_nan_inf_and_negative_zero(self, n, r):
+        rng = np.random.default_rng(100 * n + r)
+        m = n * n
+        # unvalidated, so that NaN and inf get in
+        s = SimpleNamespace(n=n, r=r, H=rng.normal(size=(m, r)),
+                            K=rng.normal(size=(m, r)),
+                            F=rng.normal(size=(r, m)))
+        s.H[0, 0] = np.nan
+        s.K[m - 1, r - 1] = np.inf
+        s.F[0, m - 1] = -np.inf
+        s.H[:, r // 2] = -0.0
+        s.F[r - 1, 0] = -0.0
+        with np.errstate(invalid="ignore"):
+            got, want = reconstruct(s), reconstruct_by_slots(s)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.7])
+    def test_exact_values_and_types(self, zero_frac):
+        rng = np.random.default_rng(7)
+        n, r = 2, 7
+        m = n * n
+
+        def mat(shape):
+            vals = [Fraction(int(p), int(q)) if rng.random() >= zero_frac
+                    else 0 for p, q in zip(rng.integers(-5, 6, m * r),
+                                           rng.integers(1, 4, m * r))]
+            return exact_array(vals).reshape(shape)
+
+        s = BilinearScheme(n=n, r=r, H=mat((m, r)), K=mat((m, r)),
+                           F=mat((r, m)))
+        got, want = reconstruct(s), reconstruct_by_slots(s)
+        assert got.shape == want.shape
+        for g, w in zip(got.flat, want.flat):
+            assert g == w and type(g) is type(w) is Fraction
+
+    def test_exact_reference_scheme(self):
+        s = known_strassen()
+        got, want = reconstruct(s), reconstruct_by_slots(s)
+        assert all(g == w and type(g) is type(w)
+                   for g, w in zip(got.flat, want.flat))
 
 
 class TestResidualForwardEquivalence:

@@ -1,6 +1,7 @@
 """Certification path: residuals, slot norms, gauge fixing, grid
-snapping, and the pinned rank-7 reference scheme."""
+snapping, the pinned rank-7 reference scheme and its 4x4 composition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from bmpnet.verify import (
     slot_contribution_norms,
     verify_scheme,
 )
+from netgen import kron_scheme
 
 
 class TestKnownScheme:
@@ -82,6 +84,29 @@ class TestResidual:
     def test_exact_residual_needs_exact_scheme(self):
         with pytest.raises(ShapeMismatch):
             residual_sq_exact(to_float(known_strassen()), 2)
+
+
+class TestComposedScheme:
+    """Strassen's scheme applied to its own 2x2 blocks: 4x4 at rank 49,
+    certified exactly and rejected after a perturbation by 1/2."""
+
+    def test_certified_exactly(self):
+        s = kron_scheme(known_strassen(), known_strassen())
+        assert (s.n, s.r) == (4, 49)
+        assert residual_sq_exact(s, 4) == 0
+        report = verify_scheme(s)
+        assert report.exact_zero is True and report.residual == 0.0
+
+    def test_perturbed_copy_rejected(self):
+        s = kron_scheme(known_strassen(), known_strassen())
+        F = s.F.copy()
+        F[10, 5] += Fraction(1, 2)
+        bad = BilinearScheme(n=4, r=49, H=s.H, K=s.K, F=F)
+        sq = residual_sq_exact(bad, 4)
+        assert sq > 0
+        report = verify_scheme(bad)
+        assert report.exact_zero is False
+        assert report.residual == math.sqrt(float(sq))
 
 
 class TestSlotNorms:
