@@ -17,10 +17,11 @@ import numpy as np
 
 from .scheme import BilinearScheme, scheme_to_json
 from .tensor import ShapeMismatch, matrix_from_json, matrix_to_json
-from .training import adam_update, fit, init_adam_params
+from .training import Factors, TrainingDiverged, fit
 # imported only for perfbench/tracing.py, which wraps them in this module
 from .training import (  # noqa: F401
-    clip_gradients, forward_fast_batch, gen_dataset, grad_analytic, mse)
+    adam_update, clip_gradients, forward_fast_batch, gen_dataset,
+    grad_analytic, init_adam_params, mse)
 
 
 class EpsilonNonpositive(ValueError):
@@ -122,10 +123,13 @@ def evaluate(es, eps=None):
         eps = es.eps
     if eps <= 0:
         raise EpsilonNonpositive("eps must be positive, got %r" % eps)
-    H = _poly_sum(es.h_coeffs, range(es.d_max + 1), eps)
-    K = _poly_sum(es.k_coeffs, range(es.d_max + 1), eps)
-    F = _poly_sum(es.f_coeffs, es.f_powers(), eps)
-    return BilinearScheme(n=es.n, r=es.r, H=H, K=K, F=F)
+    return BilinearScheme(es.n, es.r, *_factors(es, eps))
+
+
+def _factors(es, eps):
+    return (_poly_sum(es.h_coeffs, range(es.d_max + 1), eps),
+            _poly_sum(es.k_coeffs, range(es.d_max + 1), eps),
+            _poly_sum(es.f_coeffs, es.f_powers(), eps))
 
 
 def coefficient_grads(es, d_h, d_k, d_f, eps):
@@ -225,28 +229,33 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
     def init(seed):
         es = init_eps_scheme(cfg.n, cfg.r, seed, cfg.alpha,
                              d_max=d_max, f_min=f_min, eps=schedule.eps0)
-        params = tuple(es.h_coeffs + es.k_coeffs + es.f_coeffs)
-        return params, init_adam_params(params)
+        return es.h_coeffs + es.k_coeffs + es.f_coeffs
 
-    def view(params, epoch):
-        es = EpsScheme(n=cfg.n, r=cfg.r, d_max=d_max, f_min=f_min,
-                       h_coeffs=list(params[:n_h]),
-                       k_coeffs=list(params[n_h:2 * n_h]),
-                       f_coeffs=list(params[2 * n_h:]),
-                       eps=schedule.at(epoch))
-        return evaluate(es), es
+    def eps_scheme(arrays, eps):
+        return EpsScheme(n=cfg.n, r=cfg.r, d_max=d_max, f_min=f_min,
+                         h_coeffs=list(arrays[:n_h]),
+                         k_coeffs=list(arrays[n_h:2 * n_h]),
+                         f_coeffs=list(arrays[2 * n_h:]), eps=eps)
+
+    def view(stacks, epoch):
+        # a stack of one run: its scheme at eps, with the run axis put back
+        es = eps_scheme([a[0] for a in stacks], schedule.at(epoch))
+        return Factors(*(x[None] for x in _factors(es, es.eps))), es
 
     def pull(es, grads):
         return coefficient_grads(es, *grads, es.eps)
 
-    def epoch_end(epoch, es, train_loss, val_loss, score):
+    def epoch_end(run, epoch, arrays, train_loss, val_loss, score):
+        es = eps_scheme(arrays, schedule.at(epoch))
         probe_losses.append(score(evaluate(es, probe_eps)))
         eps_path.append(es.eps)
         if progress is not None:
             progress(epoch, train_loss, val_loss, probe_losses[-1], es.eps)
 
-    es, train_losses, val_losses = fit(cfg, init, adam_update, epoch_end,
-                                       view, pull)
+    (outcome,) = fit([cfg], init, epoch_end, view, pull)
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    arrays, train_losses, val_losses = outcome
     return EpsRunRecord(
         config=cfg,
         schedule=schedule,
@@ -254,7 +263,7 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
         val_losses=val_losses,
         probe_losses=probe_losses,
         epsilon_trajectory=eps_path,
-        eps_scheme=es,
+        eps_scheme=eps_scheme(arrays, eps_path[-1]),
         probe_eps=probe_eps,
         wall_seconds=time.perf_counter() - started,
     )

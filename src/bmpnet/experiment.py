@@ -11,11 +11,15 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from .stats import summarize, welch_one_tailed
 from .tensor import ShapeMismatch
-from .training import TrainConfig, mix64, train
+from .training import (
+    RunRecord, TrainConfig, TrainingDiverged, mix64, train_stack)
+# imported only for perfbench/tracing.py, which wraps it in this module
+from .training import train  # noqa: F401
 
 
 @dataclass
@@ -67,36 +71,37 @@ def make_train_config(cfg, rank, rep):
                        seed=run_seed(cfg.base_seed, rank, rep))
 
 
-def _run_one(job):
-    rank, rep, tc = job
-    record = train(tc)
-    record.extras["rank"] = rank
-    record.extras["repetition"] = rep
-    return record
+def _train_rank(jobs):
+    """One rank's repetitions, trained as one stack: per run its record,
+    or the TrainingDiverged it raised."""
+    outcomes = train_stack([tc for _, _, tc in jobs])
+    for (rank, rep, _), rec in zip(jobs, outcomes):
+        if isinstance(rec, RunRecord):
+            rec.extras["rank"] = rank
+            rec.extras["repetition"] = rep
+    return outcomes
 
 
 def sweep(cfg, threads=1, progress=None):
     """Train every (rank, repetition) pair; returns records sorted by
-    (rank, repetition).  ``threads`` > 1 distributes runs over worker
-    processes; results do not depend on the schedule."""
-    jobs = [(rank, rep, make_train_config(cfg, rank, rep))
-            for rank in sorted(cfg.ranks) for rep in range(cfg.reps)]
-    if threads <= 1:
+    (rank, repetition).  Each rank's repetitions train as one stack, run
+    for run bit-identical to training them alone.  ``threads`` > 1
+    distributes the rank stacks over worker processes; results do not
+    depend on the schedule.  A diverged run raises its TrainingDiverged
+    once the runs before it in (rank, repetition) order are reported, as
+    a serial sweep would."""
+    stacks = [[(rank, rep, make_train_config(cfg, rank, rep))
+               for rep in range(cfg.reps)] for rank in sorted(cfg.ranks)]
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
         records = []
-        for job in jobs:
-            rec = _run_one(job)
-            if progress is not None:
-                progress(rec)
-            records.append(rec)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = []
-            for rec in pool.map(_run_one, jobs):
+        for outcomes in (pool.map if pool else map)(_train_rank, stacks):
+            for rec in outcomes:
+                if isinstance(rec, TrainingDiverged):
+                    raise rec
                 if progress is not None:
                     progress(rec)
                 records.append(rec)
-    records.sort(key=lambda rec: (rec.extras["rank"],
-                                  rec.extras["repetition"]))
     return records
 
 

@@ -83,11 +83,12 @@ def forward_fast(scheme, a_vec, b_vec):
 
 
 def forward_fast_batch(scheme, a_rows, b_rows):
-    """Batched forward: rows of a_rows/b_rows are flattened operands."""
+    """Batched forward: rows of a_rows/b_rows are flattened operands.
+    The factors and the rows may carry a leading run axis."""
     a_rows = np.asarray(a_rows)
     b_rows = np.asarray(b_rows)
-    prods = a_rows.dot(scheme.H) * b_rows.dot(scheme.K)
-    return prods.dot(scheme.F)
+    prods = (a_rows @ scheme.H) * (b_rows @ scheme.K)
+    return prods @ scheme.F
 
 
 def padded_square_factors(scheme):

@@ -3,20 +3,22 @@
 The loss is the mean over samples of the squared Euclidean error of the
 predicted product vector.  Gradients come in closed form (with a finite
 difference fallback used only for cross-checking), updates are Adam with
-global-norm clipping across all three factors jointly.  Every random
-draw is derived from the run seed through a fixed mixing function, so
-records reproduce bitwise.
+global-norm clipping across all three factors of a run jointly.  Runs
+that differ only in their seed train as one stack, with a leading run
+axis on every array; every random draw is derived from the run's seed
+through a fixed mixing function, so each record reproduces bitwise, alone
+or in any stack.
 """
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .scheme import (
     BilinearScheme,
-    NonFiniteEntries,
     forward_fast_batch,
     init_scheme,
     scheme_to_json,
@@ -94,7 +96,8 @@ def gen_dataset(n, count, seed, low=-1.0, high=1.0):
 
 
 def mse(pred_rows, target_rows):
-    """Mean over samples of the squared Euclidean error per sample."""
+    """Mean over samples of the squared Euclidean error per sample; with
+    a leading run axis, one mean per run."""
     pred_rows = np.asarray(pred_rows, dtype=np.float64)
     target_rows = np.asarray(target_rows, dtype=np.float64)
     if pred_rows.shape != target_rows.shape:
@@ -102,11 +105,13 @@ def mse(pred_rows, target_rows):
             "prediction shape %s vs target shape %s"
             % (pred_rows.shape, target_rows.shape))
     diff = pred_rows - target_rows
-    return float(np.mean(np.sum(diff * diff, axis=-1)))
+    out = (diff * diff).sum(axis=-1).sum(axis=-1) / diff.shape[-2]
+    return float(out) if out.ndim == 0 else out
 
 
 def grad_analytic(scheme, a_rows, b_rows, target_rows):
-    """Closed-form loss gradients (dH, dK, dF) on one batch.
+    """Closed-form loss gradients (dH, dK, dF) on one batch; the factors
+    and the rows may carry a leading run axis.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
     dF = M^T E, and with G = E F^T, dH = A^T (G * W), dK = B^T (G * U).
@@ -114,15 +119,15 @@ def grad_analytic(scheme, a_rows, b_rows, target_rows):
     a_rows = np.asarray(a_rows, dtype=np.float64)
     b_rows = np.asarray(b_rows, dtype=np.float64)
     target_rows = np.asarray(target_rows, dtype=np.float64)
-    count = a_rows.shape[0]
-    u = a_rows.dot(scheme.H)
-    w = b_rows.dot(scheme.K)
+    count = a_rows.shape[-2]
+    u = a_rows @ scheme.H
+    w = b_rows @ scheme.K
     m = u * w
-    err = 2.0 * (m.dot(scheme.F) - target_rows) / count
-    d_f = m.T.dot(err)
-    g = err.dot(scheme.F.T)
-    d_h = a_rows.T.dot(g * w)
-    d_k = b_rows.T.dot(g * u)
+    err = 2.0 * (m @ scheme.F - target_rows) / count
+    d_f = m.mT @ err
+    g = err @ scheme.F.mT
+    d_h = a_rows.mT @ (g * w)
+    d_k = b_rows.mT @ (g * u)
     return d_h, d_k, d_f
 
 
@@ -153,23 +158,29 @@ def grad_fd(scheme, a_rows, b_rows, target_rows, h=1e-6):
 
 
 def global_norm(grads):
-    """Euclidean norm over all gradient entries jointly."""
+    """Euclidean norm over all gradient entries of each run jointly, one
+    norm per run along the leading run axis; the squared sums are added
+    array by array, in the order given."""
     total = 0.0
     for g in grads:
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
+        g = np.asarray(g, dtype=np.float64).reshape(len(g), -1)
+        total = total + (g * g).sum(axis=1)
+    return np.sqrt(total)
 
 
 def clip_gradients(grads, threshold):
-    """Rescale the gradient triple onto the ball of the given global
-    norm; below the threshold the inputs pass through untouched."""
+    """Rescale each run's gradients onto the ball of the given global
+    norm; runs below the threshold pass through untouched, and when no
+    run is above it the inputs are returned as they are."""
     if threshold <= 0:
         raise ShapeMismatch("clip threshold must be positive")
     norm = global_norm(grads)
-    if norm <= threshold or norm == 0.0:
+    if (norm <= threshold).all():
         return tuple(grads)
-    scale = threshold / norm
-    return tuple(np.asarray(g) * scale for g in grads)
+    # threshold / threshold is exactly 1, and x * 1 is x
+    scale = threshold / np.maximum(norm, threshold)
+    return tuple(np.asarray(g) * scale.reshape((-1,) + (1,) * (g.ndim - 1))
+                 for g in grads)
 
 
 @dataclass
@@ -177,50 +188,64 @@ class AdamState:
     """First and second moment accumulators plus the step counter."""
 
     step: int
-    m: tuple
-    v: tuple
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam_params(params):
-    zeros = tuple(np.zeros_like(np.asarray(p, dtype=np.float64))
-                  for p in params)
-    return AdamState(step=0,
-                     m=tuple(z.copy() for z in zeros),
-                     v=tuple(z.copy() for z in zeros))
-
-
-def init_adam(scheme):
-    return init_adam_params((scheme.H, scheme.K, scheme.F))
+    """Zero Adam state for a parameter array."""
+    zeros = np.zeros_like(np.asarray(params, dtype=np.float64))
+    return AdamState(step=0, m=zeros, v=zeros.copy())
 
 
 def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update over an arbitrary tuple of parameter arrays;
-    returns the new tuple and state, inputs are left untouched."""
+    """One Adam update of a parameter array, entry by entry, such as a
+    stack's flat (R, P) parameters; returns the new array and state,
+    inputs are left untouched."""
     t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=np.float64)
-        m1 = beta1 * m + (1.0 - beta1) * g
-        v1 = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m1 / (1.0 - beta1 ** t)
-        v_hat = v1 / (1.0 - beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m1)
-        new_v.append(v1)
-    return tuple(new_params), AdamState(step=t, m=tuple(new_m),
-                                        v=tuple(new_v))
+    g = np.asarray(grads, dtype=np.float64)
+    m1 = beta1 * state.m + (1.0 - beta1) * g
+    v1 = beta2 * state.v + (1.0 - beta2) * (g * g)
+    m_hat = m1 / (1.0 - beta1 ** t)
+    v_hat = v1 / (1.0 - beta2 ** t)
+    return (params - lr * m_hat / (np.sqrt(v_hat) + eps),
+            AdamState(step=t, m=m1, v=v1))
+
+
+def _flat(arrays):
+    """Arrays with a common leading axis, laid back to back along one."""
+    return np.concatenate([np.asarray(a).reshape(len(a), -1)
+                           for a in arrays], axis=1)
+
+
+def _split(flat, shapes):
+    """Views of :func:`_flat`'s pieces, each with the leading axis."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[:, start:start + size].reshape((len(flat),) + shape))
+        start += size
+    return tuple(out)
+
+
+def _flat_one(arrays):
+    return _flat([np.asarray(a)[None] for a in arrays])
+
+
+def init_adam(scheme):
+    """Zero Adam state for a scheme, in :func:`adam_step`'s layout."""
+    return init_adam_params(_flat_one((scheme.H, scheme.K, scheme.F)))
 
 
 def adam_step(state, scheme, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update of a scheme's three factors; returns the new
-    scheme and state."""
-    params = (scheme.H, scheme.K, scheme.F)
-    new_params, new_state = adam_update(state, params, grads, lr,
-                                        beta1, beta2, eps)
-    new_scheme = BilinearScheme(n=scheme.n, r=scheme.r,
-                                H=new_params[0], K=new_params[1],
-                                F=new_params[2])
-    return new_scheme, new_state
+    """One Adam update of a scheme's three factors, laid back to back as
+    a stack of one; returns the new scheme and state."""
+    params = _flat_one((scheme.H, scheme.K, scheme.F))
+    new, state = adam_update(state, params, _flat_one(grads), lr,
+                             beta1, beta2, eps)
+    shapes = (scheme.H.shape, scheme.K.shape, scheme.F.shape)
+    H, K, F = (a[0] for a in _split(new, shapes))
+    return BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F), state
 
 
 @dataclass
@@ -266,8 +291,11 @@ class TrainConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced; wall time stays out of the JSON by
-    default so identical seeds give identical files."""
+    """Everything one run produced.  ``wall_seconds`` is the run's share
+    of its stack's training time, the stack's wall time divided by the
+    number of runs in it, so the sum over a sweep's records is the
+    sweep's training time.  It stays out of the JSON by default so
+    identical seeds give identical files."""
 
     config: TrainConfig
     train_losses: list
@@ -309,13 +337,16 @@ def shuffle_seed(cfg, epoch):
 
 
 def batch_slices(perm, batch_size):
-    """Index batches in permutation order; the last one may be short."""
-    for start in range(0, len(perm), batch_size):
-        yield perm[start:start + batch_size]
+    """Index batches in permutation order along the last axis, which
+    holds one permutation per run of a stack; the last one may be
+    short."""
+    for start in range(0, np.shape(perm)[-1], batch_size):
+        yield perm[..., start:start + batch_size]
 
 
 class TrainingDiverged(ArithmeticError):
-    """A batch loss or an updated scheme stopped being finite.  Carries
+    """A batch loss, or a scheme at the end of an epoch, stopped being
+    finite.  Carries
     the epoch and the last finite per-epoch train and val losses (None
     within the first epoch)."""
 
@@ -329,89 +360,152 @@ class TrainingDiverged(ArithmeticError):
                 % self.args)
 
 
-def fit(cfg, init, step, epoch_end,
-        view=lambda params, epoch: (params, params),
+class Factors(NamedTuple):
+    """H, K and F of a stack of runs, each with a leading run axis: what
+    ``forward_fast_batch`` and :func:`grad_analytic` read of a scheme."""
+
+    H: np.ndarray
+    K: np.ndarray
+    F: np.ndarray
+
+
+def fit(cfgs, init, epoch_end,
+        view=lambda arrays, epoch: (Factors(*arrays), None),
         pull=lambda ctx, grads: grads):
-    """The training loop of :func:`train` and ``border.train_eps``.
+    """The training loop of :func:`train_stack` and ``border.train_eps``:
+    R runs whose configs differ only in the seed, stepped as one stack.
 
-    ``init(seed)`` gives the parameters and the Adam state.
-    ``view(params, epoch)`` gives the scheme the loss is taken at and a
-    context, with which ``pull(context, grads)`` maps that scheme's
-    gradients back to the parameters.  ``step`` is :func:`adam_step` or
-    :func:`adam_update`.  Per epoch, the train loss is the exact sample
-    mean of the batch losses and the val loss is scored after the
-    updates; then ``epoch_end(epoch, context, train_loss, val_loss,
-    score)`` runs, where ``score(scheme)`` is any scheme's val loss.
-    Returns the last context and both loss lists.  A non-finite batch
-    loss, or an update that leaves a non-finite scheme, raises
-    :class:`TrainingDiverged`.
+    ``init(seed)`` gives one run's parameter arrays; the stack keeps all
+    of them back to back in one float64 (R, P) array.  ``view(arrays,
+    epoch)`` maps the parameter arrays, as views with a leading run axis,
+    to the :class:`Factors` the loss is taken at and a context, with
+    which ``pull(context, grads)`` maps their gradients back to the
+    parameter arrays.  A step takes one forward pass and one gradient
+    over the stack, clips per run and makes one Adam update.  Data,
+    shuffles and validation stay per run.  Per epoch, a run's train loss
+    is the exact sample mean of its batch losses and its val loss is
+    scored after the updates; then ``epoch_end(run, epoch, arrays,
+    train_loss, val_loss, score)`` runs, where ``arrays`` are the run's
+    parameter arrays and ``score(scheme)`` is any scheme's val loss on
+    the run's validation set.
+
+    Returns, per run, its parameter arrays and both loss lists, or the
+    :class:`TrainingDiverged` it raised: a non-finite batch loss, or
+    non-finite factors at the end of an epoch, stops that run, and the
+    other runs go on untouched.
     """
-    streams = run_streams(cfg)
-    train_set = gen_dataset(cfg.n, cfg.train_size, streams["data"],
-                            cfg.low, cfg.high)
-    val_set = gen_dataset(cfg.n, cfg.val_size, streams["val"],
-                          cfg.low, cfg.high)
-    params, state = init(streams["init"])
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ShapeMismatch("runs of a stack may differ only in the seed")
+    streams = [run_streams(c) for c in cfgs]
 
-    a_rows, b_rows, t_rows = train_set.flat()
-    va_rows, vb_rows, vt_rows = val_set.flat()
+    def scorer(val_set):
+        va_rows, vb_rows, vt_rows = val_set.flat()
+        return lambda scheme: mse(
+            forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
 
-    def score(scheme):
-        return mse(forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
+    scores = [scorer(gen_dataset(cfg.n, cfg.val_size, s["val"], cfg.low,
+                                 cfg.high)) for s in streams]
+    first = [init(s["init"]) for s in streams]
+    shapes = [np.shape(a) for a in first[0]]
+    params = _flat([np.stack(group) for group in zip(*first)])
+    state = init_adam_params(params)
 
-    train_losses, val_losses = [], []
+    runs = range(len(cfgs))
+    # row offset of each run in the stacked (R * train_size, n^2) data
+    offsets = cfg.train_size * np.arange(len(cfgs))[:, None]
+    train_losses = [[] for _ in runs]
+    val_losses = [[] for _ in runs]
+    failed = [None for _ in runs]
+
+    def diverge(run, epoch):
+        last = (train_losses[run][-1], val_losses[run][-1]) \
+            if train_losses[run] else (None, None)
+        failed[run] = TrainingDiverged(epoch, *last)
+
     for epoch in range(cfg.epochs):
-        if cfg.resample and epoch > 0:
-            fresh = gen_dataset(cfg.n, cfg.train_size,
-                                mix64(streams["data"], epoch),
-                                cfg.low, cfg.high)
-            a_rows, b_rows, t_rows = fresh.flat()
-        perm = np.random.default_rng(
-            shuffle_seed(cfg, epoch)).permutation(cfg.train_size)
-        sq_err_total = 0.0
-        last = (train_losses[-1], val_losses[-1]) if train_losses \
-            else (None, None)
-        try:
-            for idx in batch_slices(perm, cfg.batch_size):
-                ab, bb, tb = a_rows[idx], b_rows[idx], t_rows[idx]
-                scheme, ctx = view(params, epoch)
-                batch_loss = mse(forward_fast_batch(scheme, ab, bb), tb)
-                if not math.isfinite(batch_loss):
-                    raise TrainingDiverged(epoch, *last)
-                grads = pull(ctx, grad_analytic(scheme, ab, bb, tb))
-                grads = clip_gradients(grads, cfg.clip_threshold)
-                params, state = step(state, params, grads, cfg.lr,
-                                     cfg.beta1, cfg.beta2, cfg.adam_eps)
-                sq_err_total += batch_loss * len(idx)
-            scheme, ctx = view(params, epoch)
-        except NonFiniteEntries:
-            # an update overflowed, and the scheme built from it refused it
-            raise TrainingDiverged(epoch, *last) from None
-        train_losses.append(float(sq_err_total / cfg.train_size))
-        val_losses.append(score(scheme))
-        epoch_end(epoch, ctx, train_losses[-1], val_losses[-1], score)
-    return ctx, train_losses, val_losses
+        if epoch == 0 or cfg.resample:
+            # by default one fixed training set, a fresh one per epoch
+            # with resampling
+            sets = (gen_dataset(cfg.n, cfg.train_size,
+                                mix64(s["data"], epoch) if epoch
+                                else s["data"], cfg.low, cfg.high).flat()
+                    for s in streams)
+            data = tuple(np.concatenate(x) for x in zip(*sets))
+        perm = offsets + np.stack([
+            np.random.default_rng(shuffle_seed(c, epoch))
+            .permutation(cfg.train_size) for c in cfgs])
+        sq_err_total = np.zeros(len(cfgs))
+        for idx in batch_slices(perm, cfg.batch_size):
+            ab, bb, tb = (x.take(idx, axis=0) for x in data)
+            factors, ctx = view(_split(params, shapes), epoch)
+            batch_loss = mse(forward_fast_batch(factors, ab, bb), tb)
+            if not np.isfinite(batch_loss).all():
+                for run in np.flatnonzero(~np.isfinite(batch_loss)):
+                    if failed[run] is None:
+                        diverge(run, epoch)
+                if all(failed):
+                    return failed
+            grads = pull(ctx, grad_analytic(factors, ab, bb, tb))
+            grads = clip_gradients(grads, cfg.clip_threshold)
+            params, state = adam_update(state, params, _flat(grads), cfg.lr,
+                                        cfg.beta1, cfg.beta2, cfg.adam_eps)
+            sq_err_total += batch_loss * idx.shape[1]
+        arrays = _split(params, shapes)
+        factors, _ = view(arrays, epoch)
+        for run in runs:
+            if failed[run] is not None:
+                continue
+            scheme = Factors(*(f[run] for f in factors))
+            if not all(np.isfinite(f).all() for f in scheme):
+                diverge(run, epoch)
+                continue
+            train_losses[run].append(float(sq_err_total[run]
+                                           / cfg.train_size))
+            val_losses[run].append(scores[run](scheme))
+            epoch_end(run, epoch, [a[run] for a in arrays],
+                      train_losses[run][-1], val_losses[run][-1],
+                      scores[run])
+        if all(failed):
+            return failed
+    return [failed[run] or ([np.array(a[run]) for a in arrays],
+                            train_losses[run], val_losses[run])
+            for run in runs]
 
 
-def train(cfg, progress=None):
-    """Run one full training; returns the record with per-epoch losses.
-    ``progress(epoch, train_loss, val_loss)`` is called after each epoch.
+def train_stack(cfgs, progress=None):
+    """Train runs whose configs differ only in the seed as one stack;
+    returns, per run in order, its record or the
+    :class:`TrainingDiverged` it raised.  Each run is bit-identical to
+    training it alone.  ``progress(epoch, train_loss, val_loss)`` is
+    called after each epoch of each run.
     """
     started = time.perf_counter()
+    cfg = cfgs[0]
 
     def init(seed):
         scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
-        return scheme, init_adam(scheme)
+        return scheme.H, scheme.K, scheme.F
 
-    def epoch_end(epoch, scheme, train_loss, val_loss, score):
+    def epoch_end(run, epoch, arrays, train_loss, val_loss, score):
         if progress is not None:
             progress(epoch, train_loss, val_loss)
 
-    scheme, train_losses, val_losses = fit(cfg, init, adam_step, epoch_end)
-    return RunRecord(
-        config=cfg,
-        train_losses=train_losses,
-        val_losses=val_losses,
-        scheme=scheme,
-        wall_seconds=time.perf_counter() - started,
-    )
+    outcomes = fit(cfgs, init, epoch_end)
+    wall = (time.perf_counter() - started) / len(cfgs)
+    return [out if isinstance(out, TrainingDiverged) else RunRecord(
+        config=c, train_losses=out[1], val_losses=out[2],
+        scheme=BilinearScheme(n=c.n, r=c.r, H=out[0][0], K=out[0][1],
+                              F=out[0][2]),
+        wall_seconds=wall) for c, out in zip(cfgs, outcomes)]
+
+
+def train(cfg, progress=None):
+    """Run one full training, a stack of one; returns the record with
+    per-epoch losses.  ``progress(epoch, train_loss, val_loss)`` is
+    called after each epoch.
+    """
+    (record,) = train_stack([cfg], progress)
+    if isinstance(record, TrainingDiverged):
+        raise record
+    return record

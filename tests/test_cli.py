@@ -76,10 +76,22 @@ class TestTrain:
         assert code == 3
         assert "error: training diverged in epoch 0" in err
 
+    def test_sweep_divergence_has_its_own_exit_code(self, capsys):
+        # every run of the first rank stack diverges; the sweep reports
+        # none of them and raises the first
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, ["sweep"] + TINY_SWEEP
+                                     + ["--alpha", "1e200"])
+        assert code == 3
+        assert "rank" not in out
+        assert err.strip().splitlines()[-1] == (
+            "error: training diverged in epoch 0: non-finite loss or "
+            "parameters (last finite losses: train None, val None)")
+
     @pytest.mark.parametrize("command, lr", [("train", "1e308"),
                                              ("train-eps", "1e306")])
     def test_overflowing_update_is_divergence(self, capsys, command, lr):
-        # the losses stay finite; the Adam update overflows to inf
+        # the losses stay finite until an Adam update overflows to inf
         with np.errstate(all="ignore"):
             code, _, err = run_cli(capsys, [
                 command, "--lr", lr, "--epochs", "2", "--train-size", "64",

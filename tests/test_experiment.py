@@ -21,6 +21,7 @@ from bmpnet.experiment import (
 )
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import TrainConfig, train
+from perrun import assert_same_run
 
 
 def tiny_sweep_config(**over):
@@ -111,13 +112,14 @@ class TestSweep:
             assert np.isfinite(rec.final_val_loss)
 
     def test_runs_match_standalone_training(self):
+        # every run of a rank stack equals the run trained alone
         cfg = tiny_sweep_config()
         records = sweep(cfg)
-        solo = train(make_train_config(cfg, 7, 1))
-        match = [rec for rec in records
-                 if (rec.extras["rank"], rec.extras["repetition"]) == (7, 1)]
-        assert match[0].final_val_loss == solo.final_val_loss
-        assert match[0].train_losses == solo.train_losses
+        for rec in records:
+            solo = train(make_train_config(cfg, rec.extras["rank"],
+                                           rec.extras["repetition"]))
+            assert_same_run(rec, (solo.scheme, solo.train_losses,
+                                  solo.val_losses))
 
     def test_progress_callback_sees_every_run(self):
         seen = []
@@ -129,10 +131,9 @@ class TestSweep:
         cfg = tiny_sweep_config()
         one = sweep(cfg, threads=1)
         two = sweep(cfg, threads=2)
-        assert [rec.final_val_loss for rec in one] == \
-            [rec.final_val_loss for rec in two]
-        assert [rec.train_losses for rec in one] == \
-            [rec.train_losses for rec in two]
+        assert [rec.extras for rec in one] == [rec.extras for rec in two]
+        for a, b in zip(one, two):
+            assert_same_run(a, (b.scheme, b.train_losses, b.val_losses))
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from bmpnet.scheme import BilinearScheme, forward_fast_batch, init_scheme
+from bmpnet.scheme import forward_fast_batch, init_scheme
 from bmpnet.training import (
+    Factors,
     LengthMismatch,
     TrainConfig,
     TrainingDiverged,
@@ -173,19 +174,21 @@ class TestGradients:
 
 
 class TestClipping:
+    # gradients carry a leading run axis; these are stacks of one run
+
     def test_below_threshold_untouched(self):
         g = (np.array([[3.0, 4.0]]),)
         out = clip_gradients(g, 10.0)
         assert out[0] is g[0]
 
     def test_rescales_to_threshold(self):
-        g = (np.full((4, 4), 5.0),)
+        g = (np.full((1, 4, 4), 5.0),)
         assert global_norm(g) == 20.0
         out = clip_gradients(g, 10.0)
         assert abs(global_norm(out) - 10.0) <= 1e-12
 
     def test_zero_gradient_safe(self):
-        g = (np.zeros((3, 3)), np.zeros((2, 2)))
+        g = (np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))
         out = clip_gradients(g, 10.0)
         for mat in out:
             np.testing.assert_array_equal(mat, 0.0)
@@ -193,7 +196,7 @@ class TestClipping:
     def test_never_increases_norm(self):
         rng = np.random.default_rng(65)
         for _ in range(20):
-            g = tuple(rng.normal(size=(3, 3)) * rng.uniform(0, 10)
+            g = tuple(rng.normal(size=(1, 3, 3)) * rng.uniform(0, 10)
                       for _ in range(3))
             before = global_norm(g)
             after = global_norm(clip_gradients(g, 10.0))
@@ -201,10 +204,20 @@ class TestClipping:
 
     def test_norm_is_global_not_per_matrix(self):
         # each part has norm 8 < 10, but jointly ~11.3 > 10
-        g = (np.full((4, 4), 2.0), np.full((4, 4), 2.0))
+        g = (np.full((1, 4, 4), 2.0), np.full((1, 4, 4), 2.0))
         assert global_norm(g) == pytest.approx(128 ** 0.5)
         out = clip_gradients(g, 10.0)
         assert global_norm(out) == pytest.approx(10.0)
+
+    def test_norm_and_clip_are_per_run(self):
+        # run 0 has norm 5 and passes untouched; run 1 has norm 20 and is
+        # scaled onto the ball, with the same factor in every array
+        g = (np.array([[3.0, 0.0], [12.0, 0.0]]),
+             np.array([[[4.0]], [[16.0]]]))
+        np.testing.assert_array_equal(global_norm(g), [5.0, 20.0])
+        out = clip_gradients(g, 10.0)
+        np.testing.assert_array_equal(out[0], [[3.0, 0.0], [6.0, 0.0]])
+        np.testing.assert_array_equal(out[1], [[[4.0]], [[8.0]]])
 
 
 class TestAdam:
@@ -258,14 +271,17 @@ class TestAdam:
             params = new_params
 
     def test_generic_update_matches_scheme_wrapper(self):
+        # adam_step lays H, K and F back to back as one flat run
         rng = np.random.default_rng(68)
         s = init_scheme(2, 7, 18, 1.0)
         grads = tuple(rng.normal(size=m.shape) for m in (s.H, s.K, s.F))
         s2, _ = adam_step(init_adam(s), s, grads, lr=1e-2)
-        params, _ = adam_update(init_adam_params((s.H, s.K, s.F)),
-                                (s.H, s.K, s.F), grads, 1e-2)
-        assert np.array_equal(params[0], s2.H)
-        assert np.array_equal(params[2], s2.F)
+        flat = np.concatenate([s.H.ravel(), s.K.ravel(), s.F.ravel()])
+        params, _ = adam_update(
+            init_adam_params(flat), flat,
+            np.concatenate([g.ravel() for g in grads]), 1e-2)
+        assert np.array_equal(params[:28].reshape(4, 7), s2.H)
+        assert np.array_equal(params[56:].reshape(7, 4), s2.F)
 
 
 class TestSeedDerivation:
@@ -383,23 +399,24 @@ class TestDivergence:
         assert "diverged in epoch 0" in str(info.value)
 
     def test_later_divergence_carries_last_finite_losses(self):
-        # the loss is taken at a blown-up copy of the scheme from epoch 1
+        # the loss is taken at a blown-up copy of the factors from epoch 1
         cfg = tiny_config(epochs=3)
         first = train(tiny_config(epochs=1))
 
         def init(seed):
             scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
-            return scheme, init_adam(scheme)
+            return scheme.H, scheme.K, scheme.F
 
-        def view(scheme, epoch):
+        def view(arrays, epoch):
+            H, K, F = arrays
             if epoch == 0:
-                return scheme, scheme
-            return BilinearScheme(n=scheme.n, r=scheme.r, H=scheme.H * 1e200,
-                                  K=scheme.K * 1e200, F=scheme.F), scheme
+                return Factors(H, K, F), None
+            return Factors(H * 1e200, K * 1e200, F), None
 
+        with np.errstate(all="ignore"):
+            (outcome,) = fit([cfg], init, lambda *args: None, view)
         with pytest.raises(TrainingDiverged) as info:
-            with np.errstate(all="ignore"):
-                fit(cfg, init, adam_step, lambda *args: None, view)
+            raise outcome
         assert info.value.epoch == 1
         assert info.value.train_loss == first.train_losses[0]
         assert info.value.val_loss == first.val_losses[0]
