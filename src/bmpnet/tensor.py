@@ -74,6 +74,11 @@ def _rational_nonzero(t):
     return t != 0
 
 
+def _slab(f, k, h):
+    """View of ``f`` at index ``h`` of its slot ``k``, kept at extent 1."""
+    return f[(slice(None),) * k + (slice(h, h + 1),)]
+
+
 def bmp(factors):
     """Bhattacharya-Mesner product of ``d`` tensors of order ``d``.
 
@@ -118,22 +123,20 @@ def bmp(factors):
         for h in range(l):
             live = np.ones(out_shape, dtype=bool)
             for k, m in enumerate(masks):
-                live &= np.expand_dims(np.take(m, h, axis=k), axis=k)
+                live &= _slab(m, k, h)
             where = np.nonzero(live)
             if not where[0].size:
                 continue
             term = None
             for k, f in enumerate(factors):
-                piece = np.expand_dims(np.take(f, h, axis=k), axis=k)
-                piece = np.broadcast_to(piece, out_shape)[where]
+                piece = np.broadcast_to(_slab(f, k, h), out_shape)[where]
                 term = piece if term is None else term * piece
             out[where] = out[where] + term
         return out
     for h in range(l):
         term = None
         for k, f in enumerate(factors):
-            # slice factor k at shared index h, keep a size-1 slot there
-            piece = np.expand_dims(np.take(f, h, axis=k), axis=k)
+            piece = _slab(f, k, h)
             term = piece if term is None else term * piece
         out = out + term
     return out
@@ -226,13 +229,11 @@ def matmul_tensor(a, b, c, exact=False):
 
 
 def frobenius_sq(t):
-    """Sum of squared entries; a Fraction in exact mode, float otherwise."""
+    """Sum of squared entries; a Fraction in exact mode, float otherwise.
+    Exact mode squares only the nonzero entries."""
     t = np.asarray(t)
     if is_exact(t):
-        total = Fraction(0)
-        for idx in np.ndindex(t.shape):
-            total += t[idx] * t[idx]
-        return total
+        return sum((x * x for x in t[np.nonzero(t)]), Fraction(0))
     return float(np.sum(t.astype(np.float64) ** 2))
 
 

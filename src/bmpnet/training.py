@@ -1,13 +1,13 @@
 """Gradient training of bilinear schemes on random matrix pairs.
 
 The loss is the mean over samples of the squared Euclidean error of the
-predicted product vector.  Gradients come in closed form (with a finite
-difference fallback used only for cross-checking), updates are Adam with
-global-norm clipping across all three factors of a run jointly.  Runs
-that differ only in their seed train as one stack, with a leading run
-axis on every array; every random draw is derived from the run's seed
-through a fixed mixing function, so each record reproduces bitwise, alone
-or in any stack.
+predicted product vector.  Gradients come in closed form from the batch
+loss's forward pass, updates are Adam with global-norm clipping across
+all three factors of a run jointly, and validation is a quadratic form
+of the residual tensor.  Runs that differ only in their seed train as
+one stack, with a leading run axis on every array; every random draw is
+derived from the run's seed through a fixed mixing function, so each
+record reproduces bitwise, alone or in any stack.
 """
 
 import math
@@ -17,13 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import (
-    BilinearScheme,
-    forward_fast_batch,
-    init_scheme,
-    scheme_to_json,
-)
-from .tensor import ShapeMismatch
+from .scheme import BilinearScheme, init_scheme, reconstruct, scheme_to_json
+# imported only for perfbench/tracing.py, which wraps it in this module
+from .scheme import forward_fast_batch  # noqa: F401
+from .tensor import ShapeMismatch, matmul_tensor
 
 
 class LengthMismatch(ValueError):
@@ -110,11 +107,13 @@ def mse(pred_rows, target_rows):
 
 
 def grad_analytic(scheme, a_rows, b_rows, target_rows):
-    """Closed-form loss gradients (dH, dK, dF) on one batch; the factors
-    and the rows may carry a leading run axis.
+    """The :func:`mse` loss on one batch and its closed-form gradients,
+    as ``(loss, (dH, dK, dF))``; the factors and the rows may carry a
+    leading run axis, and then the loss holds one value per run.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
-    dF = M^T E, and with G = E F^T, dH = A^T (G * W), dK = B^T (G * U).
+    the loss is mse(V, T), dF = M^T E, and with G = E F^T,
+    dH = A^T (G * W), dK = B^T (G * U).
     """
     a_rows = np.asarray(a_rows, dtype=np.float64)
     b_rows = np.asarray(b_rows, dtype=np.float64)
@@ -123,38 +122,43 @@ def grad_analytic(scheme, a_rows, b_rows, target_rows):
     u = a_rows @ scheme.H
     w = b_rows @ scheme.K
     m = u * w
-    err = 2.0 * (m @ scheme.F - target_rows) / count
+    pred = m @ scheme.F
+    err = 2.0 * (pred - target_rows) / count
     d_f = m.mT @ err
     g = err @ scheme.F.mT
     d_h = a_rows.mT @ (g * w)
     d_k = b_rows.mT @ (g * u)
-    return d_h, d_k, d_f
+    return mse(pred, target_rows), (d_h, d_k, d_f)
 
 
-def grad_fd(scheme, a_rows, b_rows, target_rows, h=1e-6):
-    """Central-difference gradients, one coordinate at a time.  Slow by
-    construction; exists to audit :func:`grad_analytic`."""
+def fourth_moment(data):
+    """The m^2 x m^2 mean of x x^T over a dataset's rows, where x is the
+    Kronecker product of the flattened operands a and b (m = n^2).  It
+    is summed 1,024 rows at a time, so no (count, m^2) array of all the
+    x exists at once."""
+    a_rows, b_rows, _ = data.flat()
+    (count, m), chunk = a_rows.shape, 1024
+    total = np.zeros((m * m, m * m))
+    for start in range(0, count, chunk):
+        x = (a_rows[start:start + chunk, :, None]
+             * b_rows[start:start + chunk, None, :]).reshape(-1, m * m)
+        total += x.T @ x
+    return total / count
 
-    def loss_for(H, K, F):
-        s = BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F)
-        return mse(forward_fast_batch(s, a_rows, b_rows), target_rows)
 
-    mats = [np.array(scheme.H, dtype=np.float64),
-            np.array(scheme.K, dtype=np.float64),
-            np.array(scheme.F, dtype=np.float64)]
-    grads = []
-    for which in range(3):
-        g = np.zeros_like(mats[which])
-        for idx in np.ndindex(mats[which].shape):
-            orig = mats[which][idx]
-            mats[which][idx] = orig + h
-            up = loss_for(*mats)
-            mats[which][idx] = orig - h
-            down = loss_for(*mats)
-            mats[which][idx] = orig
-            g[idx] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return tuple(grads)
+def scorer(n, moment):
+    """``score(scheme)``: the :func:`mse` of any scheme's factors H, K,
+    F over the rows whose :func:`fourth_moment` is ``moment``, without
+    the rows.  A row's error is x^T D, with D = reconstruct - T as an
+    (m^2, m) matrix, so the mean is the sum of D * (moment D), whatever
+    the layout of the output index."""
+    target = matmul_tensor(n, n, n)
+
+    def score(scheme):
+        scheme = BilinearScheme(n, len(scheme.F), scheme.H, scheme.K, scheme.F)
+        d = (reconstruct(scheme) - target).reshape(len(moment), -1)
+        return float((d * (moment @ d)).sum())
+    return score
 
 
 def global_norm(grads):
@@ -362,7 +366,7 @@ class TrainingDiverged(ArithmeticError):
 
 class Factors(NamedTuple):
     """H, K and F of a stack of runs, each with a leading run axis: what
-    ``forward_fast_batch`` and :func:`grad_analytic` read of a scheme."""
+    :func:`grad_analytic` reads of a scheme, and a :func:`scorer` of one."""
 
     H: np.ndarray
     K: np.ndarray
@@ -380,14 +384,14 @@ def fit(cfgs, init, epoch_end,
     epoch)`` maps the parameter arrays, as views with a leading run axis,
     to the :class:`Factors` the loss is taken at and a context, with
     which ``pull(context, grads)`` maps their gradients back to the
-    parameter arrays.  A step takes one forward pass and one gradient
-    over the stack, clips per run and makes one Adam update.  Data,
-    shuffles and validation stay per run.  Per epoch, a run's train loss
-    is the exact sample mean of its batch losses and its val loss is
-    scored after the updates; then ``epoch_end(run, epoch, arrays,
-    train_loss, val_loss, score)`` runs, where ``arrays`` are the run's
-    parameter arrays and ``score(scheme)`` is any scheme's val loss on
-    the run's validation set.
+    parameter arrays.  A step takes one forward pass over the stack, for
+    the losses and the gradients, clips per run and makes one Adam
+    update.  Data, shuffles and validation stay per run.  Per epoch, a
+    run's train loss is the exact sample mean of its batch losses and its
+    val loss is scored after the updates; then ``epoch_end(run, epoch,
+    arrays, train_loss, val_loss, score)`` runs, where ``arrays`` are the
+    run's parameter arrays and ``score(scheme)`` is any scheme's val loss
+    on the run's validation set, a :func:`scorer`.
 
     Returns, per run, its parameter arrays and both loss lists, or the
     :class:`TrainingDiverged` it raised: a non-finite batch loss, or
@@ -399,13 +403,8 @@ def fit(cfgs, init, epoch_end,
         raise ShapeMismatch("runs of a stack may differ only in the seed")
     streams = [run_streams(c) for c in cfgs]
 
-    def scorer(val_set):
-        va_rows, vb_rows, vt_rows = val_set.flat()
-        return lambda scheme: mse(
-            forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
-
-    scores = [scorer(gen_dataset(cfg.n, cfg.val_size, s["val"], cfg.low,
-                                 cfg.high)) for s in streams]
+    scores = [scorer(cfg.n, fourth_moment(gen_dataset(
+        cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high))) for s in streams]
     first = [init(s["init"]) for s in streams]
     shapes = [np.shape(a) for a in first[0]]
     params = _flat([np.stack(group) for group in zip(*first)])
@@ -439,15 +438,14 @@ def fit(cfgs, init, epoch_end,
         for idx in batch_slices(perm, cfg.batch_size):
             ab, bb, tb = (x.take(idx, axis=0) for x in data)
             factors, ctx = view(_split(params, shapes), epoch)
-            batch_loss = mse(forward_fast_batch(factors, ab, bb), tb)
+            batch_loss, grads = grad_analytic(factors, ab, bb, tb)
             if not np.isfinite(batch_loss).all():
                 for run in np.flatnonzero(~np.isfinite(batch_loss)):
                     if failed[run] is None:
                         diverge(run, epoch)
                 if all(failed):
                     return failed
-            grads = pull(ctx, grad_analytic(factors, ab, bb, tb))
-            grads = clip_gradients(grads, cfg.clip_threshold)
+            grads = clip_gradients(pull(ctx, grads), cfg.clip_threshold)
             params, state = adam_update(state, params, _flat(grads), cfg.lr,
                                         cfg.beta1, cfg.beta2, cfg.adam_eps)
             sq_err_total += batch_loss * idx.shape[1]

@@ -1,9 +1,10 @@
 """Reference for the stacked training engine: the per-run loop it
 replaced, one run at a time, with its own 2-D forward, loss, gradient,
 global-norm clipping and per-array Adam, and a validated scheme built
-after every update.  Tests train the same configs both ways and demand
-bitwise equality (:func:`assert_same_run`); nothing here is used by the
-package."""
+after every update.  Validation goes through the package's scorer, as in
+the engine; its forward-pass reference is ``reference.direct_scorer``.
+Tests train the same configs both ways and demand bitwise equality
+(:func:`assert_same_run`); nothing here is used by the package."""
 
 import math
 
@@ -13,7 +14,8 @@ from bmpnet.border import (
     EpsScheme, coefficient_grads, evaluate, init_eps_scheme)
 from bmpnet.scheme import BilinearScheme, NonFiniteEntries, init_scheme
 from bmpnet.training import (
-    TrainingDiverged, gen_dataset, mix64, run_streams, shuffle_seed)
+    TrainingDiverged, fourth_moment, gen_dataset, mix64, run_streams,
+    scorer, shuffle_seed)
 
 
 def forward_fast_batch(scheme, a_rows, b_rows):
@@ -95,10 +97,7 @@ def fit(cfg, init, step, epoch_end,
                           cfg.low, cfg.high)
     params, state = init(streams["init"])
     a_rows, b_rows, t_rows = train_set.flat()
-    va_rows, vb_rows, vt_rows = val_set.flat()
-
-    def score(scheme):
-        return mse(forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
+    score = scorer(cfg.n, fourth_moment(val_set))
 
     train_losses, val_losses = [], []
     for epoch in range(cfg.epochs):

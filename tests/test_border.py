@@ -164,7 +164,8 @@ class TestCoefficientGrads:
 
         stacks = [m.copy() for m in es.h_coeffs + es.k_coeffs + es.f_coeffs]
         scheme = evaluate(es)
-        d_h, d_k, d_f = grad_analytic(scheme, a_rows, b_rows, t_rows)
+        _, (d_h, d_k, d_f) = grad_analytic(scheme, a_rows, b_rows,
+                                             t_rows)
         grads = coefficient_grads(es, d_h, d_k, d_f, 0.3)
         h = 1e-6
         for _ in range(12):

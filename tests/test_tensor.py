@@ -354,6 +354,15 @@ class TestScalarModes:
         assert frobenius_sq(t) == Fraction(5, 4)
         assert frobenius(t) == pytest.approx((5 / 4) ** 0.5)
 
+    def test_frobenius_exact_sums_the_nonzeros(self):
+        t = zeros_matching((4, 4, 4), exact_array([0]))
+        t[1, 2, 3] = Fraction(-3, 2)
+        t[3, 0, 0] = Fraction(2)
+        got = frobenius_sq(t)
+        assert got == Fraction(25, 4) and type(got) is Fraction
+        got = frobenius_sq(zeros_matching((4, 4, 4), exact_array([0])))
+        assert got == 0 and type(got) is Fraction
+
     def test_frobenius_float(self):
         t = np.array([3.0, 4.0])
         assert frobenius_sq(t) == 25.0

@@ -20,7 +20,6 @@ from bmpnet.training import (
     gen_dataset,
     global_norm,
     grad_analytic,
-    grad_fd,
     init_adam,
     init_adam_params,
     mix64,
@@ -29,6 +28,7 @@ from bmpnet.training import (
     shuffle_seed,
     train,
 )
+from reference import direct_scorer, grad_fd, within_gate
 
 
 def tiny_config(**kw):
@@ -129,15 +129,27 @@ class TestGradients:
         a = rng.uniform(-1, 1, (6, 4))
         b = rng.uniform(-1, 1, (6, 4))
         t = forward_fast_batch(s, a, b)
-        for g in grad_analytic(s, a, b, t):
+        for g in grad_analytic(s, a, b, t)[1]:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
+
+    def test_loss_is_the_forward_pass_mse(self):
+        # the loss comes from the gradient's own forward pass, bit for
+        # bit the mse of a separate one, with or without a run axis
+        rng = np.random.default_rng(60)
+        for n in (2, 3):
+            s, a, b, t = self.random_case(rng, n)
+            loss, _ = grad_analytic(s, a, b, t)
+            assert loss == mse(forward_fast_batch(s, a, b), t)
+            stack = Factors(s.H[None], s.K[None], s.F[None])
+            losses, _ = grad_analytic(stack, a[None], b[None], t[None])
+            assert losses.tobytes() == np.array([loss]).tobytes()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(62)
         for _ in range(20):
             n = int(rng.choice([2, 3]))
             s, a, b, t = self.random_case(rng, n)
-            got = grad_analytic(s, a, b, t)
+            _, got = grad_analytic(s, a, b, t)
             want = grad_fd(s, a, b, t, h=1e-6)
             assert self.max_rel_err(got, want) <= 1e-5
 
@@ -146,7 +158,7 @@ class TestGradients:
         rng = np.random.default_rng(63)
         s, a, b, _ = self.random_case(rng, 2)
         t = np.zeros((a.shape[0], 4))
-        got = grad_analytic(s, a, b, t)
+        _, got = grad_analytic(s, a, b, t)
         want = grad_fd(s, a, b, t, h=1e-6)
         assert self.max_rel_err(got, want) <= 1e-5
 
@@ -167,7 +179,7 @@ class TestGradients:
         # sizes must land on the analytic gradient
         rng = np.random.default_rng(64)
         s, a, b, t = self.random_case(rng, 2)
-        exact = grad_analytic(s, a, b, t)
+        _, exact = grad_analytic(s, a, b, t)
         for h in (1e-3, 1e-6):
             fd = grad_fd(s, a, b, t, h=h)
             assert self.max_rel_err(fd, exact) <= 1e-5
@@ -351,9 +363,8 @@ class TestTrain:
         rec = train(cfg)
         streams = run_streams(cfg)
         val = gen_dataset(cfg.n, cfg.val_size, streams["val"])
-        a, b, t = val.flat()
-        want = mse(forward_fast_batch(rec.scheme, a, b), t)
-        assert rec.val_losses[0] == want
+        want = direct_scorer(val)(rec.scheme)
+        assert within_gate(want, rec.val_losses[0])
 
     def test_loss_decreases_over_training(self):
         cfg = tiny_config(train_size=512, val_size=256, epochs=30,
