@@ -10,6 +10,7 @@ just the current eps, solves the problem.  With d_max = 0, f_min = 0 and
 decay 1 the machinery reduces bitwise to ordinary training.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -109,37 +110,49 @@ def init_eps_scheme(n, r, seed, alpha=1.0, d_max=2, f_min=-2, eps=0.02):
                      f_coeffs=f_coeffs, eps=eps)
 
 
-def _poly_sum(coeffs, powers, eps):
-    acc = None
-    for mat, p in zip(coeffs, powers):
-        term = mat * (eps ** p)
-        acc = term if acc is None else acc + term
-    return acc
+def eps_powers(d_max, f_min, eps):
+    """eps^p for the rows of the H, K and F coefficient stacks, as three
+    columns: powers 0..d_max twice, then f_min..d_max."""
+    if eps <= 0:
+        raise EpsilonNonpositive("eps must be positive, got %r" % eps)
+    combo = np.array([eps ** p for p in range(d_max + 1)])[:, None]
+    return combo, combo, np.array(
+        [eps ** p for p in range(f_min, d_max + 1)])[:, None]
+
+
+def _stacks(coeffs, powers):
+    """Views of the H, K and F stacks of a block (..., A, n^2 r)."""
+    n_h = len(powers[0])
+    return (coeffs[..., :n_h, :], coeffs[..., n_h:2 * n_h, :],
+            coeffs[..., 2 * n_h:, :])
+
+
+def _factors(coeffs, powers, n, r):
+    """H, K and F of a coefficient block at the eps of ``powers``: each
+    stack times its powers, summed over the powers in ascending order
+    from -0.0, which leaves every term's bits as they are."""
+    m, lead = n * n, coeffs.shape[:-2]
+    return tuple(np.add.reduce(stack * p, axis=-2, initial=-0.0)
+                 .reshape(lead + shape)
+                 for stack, p, shape in zip(_stacks(coeffs, powers), powers,
+                                            ((m, r), (m, r), (r, m))))
 
 
 def evaluate(es, eps=None):
     """Ordinary scheme obtained by substituting a concrete eps."""
-    if eps is None:
-        eps = es.eps
-    if eps <= 0:
-        raise EpsilonNonpositive("eps must be positive, got %r" % eps)
-    return BilinearScheme(es.n, es.r, *_factors(es, eps))
+    coeffs = np.stack([np.ravel(c)
+                       for c in es.h_coeffs + es.k_coeffs + es.f_coeffs])
+    powers = eps_powers(es.d_max, es.f_min, es.eps if eps is None else eps)
+    return BilinearScheme(es.n, es.r, *_factors(coeffs, powers, es.n, es.r))
 
 
-def _factors(es, eps):
-    return (_poly_sum(es.h_coeffs, range(es.d_max + 1), eps),
-            _poly_sum(es.k_coeffs, range(es.d_max + 1), eps),
-            _poly_sum(es.f_coeffs, es.f_powers(), eps))
-
-
-def coefficient_grads(es, d_h, d_k, d_f, eps):
-    """Chain rule from gradients at the evaluated scheme back to the
-    coefficient stacks: the eps^p coefficient receives eps^p times the
-    evaluated gradient."""
-    g_h = [d_h * (eps ** p) for p in range(es.d_max + 1)]
-    g_k = [d_k * (eps ** p) for p in range(es.d_max + 1)]
-    g_f = [d_f * (eps ** p) for p in es.f_powers()]
-    return tuple(g_h + g_k + g_f)
+def coefficient_grads(grads, powers, out):
+    """Chain rule from the gradients (dH, dK, dF) at the evaluated scheme
+    back to the coefficient block ``out``, which it returns: the eps^p
+    row of a stack receives eps^p times its factor's gradient."""
+    for g, p, stack in zip(grads, powers, _stacks(out, powers)):
+        np.multiply(g.reshape(g.shape[:-2] + (1, -1)), p, out=stack)
+    return out
 
 
 @dataclass
@@ -237,13 +250,15 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
                          k_coeffs=list(arrays[n_h:2 * n_h]),
                          f_coeffs=list(arrays[2 * n_h:]), eps=eps)
 
-    def view(stacks, epoch):
-        # a stack of one run: its scheme at eps, with the run axis put back
-        es = eps_scheme([a[0] for a in stacks], schedule.at(epoch))
-        return Factors(*(x[None] for x in _factors(es, es.eps))), es
+    # the powers of each epoch's eps, built once per epoch
+    powers = functools.cache(
+        lambda epoch: eps_powers(d_max, f_min, schedule.at(epoch)))
 
-    def pull(es, grads):
-        return coefficient_grads(es, *grads, es.eps)
+    def view(params, epoch):
+        return Factors(*_factors(params, powers(epoch), cfg.n, cfg.r))
+
+    def pull(grads, out, epoch):
+        coefficient_grads(grads, powers(epoch), out)
 
     def epoch_end(run, epoch, arrays, train_loss, val_loss, score):
         es = eps_scheme(arrays, schedule.at(epoch))

@@ -10,7 +10,6 @@ derived from the run's seed through a fixed mixing function, so each
 record reproduces bitwise, alone or in any stack.
 """
 
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -70,20 +69,25 @@ class Dataset:
                 self.prod.reshape(count, m))
 
 
-def gen_dataset(n, count, seed, low=-1.0, high=1.0):
-    """Draw ``count`` operand pairs entrywise uniform on [low, high]
-    (all of A first, then all of B) and compute their products.
-
-    Targets come from the plain triple-loop product written out below,
-    so they do not depend on any library multiplication routine.
-    """
+def draw_operands(n, count, seed, low=-1.0, high=1.0):
+    """Draw ``count`` operand pairs entrywise uniform on [low, high]:
+    all of A first, then all of B, each (count, n, n)."""
     if count < 1:
         raise ShapeMismatch("dataset size must be positive")
     if not low < high:
         raise ShapeMismatch("need low < high for the sampling range")
     rng = np.random.default_rng(seed)
-    a = rng.uniform(low, high, (count, n, n))
-    b = rng.uniform(low, high, (count, n, n))
+    return (rng.uniform(low, high, (count, n, n)),
+            rng.uniform(low, high, (count, n, n)))
+
+
+def gen_dataset(n, count, seed, low=-1.0, high=1.0):
+    """The operand pairs of :func:`draw_operands` with their products.
+
+    Targets come from the plain triple-loop product written out below,
+    so they do not depend on any library multiplication routine.
+    """
+    a, b = draw_operands(n, count, seed, low, high)
     prod = np.zeros((count, n, n))
     for i in range(n):
         for k in range(n):
@@ -106,37 +110,37 @@ def mse(pred_rows, target_rows):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_analytic(scheme, a_rows, b_rows, target_rows):
+def grad_analytic(scheme, a_rows, b_rows, target_rows, out=None):
     """The :func:`mse` loss on one batch and its closed-form gradients,
     as ``(loss, (dH, dK, dF))``; the factors and the rows may carry a
-    leading run axis, and then the loss holds one value per run.
+    leading run axis, and then the loss holds one value per run.  The
+    gradients go into ``out``, three arrays shaped as H, K and F, if given.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
     the loss is mse(V, T), dF = M^T E, and with G = E F^T,
     dH = A^T (G * W), dK = B^T (G * U).
     """
-    a_rows = np.asarray(a_rows, dtype=np.float64)
-    b_rows = np.asarray(b_rows, dtype=np.float64)
-    target_rows = np.asarray(target_rows, dtype=np.float64)
     count = a_rows.shape[-2]
+    out = (None, None, None) if out is None else out
     u = a_rows @ scheme.H
     w = b_rows @ scheme.K
     m = u * w
-    pred = m @ scheme.F
-    err = 2.0 * (pred - target_rows) / count
-    d_f = m.mT @ err
+    diff = m @ scheme.F - target_rows
+    err = 2.0 * diff / count
+    d_f = np.matmul(m.mT, err, out=out[2])
     g = err @ scheme.F.mT
-    d_h = a_rows.mT @ (g * w)
-    d_k = b_rows.mT @ (g * u)
-    return mse(pred, target_rows), (d_h, d_k, d_f)
+    d_h = np.matmul(a_rows.mT, g * w, out=out[0])
+    d_k = np.matmul(b_rows.mT, g * u, out=out[1])
+    loss = (diff * diff).sum(axis=-1).sum(axis=-1) / count
+    return float(loss) if loss.ndim == 0 else loss, (d_h, d_k, d_f)
 
 
-def fourth_moment(data):
-    """The m^2 x m^2 mean of x x^T over a dataset's rows, where x is the
+def fourth_moment(a, b):
+    """The m^2 x m^2 mean of x x^T over operand pairs, where x is the
     Kronecker product of the flattened operands a and b (m = n^2).  It
     is summed 1,024 rows at a time, so no (count, m^2) array of all the
     x exists at once."""
-    a_rows, b_rows, _ = data.flat()
+    a_rows, b_rows = (x.reshape(len(x), -1) for x in (a, b))
     (count, m), chunk = a_rows.shape, 1024
     total = np.zeros((m * m, m * m))
     for start in range(0, count, chunk):
@@ -162,94 +166,61 @@ def scorer(n, moment):
 
 
 def global_norm(grads):
-    """Euclidean norm over all gradient entries of each run jointly, one
-    norm per run along the leading run axis; the squared sums are added
-    array by array, in the order given."""
-    total = 0.0
-    for g in grads:
-        g = np.asarray(g, dtype=np.float64).reshape(len(g), -1)
-        total = total + (g * g).sum(axis=1)
-    return np.sqrt(total)
+    """Euclidean norm of each run's gradient block (R, A, P): the squares
+    are summed per array, then over the A arrays in order."""
+    squares = np.add.reduce(grads * grads, axis=-1)
+    return np.sqrt(np.add.accumulate(squares, axis=-1)[:, -1])
 
 
 def clip_gradients(grads, threshold):
-    """Rescale each run's gradients onto the ball of the given global
-    norm; runs below the threshold pass through untouched, and when no
-    run is above it the inputs are returned as they are."""
+    """Rescale each run's gradient block (R, A, P) in place onto the ball
+    of the given :func:`global_norm`; runs below the threshold pass
+    through untouched.  Returns the block."""
     if threshold <= 0:
         raise ShapeMismatch("clip threshold must be positive")
     norm = global_norm(grads)
-    if (norm <= threshold).all():
-        return tuple(grads)
-    # threshold / threshold is exactly 1, and x * 1 is x
-    scale = threshold / np.maximum(norm, threshold)
-    return tuple(np.asarray(g) * scale.reshape((-1,) + (1,) * (g.ndim - 1))
-                 for g in grads)
+    if not norm.max() <= threshold:
+        # threshold / threshold is exactly 1, and x * 1 is x
+        grads *= (threshold / np.maximum(norm, threshold))[:, None, None]
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators plus the step counter."""
+    """Moment accumulators, step counter and the update's scratch."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple
 
 
 def init_adam_params(params):
-    """Zero Adam state for a parameter array."""
+    """Zero Adam state for a parameter block."""
     zeros = np.zeros_like(np.asarray(params, dtype=np.float64))
-    return AdamState(step=0, m=zeros, v=zeros.copy())
+    return AdamState(0, zeros, zeros.copy(),
+                     (np.empty_like(zeros), np.empty_like(zeros)))
 
 
 def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update of a parameter array, entry by entry, such as a
-    stack's flat (R, P) parameters; returns the new array and state,
-    inputs are left untouched."""
-    t = state.step + 1
-    g = np.asarray(grads, dtype=np.float64)
-    m1 = beta1 * state.m + (1.0 - beta1) * g
-    v1 = beta2 * state.v + (1.0 - beta2) * (g * g)
-    m_hat = m1 / (1.0 - beta1 ** t)
-    v_hat = v1 / (1.0 - beta2 ** t)
-    return (params - lr * m_hat / (np.sqrt(v_hat) + eps),
-            AdamState(step=t, m=m1, v=v1))
+    """One Adam update of a float64 parameter block, such as a stack's
+    (R, A, P) block, in place in ``params`` and ``state``, with the
+    operations of m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2)
+    g^2, params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
+    state.step += 1
+    t, m, v, (s, q) = state.step, state.m, state.v, state.scratch
+    np.add(np.multiply(m, beta1, out=m),
+           np.multiply(grads, 1.0 - beta1, out=s), out=m)
+    np.multiply(np.multiply(grads, grads, out=s), 1.0 - beta2, out=s)
+    np.add(np.multiply(v, beta2, out=v), s, out=v)
+    np.divide(m, 1.0 - beta1 ** t, out=s)
+    np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=q), out=q)
+    np.divide(np.multiply(s, lr, out=s), np.add(q, eps, out=q), out=s)
+    np.subtract(params, s, out=params)
 
 
-def _flat(arrays):
-    """Arrays with a common leading axis, laid back to back along one."""
-    return np.concatenate([np.asarray(a).reshape(len(a), -1)
-                           for a in arrays], axis=1)
-
-
-def _split(flat, shapes):
-    """Views of :func:`_flat`'s pieces, each with the leading axis."""
-    out, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[:, start:start + size].reshape((len(flat),) + shape))
-        start += size
-    return tuple(out)
-
-
-def _flat_one(arrays):
-    return _flat([np.asarray(a)[None] for a in arrays])
-
-
-def init_adam(scheme):
-    """Zero Adam state for a scheme, in :func:`adam_step`'s layout."""
-    return init_adam_params(_flat_one((scheme.H, scheme.K, scheme.F)))
-
-
-def adam_step(state, scheme, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update of a scheme's three factors, laid back to back as
-    a stack of one; returns the new scheme and state."""
-    params = _flat_one((scheme.H, scheme.K, scheme.F))
-    new, state = adam_update(state, params, _flat_one(grads), lr,
-                             beta1, beta2, eps)
-    shapes = (scheme.H.shape, scheme.K.shape, scheme.F.shape)
-    H, K, F = (a[0] for a in _split(new, shapes))
-    return BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F), state
+# the names perfbench/tracing.py times the update under
+init_adam, adam_step = init_adam_params, adam_update
 
 
 @dataclass
@@ -340,12 +311,11 @@ def shuffle_seed(cfg, epoch):
     return mix64(cfg.seed, _TAG_SHUFFLE, epoch)
 
 
-def batch_slices(perm, batch_size):
-    """Index batches in permutation order along the last axis, which
-    holds one permutation per run of a stack; the last one may be
-    short."""
-    for start in range(0, np.shape(perm)[-1], batch_size):
-        yield perm[..., start:start + batch_size]
+def batch_slices(rows, batch_size):
+    """Consecutive batches of a stack's rows, (R, count, ...), along the
+    row axis, as views in order; the last one may be short."""
+    for start in range(0, rows.shape[1], batch_size):
+        yield rows[:, start:start + batch_size]
 
 
 class TrainingDiverged(ArithmeticError):
@@ -373,25 +343,24 @@ class Factors(NamedTuple):
     F: np.ndarray
 
 
-def fit(cfgs, init, epoch_end,
-        view=lambda arrays, epoch: (Factors(*arrays), None),
-        pull=lambda ctx, grads: grads):
+def fit(cfgs, init, epoch_end, view=None, pull=None):
     """The training loop of :func:`train_stack` and ``border.train_eps``:
     R runs whose configs differ only in the seed, stepped as one stack.
 
-    ``init(seed)`` gives one run's parameter arrays; the stack keeps all
-    of them back to back in one float64 (R, P) array.  ``view(arrays,
-    epoch)`` maps the parameter arrays, as views with a leading run axis,
-    to the :class:`Factors` the loss is taken at and a context, with
-    which ``pull(context, grads)`` maps their gradients back to the
-    parameter arrays.  A step takes one forward pass over the stack, for
-    the losses and the gradients, clips per run and makes one Adam
-    update.  Data, shuffles and validation stay per run.  Per epoch, a
-    run's train loss is the exact sample mean of its batch losses and its
-    val loss is scored after the updates; then ``epoch_end(run, epoch,
-    arrays, train_loss, val_loss, score)`` runs, where ``arrays`` are the
-    run's parameter arrays and ``score(scheme)`` is any scheme's val loss
-    on the run's validation set, a :func:`scorer`.
+    ``init(seed)`` gives one run's A parameter arrays of n^2 r entries
+    each; the parameters, both Adam moments and the gradient live in
+    (R, A, n^2 r) float64 blocks.  ``view(params, epoch)`` maps the
+    parameter block to the :class:`Factors` the loss is taken at, and
+    ``pull(grads, out, epoch)`` writes their gradients into the gradient
+    block ``out``; by default the A = 3 arrays are H, K and F.  A step
+    takes one forward pass for the losses and the gradients, clips per
+    run and makes one Adam update, all in place.  Data, shuffles and
+    validation stay per run; an epoch's batches are views of the rows it
+    gathers once.  Per epoch, a run's train loss is the exact sample mean
+    of its batch losses and its val loss is scored after the updates;
+    then ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)``
+    runs, with views of the run's parameter arrays and ``score(scheme)``,
+    any scheme's val loss on the run's validation set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
     :class:`TrainingDiverged` it raised: a non-finite batch loss, or
@@ -403,13 +372,22 @@ def fit(cfgs, init, epoch_end,
         raise ShapeMismatch("runs of a stack may differ only in the seed")
     streams = [run_streams(c) for c in cfgs]
 
-    scores = [scorer(cfg.n, fourth_moment(gen_dataset(
+    scores = [scorer(cfg.n, fourth_moment(*draw_operands(
         cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high))) for s in streams]
     first = [init(s["init"]) for s in streams]
-    shapes = [np.shape(a) for a in first[0]]
-    params = _flat([np.stack(group) for group in zip(*first)])
+    if any(np.size(a) != cfg.n * cfg.n * cfg.r for run in first for a in run):
+        raise ShapeMismatch("every parameter array needs n^2 r entries")
+    params = np.array([[np.ravel(a) for a in run] for run in first],
+                      dtype=np.float64)
+    grads = np.empty_like(params)
     state = init_adam_params(params)
 
+    def arrays(block):
+        return [block[:, i].reshape((len(block),) + np.shape(a))
+                for i, a in enumerate(first[0])]
+
+    param_arrays, grad_arrays = arrays(params), arrays(grads)
+    own = Factors(*param_arrays) if view is None else None
     runs = range(len(cfgs))
     # row offset of each run in the stacked (R * train_size, n^2) data
     offsets = cfg.train_size * np.arange(len(cfgs))[:, None]
@@ -434,23 +412,27 @@ def fit(cfgs, init, epoch_end,
         perm = offsets + np.stack([
             np.random.default_rng(shuffle_seed(c, epoch))
             .permutation(cfg.train_size) for c in cfgs])
+        rows = None  # the last epoch's gather goes before the next
+        rows = tuple(x.take(perm, axis=0) for x in data)
         sq_err_total = np.zeros(len(cfgs))
-        for idx in batch_slices(perm, cfg.batch_size):
-            ab, bb, tb = (x.take(idx, axis=0) for x in data)
-            factors, ctx = view(_split(params, shapes), epoch)
-            batch_loss, grads = grad_analytic(factors, ab, bb, tb)
+        for ab, bb, tb in zip(*(batch_slices(x, cfg.batch_size)
+                                for x in rows)):
+            factors = own if view is None else view(params, epoch)
+            batch_loss, dfs = grad_analytic(
+                factors, ab, bb, tb, grad_arrays if pull is None else None)
             if not np.isfinite(batch_loss).all():
                 for run in np.flatnonzero(~np.isfinite(batch_loss)):
                     if failed[run] is None:
                         diverge(run, epoch)
                 if all(failed):
                     return failed
-            grads = clip_gradients(pull(ctx, grads), cfg.clip_threshold)
-            params, state = adam_update(state, params, _flat(grads), cfg.lr,
-                                        cfg.beta1, cfg.beta2, cfg.adam_eps)
-            sq_err_total += batch_loss * idx.shape[1]
-        arrays = _split(params, shapes)
-        factors, _ = view(arrays, epoch)
+            if pull is not None:
+                pull(dfs, grads, epoch)
+            clip_gradients(grads, cfg.clip_threshold)
+            adam_update(state, params, grads, cfg.lr,
+                        cfg.beta1, cfg.beta2, cfg.adam_eps)
+            sq_err_total += batch_loss * ab.shape[1]
+        factors = own if view is None else view(params, epoch)
         for run in runs:
             if failed[run] is not None:
                 continue
@@ -461,12 +443,12 @@ def fit(cfgs, init, epoch_end,
             train_losses[run].append(float(sq_err_total[run]
                                            / cfg.train_size))
             val_losses[run].append(scores[run](scheme))
-            epoch_end(run, epoch, [a[run] for a in arrays],
+            epoch_end(run, epoch, [a[run] for a in param_arrays],
                       train_losses[run][-1], val_losses[run][-1],
                       scores[run])
         if all(failed):
             return failed
-    return [failed[run] or ([np.array(a[run]) for a in arrays],
+    return [failed[run] or ([np.array(a[run]) for a in param_arrays],
                             train_losses[run], val_losses[run])
             for run in runs]
 

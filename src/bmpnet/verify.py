@@ -8,6 +8,7 @@ residual is a proof rather than an impression.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,32 +111,28 @@ def verify_scheme(scheme):
     )
 
 
-def _snap(x, grid):
-    # nearest grid point; ties prefer smaller magnitude, then the
-    # negative candidate.  Distances are exact, so the choice is stable.
-    xf = Fraction(float(x))
-    best = min(grid, key=lambda g: (abs(g - xf), abs(g), g))
-    return best
+def _snapper(grid):
+    """``snap(x)``: the grid value nearest to x, by bisection over the
+    midpoints of the sorted grid, in exact arithmetic.  At a midpoint the
+    tie goes to the smaller magnitude, then to the negative candidate."""
+    points = sorted(set(Fraction(g) for g in grid))
+    mids = [(lo + hi) / 2 for lo, hi in zip(points, points[1:])]
+
+    def snap(x):
+        x = Fraction(float(x))
+        i = bisect_left(mids, x)
+        if i < len(mids) and mids[i] == x:
+            return min(points[i:i + 2], key=lambda g: (abs(g), g))
+        return points[i]
+    return snap
 
 
 def round_scheme(scheme, grid=DEFAULT_GRID):
     """Snap every factor entry to the nearest grid value, returning an
     exact-mode scheme ready for rational verification."""
-    grid = tuple(Fraction(g) for g in grid)
-
-    def snap_mat(mat):
-        out = np.empty(mat.shape, dtype=object)
-        for idx in np.ndindex(mat.shape):
-            out[idx] = _snap(mat[idx], grid)
-        return out
-
-    return BilinearScheme(
-        n=scheme.n,
-        r=scheme.r,
-        H=snap_mat(np.asarray(scheme.H)),
-        K=snap_mat(np.asarray(scheme.K)),
-        F=snap_mat(np.asarray(scheme.F)),
-    )
+    snap = np.vectorize(_snapper(grid), otypes=[object])
+    return BilinearScheme(n=scheme.n, r=scheme.r, H=snap(scheme.H),
+                          K=snap(scheme.K), F=snap(scheme.F))
 
 
 def normalize_slots(scheme):

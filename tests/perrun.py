@@ -1,8 +1,10 @@
 """Reference for the stacked training engine: the per-run loop it
 replaced, one run at a time, with its own 2-D forward, loss, gradient,
-global-norm clipping and per-array Adam, and a validated scheme built
-after every update.  Validation goes through the package's scorer, as in
-the engine; its forward-pass reference is ``reference.direct_scorer``.
+global-norm clipping and per-array Adam, a validated scheme built after
+every update, and the border trainer's eps evaluation and chain rule one
+coefficient matrix at a time.  Validation goes through the package's
+scorer, as in the engine; its forward-pass reference is
+``reference.direct_scorer``.
 Tests train the same configs both ways and demand bitwise equality
 (:func:`assert_same_run`); nothing here is used by the package."""
 
@@ -10,8 +12,7 @@ import math
 
 import numpy as np
 
-from bmpnet.border import (
-    EpsScheme, coefficient_grads, evaluate, init_eps_scheme)
+from bmpnet.border import EpsScheme, init_eps_scheme
 from bmpnet.scheme import BilinearScheme, NonFiniteEntries, init_scheme
 from bmpnet.training import (
     TrainingDiverged, fourth_moment, gen_dataset, mix64, run_streams,
@@ -80,6 +81,29 @@ def adam_step(state, scheme, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
                           F=params[2]), state
 
 
+def evaluate(es, eps=None):
+    eps = es.eps if eps is None else eps
+
+    def poly(coeffs, powers):
+        acc = None
+        for mat, p in zip(coeffs, powers):
+            term = mat * (eps ** p)
+            acc = term if acc is None else acc + term
+        return acc
+
+    combo = range(es.d_max + 1)
+    return BilinearScheme(es.n, es.r, poly(es.h_coeffs, combo),
+                          poly(es.k_coeffs, combo),
+                          poly(es.f_coeffs, es.f_powers()))
+
+
+def coefficient_grads(es, d_h, d_k, d_f, eps):
+    combo = range(es.d_max + 1)
+    return tuple([d_h * (eps ** p) for p in combo]
+                 + [d_k * (eps ** p) for p in combo]
+                 + [d_f * (eps ** p) for p in es.f_powers()])
+
+
 def batch_slices(perm, batch_size):
     for start in range(0, len(perm), batch_size):
         yield perm[start:start + batch_size]
@@ -97,7 +121,7 @@ def fit(cfg, init, step, epoch_end,
                           cfg.low, cfg.high)
     params, state = init(streams["init"])
     a_rows, b_rows, t_rows = train_set.flat()
-    score = scorer(cfg.n, fourth_moment(val_set))
+    score = scorer(cfg.n, fourth_moment(val_set.a, val_set.b))
 
     train_losses, val_losses = [], []
     for epoch in range(cfg.epochs):

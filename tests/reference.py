@@ -1,6 +1,9 @@
 """Slow, direct references for fast paths of the package: validation as a
-forward pass over the validation rows, and central-difference gradients.
-Tests hold the package to them; nothing here is used by the package."""
+forward pass over the validation rows, central-difference gradients and
+snapping to a grid by a minimum over all of it.  Tests hold the package
+to them; nothing here is used by the package."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,3 +51,12 @@ def grad_fd(scheme, a_rows, b_rows, target_rows, h=1e-6):
             g[idx] = (up - down) / (2.0 * h)
         grads.append(g)
     return tuple(grads)
+
+
+def snap(x, grid):
+    """The grid value nearest to x, by a minimum over the whole grid with
+    exact distances; ties prefer smaller magnitude, then the negative
+    candidate.  The reference for ``verify``'s bisection."""
+    xf = Fraction(float(x))
+    return min((Fraction(g) for g in grid),
+               key=lambda g: (abs(g - xf), abs(g), g))

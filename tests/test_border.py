@@ -11,6 +11,7 @@ from bmpnet.border import (
     EpsSchedule,
     EpsilonNonpositive,
     coefficient_grads,
+    eps_powers,
     eps_scheme_from_json,
     eps_scheme_to_json,
     evaluate,
@@ -29,6 +30,8 @@ from bmpnet.training import (
     mse,
     train,
 )
+import perrun
+from perrun import bits
 
 
 def triad(scheme):
@@ -113,6 +116,18 @@ class TestInit:
 
 
 class TestEvaluate:
+    def test_left_fold_bit_for_bit(self):
+        # one multiply by the powers and one sum over them equals adding
+        # the terms one at a time from the lowest power, signed zeros too
+        es = small_eps_scheme(d_max=2, f_min=-2, eps=0.3)
+        for mat in es.h_coeffs + es.f_coeffs:
+            mat[0] = -0.0
+        for eps in (0.3, 1e-3):
+            got, want = evaluate(es, eps), perrun.evaluate(es, eps)
+            for name in "HKF":
+                assert bits(getattr(got, name)) == bits(getattr(want, name))
+        assert np.signbit(evaluate(es).H[0]).all()
+
     def test_polynomial_by_hand(self):
         es = small_eps_scheme(d_max=2, f_min=-2, eps=0.25)
         s = evaluate(es)
@@ -166,7 +181,8 @@ class TestCoefficientGrads:
         scheme = evaluate(es)
         _, (d_h, d_k, d_f) = grad_analytic(scheme, a_rows, b_rows,
                                              t_rows)
-        grads = coefficient_grads(es, d_h, d_k, d_f, 0.3)
+        grads = coefficient_grads((d_h, d_k, d_f), eps_powers(1, -1, 0.3),
+                                  np.empty((len(stacks), 16)))
         h = 1e-6
         for _ in range(12):
             stack_i = rng.integers(len(stacks))
@@ -177,7 +193,7 @@ class TestCoefficientGrads:
             bumped[stack_i][idx] -= 2 * h
             down = loss_of(bumped)
             fd = (up - down) / (2 * h)
-            got = grads[stack_i][idx]
+            got = grads[stack_i].reshape(stacks[stack_i].shape)[idx]
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_power_scaling(self):
@@ -185,15 +201,18 @@ class TestCoefficientGrads:
         d_h = np.ones((4, 4))
         d_k = np.ones((4, 4))
         d_f = np.ones((4, 4))
-        grads = coefficient_grads(es, d_h, d_k, d_f, 0.5)
-        # H stack: powers 0, 1; F stack: powers -1, 0, 1? no: -1..1 for
-        # d_max=1, f_min=-1 gives three entries
+        out = np.empty((7, 16))
+        grads = coefficient_grads((d_h, d_k, d_f),
+                                  eps_powers(es.d_max, es.f_min, 0.5), out)
+        # H and K stacks: powers 0, 1; F stack: powers -1, 0, 1 for
+        # d_max=1, f_min=-1, so seven rows, written into the block
+        assert grads is out
         assert len(grads) == 2 + 2 + 3
-        assert grads[0][0, 0] == 1.0
-        assert grads[1][0, 0] == 0.5
-        assert grads[4][0, 0] == 2.0
-        assert grads[5][0, 0] == 1.0
-        assert grads[6][0, 0] == 0.5
+        assert grads[0][0] == 1.0
+        assert grads[1][0] == 0.5
+        assert grads[4][0] == 2.0
+        assert grads[5][0] == 1.0
+        assert grads[6][0] == 0.5
 
 
 class TestSchedule:

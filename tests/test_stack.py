@@ -84,12 +84,14 @@ class TestStackMatchesPerRun:
         with pytest.raises(ValueError):
             train_stack([config(0), config(1, lr=2e-3)])
 
-    def test_border_run(self):
+    @staticmethod
+    def assert_border_matches(d_max, f_min):
         cfg = config(31, epochs=4)
         schedule = EpsSchedule(eps0=0.05, decay=0.8)
-        rec = train_eps(cfg, schedule, d_max=2, f_min=-1, probe_eps=1e-3)
+        rec = train_eps(cfg, schedule, d_max=d_max, f_min=f_min,
+                        probe_eps=1e-3)
         es, train_losses, val_losses, probes = perrun.train_eps(
-            cfg, schedule, 2, -1, 1e-3)
+            cfg, schedule, d_max, f_min, 1e-3)
         for got, want in zip(rec.eps_scheme.h_coeffs + rec.eps_scheme.k_coeffs
                              + rec.eps_scheme.f_coeffs,
                              es.h_coeffs + es.k_coeffs + es.f_coeffs):
@@ -99,18 +101,28 @@ class TestStackMatchesPerRun:
         assert bits(rec.val_losses) == bits(val_losses)
         assert bits(rec.probe_losses) == bits(probes)
 
+    def test_border_run(self):
+        # ten coefficient matrices: H and K at powers 0..2, F at -1..2
+        self.assert_border_matches(2, -1)
+
+    def test_border_run_seven_matrices(self):
+        # H and K at powers 0..1, F at -1..1
+        self.assert_border_matches(1, -1)
+
 
 def blown_up(victims):
-    """A view that multiplies H and K of the runs in ``victims`` (run ->
-    first epoch) by 1e200, so their losses overflow from that epoch on."""
+    """A view of an (R, 3, 28) block at n=2, r=7 that multiplies H and K
+    of the runs in ``victims`` (run -> first epoch) by 1e200, so their
+    losses overflow from that epoch on."""
 
-    def view(arrays, epoch):
-        H, K, F = arrays
+    def view(params, epoch):
+        H, K, F = (params[:, i].reshape((len(params),) + shape)
+                   for i, shape in enumerate(((4, 7), (4, 7), (7, 4))))
         scale = np.ones((len(H), 1, 1))
         for run, since in victims.items():
             if epoch >= since:
                 scale[run] = 1e200
-        return Factors(H * scale, K * scale, F), None
+        return Factors(H * scale, K * scale, F)
 
     return view
 

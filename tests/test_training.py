@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bmpnet.scheme import forward_fast_batch, init_scheme
+from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
     Factors,
     LengthMismatch,
@@ -28,6 +29,7 @@ from bmpnet.training import (
     shuffle_seed,
     train,
 )
+import perrun
 from reference import direct_scorer, grad_fd, within_gate
 
 
@@ -186,37 +188,37 @@ class TestGradients:
 
 
 class TestClipping:
-    # gradients carry a leading run axis; these are stacks of one run
+    # gradients are (R, A, P) blocks, clipped in place
 
     def test_below_threshold_untouched(self):
-        g = (np.array([[3.0, 4.0]]),)
+        g = np.array([[[3.0, 4.0]]])
+        before = g.copy()
         out = clip_gradients(g, 10.0)
-        assert out[0] is g[0]
+        assert out is g
+        assert g.tobytes() == before.tobytes()
 
     def test_rescales_to_threshold(self):
-        g = (np.full((1, 4, 4), 5.0),)
+        g = np.full((1, 1, 16), 5.0)
         assert global_norm(g) == 20.0
         out = clip_gradients(g, 10.0)
         assert abs(global_norm(out) - 10.0) <= 1e-12
 
     def test_zero_gradient_safe(self):
-        g = (np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))
+        g = np.zeros((1, 2, 9))
         out = clip_gradients(g, 10.0)
-        for mat in out:
-            np.testing.assert_array_equal(mat, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_never_increases_norm(self):
         rng = np.random.default_rng(65)
         for _ in range(20):
-            g = tuple(rng.normal(size=(1, 3, 3)) * rng.uniform(0, 10)
-                      for _ in range(3))
+            g = rng.normal(size=(1, 3, 9)) * rng.uniform(0, 10)
             before = global_norm(g)
             after = global_norm(clip_gradients(g, 10.0))
             assert after <= before + 1e-12
 
     def test_norm_is_global_not_per_matrix(self):
         # each part has norm 8 < 10, but jointly ~11.3 > 10
-        g = (np.full((1, 4, 4), 2.0), np.full((1, 4, 4), 2.0))
+        g = np.full((1, 2, 16), 2.0)
         assert global_norm(g) == pytest.approx(128 ** 0.5)
         out = clip_gradients(g, 10.0)
         assert global_norm(out) == pytest.approx(10.0)
@@ -224,76 +226,96 @@ class TestClipping:
     def test_norm_and_clip_are_per_run(self):
         # run 0 has norm 5 and passes untouched; run 1 has norm 20 and is
         # scaled onto the ball, with the same factor in every array
-        g = (np.array([[3.0, 0.0], [12.0, 0.0]]),
-             np.array([[[4.0]], [[16.0]]]))
+        g = np.array([[[3.0, 0.0], [4.0, 0.0]],
+                      [[12.0, 0.0], [16.0, 0.0]]])
         np.testing.assert_array_equal(global_norm(g), [5.0, 20.0])
         out = clip_gradients(g, 10.0)
-        np.testing.assert_array_equal(out[0], [[3.0, 0.0], [6.0, 0.0]])
-        np.testing.assert_array_equal(out[1], [[[4.0]], [[8.0]]])
+        np.testing.assert_array_equal(out, [[[3.0, 0.0], [4.0, 0.0]],
+                                            [[6.0, 0.0], [8.0, 0.0]]])
+
+    def test_eleven_arrays_sum_in_order(self):
+        # a border block at d_max = 2, f_min = -2 holds eleven arrays; its
+        # squares add array by array, bit for bit as one array at a time,
+        # where a pairwise sum over the eleven would differ
+        rng = np.random.default_rng(72)
+        g = rng.normal(size=(1, 11, 28)) \
+            * 10.0 ** rng.uniform(-8, 8, size=(1, 11, 1))
+        per_array = (g * g).sum(axis=-1)
+        assert per_array[0].sum() != np.cumsum(per_array[0])[-1]
+        want = perrun.clip_gradients(tuple(g[0]), 1.0)
+        got = clip_gradients(g, 1.0)
+        assert got.tobytes() == np.stack(want)[None].tobytes()
+
+
+def block(*arrays):
+    """A stack of one run whose arrays are laid out as one block."""
+    return np.stack([np.ravel(a) for a in arrays])[None]
 
 
 class TestAdam:
+    # parameters, moments and gradients are (R, A, P) blocks, updated in
+    # place
+
     def test_first_step_is_signed_learning_rate(self):
         rng = np.random.default_rng(66)
         s = init_scheme(2, 7, 15, 1.0)
-        state = init_adam(s)
-        grads = tuple(rng.choice([-1.0, 1.0], size=m.shape) *
-                      rng.uniform(0.5, 2.0, size=m.shape)
-                      for m in (s.H, s.K, s.F))
-        new_s, new_state = adam_step(state, s, grads, lr=1e-3)
-        for old, new, g in zip((s.H, s.K, s.F),
-                               (new_s.H, new_s.K, new_s.F), grads):
-            np.testing.assert_allclose(new - old, -1e-3 * np.sign(g),
-                                       atol=1e-10)
-        assert new_state.step == 1
+        params = block(s.H, s.K, s.F)
+        old = params.copy()
+        state = init_adam_params(params)
+        grads = rng.choice([-1.0, 1.0], size=params.shape) \
+            * rng.uniform(0.5, 2.0, size=params.shape)
+        adam_update(state, params, grads, lr=1e-3)
+        np.testing.assert_allclose(params - old, -1e-3 * np.sign(grads),
+                                   atol=1e-10)
+        assert state.step == 1
 
     def test_zero_gradient_is_a_fixed_point(self):
         s = init_scheme(2, 7, 16, 1.0)
-        state = init_adam(s)
-        zeros = tuple(np.zeros_like(m) for m in (s.H, s.K, s.F))
-        cur = s
+        params = block(s.H, s.K, s.F)
+        old = params.copy()
+        state = init_adam_params(params)
         for _ in range(3):
-            cur, state = adam_step(state, cur, zeros, lr=1e-3)
-        assert np.array_equal(cur.H, s.H)
-        assert np.array_equal(cur.K, s.K)
-        assert np.array_equal(cur.F, s.F)
+            adam_update(state, params, np.zeros_like(params), lr=1e-3)
+        assert np.array_equal(params, old)
         assert state.step == 3
 
     def test_constant_gradient_descends(self):
         s = init_scheme(2, 7, 17, 1.0)
-        state = init_adam(s)
-        g = np.full_like(s.H, 0.7)
-        grads = (g, np.zeros_like(s.K), np.zeros_like(s.F))
-        cur = s
+        params = block(s.H, s.K, s.F)
+        old = params.copy()
+        state = init_adam_params(params)
+        grads = block(np.full_like(s.H, 0.7), np.zeros_like(s.K),
+                      np.zeros_like(s.F))
         for _ in range(50):
-            cur, state = adam_step(state, cur, grads, lr=1e-3)
-        assert np.all(cur.H < s.H)
-        np.testing.assert_array_equal(cur.K, s.K)
+            adam_update(state, params, grads, lr=1e-3)
+        assert np.all(params[:, 0] < old[:, 0])
+        np.testing.assert_array_equal(params[:, 1:], old[:, 1:])
 
     def test_early_update_norm_bound(self):
         rng = np.random.default_rng(67)
-        params = (rng.normal(size=(4, 7)),)
+        params = rng.normal(size=(1, 4, 7))
         state = init_adam_params(params)
-        count = params[0].size
+        count = params.size
         for _ in range(5):
-            grads = (rng.normal(size=(4, 7)),)
-            new_params, state = adam_update(state, params, grads, 1e-3)
-            step_norm = float(np.linalg.norm(new_params[0] - params[0]))
+            old = params.copy()
+            adam_update(state, params, rng.normal(size=(1, 4, 7)), 1e-3)
+            step_norm = float(np.linalg.norm(params - old))
             assert step_norm <= 1e-3 * 1.1 * count ** 0.5
-            params = new_params
 
     def test_generic_update_matches_scheme_wrapper(self):
-        # adam_step lays H, K and F back to back as one flat run
+        # init_adam and adam_step are the block update; on a scheme's
+        # (1, 3, m r) block it equals the per-array update bit for bit
+        assert (init_adam, adam_step) == (init_adam_params, adam_update)
         rng = np.random.default_rng(68)
         s = init_scheme(2, 7, 18, 1.0)
         grads = tuple(rng.normal(size=m.shape) for m in (s.H, s.K, s.F))
-        s2, _ = adam_step(init_adam(s), s, grads, lr=1e-2)
-        flat = np.concatenate([s.H.ravel(), s.K.ravel(), s.F.ravel()])
-        params, _ = adam_update(
-            init_adam_params(flat), flat,
-            np.concatenate([g.ravel() for g in grads]), 1e-2)
-        assert np.array_equal(params[:28].reshape(4, 7), s2.H)
-        assert np.array_equal(params[56:].reshape(7, 4), s2.F)
+        params = block(s.H, s.K, s.F)
+        adam_step(init_adam(params), params, block(*grads), 1e-2)
+        (H, K, F), _ = perrun.adam_update(
+            perrun.init_adam((s.H, s.K, s.F)), (s.H, s.K, s.F), grads, 1e-2)
+        assert np.array_equal(params[0, 0].reshape(4, 7), H)
+        assert np.array_equal(params[0, 2].reshape(7, 4), F)
+        assert block(H, K, F).tobytes() == params.tobytes()
 
 
 class TestSeedDerivation:
@@ -319,18 +341,37 @@ class TestSeedDerivation:
 
 class TestBatchSlices:
     def test_partition_keeps_partial_tail(self):
-        perm = np.arange(10)
-        sizes = [len(idx) for idx in batch_slices(perm, 4)]
+        perm = np.arange(10)[None]
+        sizes = [idx.shape[1] for idx in batch_slices(perm, 4)]
         assert sizes == [4, 4, 2]
 
     def test_covers_permutation_in_order(self):
         rng = np.random.default_rng(69)
         perm = rng.permutation(17)
-        chunks = list(batch_slices(perm, 5))
-        np.testing.assert_array_equal(np.concatenate(chunks), perm)
+        chunks = list(batch_slices(perm[None], 5))
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=1)[0],
+                                      perm)
+
+    def test_views_of_the_row_axis(self):
+        rows = np.arange(2 * 7 * 3).reshape(2, 7, 3)
+        chunks = list(batch_slices(rows, 3))
+        assert [c.shape for c in chunks] == [(2, 3, 3), (2, 3, 3), (2, 1, 3)]
+        assert all(np.shares_memory(c, rows) for c in chunks)
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=1), rows)
 
 
 class TestTrain:
+    def test_fit_needs_arrays_of_n2_r_entries(self):
+        # the stack's block holds arrays of n^2 r entries each
+        cfg = tiny_config()
+
+        def init(seed):
+            scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
+            return scheme.H, scheme.K, scheme.F[:, :3]
+
+        with pytest.raises(ShapeMismatch):
+            fit([cfg], init, lambda *args: None)
+
     def test_bitwise_deterministic(self):
         cfg = tiny_config()
         r1 = train(cfg)
@@ -418,11 +459,13 @@ class TestDivergence:
             scheme = init_scheme(cfg.n, cfg.r, seed, cfg.alpha)
             return scheme.H, scheme.K, scheme.F
 
-        def view(arrays, epoch):
-            H, K, F = arrays
+        def view(params, epoch):
+            # the (1, 3, 28) parameter block at n=2, r=7
+            H, K, F = (params[:, i].reshape((1,) + shape)
+                       for i, shape in enumerate(((4, 7), (4, 7), (7, 4))))
             if epoch == 0:
-                return Factors(H, K, F), None
-            return Factors(H * 1e200, K * 1e200, F), None
+                return Factors(H, K, F)
+            return Factors(H * 1e200, K * 1e200, F)
 
         with np.errstate(all="ignore"):
             (outcome,) = fit([cfg], init, lambda *args: None, view)

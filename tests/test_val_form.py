@@ -20,7 +20,7 @@ RANGES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)]
 
 def both(n, low, high, count=2000, seed=5):
     val = gen_dataset(n, count, seed, low, high)
-    return direct_scorer(val), scorer(n, fourth_moment(val))
+    return direct_scorer(val), scorer(n, fourth_moment(val.a, val.b))
 
 
 def val_set(cfg):
@@ -90,7 +90,7 @@ def test_fourth_moment_is_the_mean_over_all_rows(count):
     val = gen_dataset(2, count, 8, 0.0, 2.0)
     a, b, _ = val.flat()
     x = (a[:, :, None] * b[:, None, :]).reshape(count, 16)
-    np.testing.assert_allclose(fourth_moment(val), x.T @ x / count,
+    np.testing.assert_allclose(fourth_moment(val.a, val.b), x.T @ x / count,
                                rtol=1e-13)
 
 

@@ -11,7 +11,7 @@ from bmpnet.scheme import BilinearScheme, forward_fast, reconstruct, to_float
 from bmpnet.tensor import ShapeMismatch, matmul_tensor
 from bmpnet.verify import (
     DEFAULT_GRID,
-    _snap,
+    _snapper,
     exponent,
     known_strassen,
     normalize_slots,
@@ -22,6 +22,7 @@ from bmpnet.verify import (
     verify_scheme,
 )
 from netgen import kron_scheme
+from reference import snap
 
 
 class TestKnownScheme:
@@ -168,16 +169,36 @@ class TestSnap:
     """Nearest grid value; ties break toward smaller magnitude."""
 
     def test_plain_rounding(self):
-        assert _snap(0.9, DEFAULT_GRID) == 1
-        assert _snap(-0.6, DEFAULT_GRID) == Fraction(-1, 2)
-        assert _snap(0.1, DEFAULT_GRID) == 0
-        assert _snap(0.4, DEFAULT_GRID) == Fraction(1, 2)
+        snap_default = _snapper(DEFAULT_GRID)
+        assert snap_default(0.9) == 1
+        assert snap_default(-0.6) == Fraction(-1, 2)
+        assert snap_default(0.1) == 0
+        assert snap_default(0.4) == Fraction(1, 2)
 
     def test_tie_prefers_smaller_magnitude(self):
-        assert _snap(0.25, DEFAULT_GRID) == 0
-        assert _snap(-0.25, DEFAULT_GRID) == 0
-        assert _snap(0.75, DEFAULT_GRID) == Fraction(1, 2)
-        assert _snap(-0.75, DEFAULT_GRID) == Fraction(-1, 2)
+        snap_default = _snapper(DEFAULT_GRID)
+        assert snap_default(0.25) == 0
+        assert snap_default(-0.25) == 0
+        assert snap_default(0.75) == Fraction(1, 2)
+        assert snap_default(-0.75) == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("grid", [
+        DEFAULT_GRID,
+        DEFAULT_GRID + (Fraction(1, 3), Fraction(-1, 3)),
+        (Fraction(-1), Fraction(1)),
+    ])
+    def test_bisection_matches_the_minimum_over_the_grid(self, grid):
+        # every midpoint, as the nearest float and the next floats on
+        # either side, plus both zeros and the grid points themselves
+        points = sorted(set(grid))
+        xs = [0.0, -0.0] + [float(g) for g in points]
+        for lo, hi in zip(points, points[1:]):
+            mid = float((lo + hi) / 2)
+            xs += [mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]
+        snap_grid = _snapper(grid)
+        for x in xs:
+            got, want = snap_grid(x), snap(x, grid)
+            assert got == want and type(got) is type(want), x
 
     def test_noisy_reference_snaps_back(self):
         rng = np.random.default_rng(3)
