@@ -85,6 +85,8 @@ class EpsSchedule:
     def __post_init__(self):
         if self.eps0 <= 0:
             raise EpsilonNonpositive("eps0 must be positive")
+        if not np.isfinite(self.eps0):
+            raise ShapeMismatch("eps0 must be finite")
         if not 0.0 < self.decay <= 1.0:
             raise ShapeMismatch("decay must lie in (0, 1]")
         if not 0.0 < self.floor <= self.eps0:
@@ -233,6 +235,9 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
     ``probe_eps``; ``progress(epoch, train_loss, val_loss, probe_loss,
     eps)`` is called after each epoch.
     """
+    if not 0 < probe_eps < np.inf:
+        raise EpsilonNonpositive("probe_eps must be positive and finite, "
+                                 "got %r" % probe_eps)
     if schedule is None:
         schedule = EpsSchedule()
     started = time.perf_counter()

@@ -54,8 +54,7 @@ def _defaults(cls, **extra):
 
 TRAIN_KEYS = _defaults(TrainConfig, n=2, r=7, out=None, verbose=False)
 
-SWEEP_KEYS = _defaults(SweepConfig, out=None, threads=1, top_vs_rest=False,
-                       verbose=False)
+SWEEP_KEYS = _defaults(SweepConfig, out=None, threads=1, top_vs_rest=False)
 
 VERIFY_KEYS = {
     "scheme": None, "exact": False, "round": False, "tol": 1e-8,
@@ -69,84 +68,50 @@ TRAIN_EPS_KEYS = dict(TRAIN_KEYS, **_defaults(EpsSchedule), dmax=2,
 
 DEMO_KEYS = {"which": None}
 
+# help text by option key, shown by every subcommand that has the option
+_HELP = {
+    "which": "which walkthrough to run",
+    "resample": "draw a fresh training set each epoch",
+    "ranks": "comma separated rank list",
+    "top_vs_rest": "also compare the top rank against every other",
+    "scheme": "path to a scheme JSON file, or 'strassen' for the built-in "
+              "one",
+    "exact": "read entries as exact rationals",
+    "round": "gauge-normalise and snap to the grid first",
+    "tol": "float-mode residual tolerance",
+    "grid": "comma separated rational grid values",
+    "g1": "mean,std,count of group 1",
+    "g2": "mean,std,count of group 2",
+}
+
 
 def build_parser():
+    """One subparser per entry of _COMMANDS and one flag per key of its
+    option table, typed by the key's default: a bool gives a switch, an
+    int or float converts the value, anything else keeps the string."""
     parser = argparse.ArgumentParser(
         prog="bmpnet",
         description="tensor-network calculus, scheme training and "
                     "verification for fast matrix multiplication")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, keys, **kwargs):
-        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS,
-                            **kwargs)
+    for name, (_, keys, text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text,
+                            argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file with option defaults")
-        return sp
-
-    sp = add("demo", DEMO_KEYS, help="narrated walkthroughs")
-    sp.add_argument("which", choices=("classical2x2", "strassen2x2"),
-                    help="which walkthrough to run")
-
-    sp = add("train", TRAIN_KEYS, help="train one scheme")
-    _add_train_flags(sp)
-
-    sp = add("sweep", SWEEP_KEYS, help="rank sweep with statistics")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--ranks", help="comma separated rank list")
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--threads", type=int)
-    _add_field_flags(sp, TrainConfig, skip=("n", "r"))
-    sp.add_argument("--top-vs-rest", dest="top_vs_rest",
-                    action="store_true",
-                    help="also compare the top rank against every other")
-    sp.add_argument("--out")
-    sp.add_argument("--verbose", action="store_true")
-
-    sp = add("verify", VERIFY_KEYS, help="check a scheme file")
-    sp.add_argument("--scheme", help="path to a scheme JSON file, or "
-                                     "'strassen' for the built-in one")
-    sp.add_argument("--exact", action="store_true",
-                    help="read entries as exact rationals")
-    sp.add_argument("--round", action="store_true",
-                    help="gauge-normalise and snap to the grid first")
-    sp.add_argument("--tol", type=float,
-                    help="float-mode residual tolerance")
-    sp.add_argument("--grid", help="comma separated rational grid values")
-    sp.add_argument("--out")
-
-    sp = add("welch", WELCH_KEYS, help="compare two loss groups")
-    sp.add_argument("--g1", help="mean,std,count of group 1")
-    sp.add_argument("--g2", help="mean,std,count of group 2")
-    sp.add_argument("--out")
-
-    sp = add("train-eps", TRAIN_EPS_KEYS,
-             help="train the vanishing-parameter extension")
-    _add_train_flags(sp)
-    _add_field_flags(sp, EpsSchedule)
-    sp.add_argument("--dmax", type=int)
-    sp.add_argument("--fmin", type=int)
-    sp.add_argument("--probe-eps", dest="probe_eps", type=float)
-
-    return parser
-
-
-def _add_field_flags(sp, cls, skip=()):
-    """One flag per exposed field of cls, typed like the field."""
-    for key, f in _fields(cls).items():
-        if key in skip:
+        if name == "demo":
+            sp.add_argument("which", choices=("classical2x2", "strassen2x2"),
+                            help=_HELP["which"])
             continue
-        flag = "--" + key.replace("_", "-")
-        if f.type is bool:
-            sp.add_argument(flag, dest=key, action="store_true",
-                            help=f.metadata.get("help"))
-        else:
-            sp.add_argument(flag, dest=key, type=f.type)
-
-
-def _add_train_flags(sp):
-    _add_field_flags(sp, TrainConfig)
-    sp.add_argument("--out")
-    sp.add_argument("--verbose", action="store_true")
+        for key, default in keys.items():
+            if isinstance(default, bool):
+                kind = {"action": "store_true"}
+            elif isinstance(default, (int, float)):
+                kind = {"type": type(default)}
+            else:
+                kind = {"type": str}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=_HELP.get(key), **kind)
+    return parser
 
 
 class UsageError(Exception):
@@ -415,20 +380,22 @@ def _cmd_train_eps(opts):
     return 0
 
 
-_HANDLERS = {
-    "demo": (_cmd_demo, DEMO_KEYS),
-    "train": (_cmd_train, TRAIN_KEYS),
-    "sweep": (_cmd_sweep, SWEEP_KEYS),
-    "verify": (_cmd_verify, VERIFY_KEYS),
-    "welch": (_cmd_welch, WELCH_KEYS),
-    "train-eps": (_cmd_train_eps, TRAIN_EPS_KEYS),
+# subcommand -> (handler, option table, help)
+_COMMANDS = {
+    "demo": (_cmd_demo, DEMO_KEYS, "narrated walkthroughs"),
+    "train": (_cmd_train, TRAIN_KEYS, "train one scheme"),
+    "sweep": (_cmd_sweep, SWEEP_KEYS, "rank sweep with statistics"),
+    "verify": (_cmd_verify, VERIFY_KEYS, "check a scheme file"),
+    "welch": (_cmd_welch, WELCH_KEYS, "compare two loss groups"),
+    "train-eps": (_cmd_train_eps, TRAIN_EPS_KEYS,
+                  "train the vanishing-parameter extension"),
 }
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, defaults = _HANDLERS[args.command]
+    handler, defaults, _ = _COMMANDS[args.command]
     try:
         opts = _resolve(args, defaults)
         return handler(opts)

@@ -243,8 +243,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     # by default one fixed training set, reshuffled per epoch
-    resample: bool = field(default=False, metadata={
-        "help": "draw a fresh training set each epoch"})
+    resample: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
@@ -255,6 +254,8 @@ class TrainConfig:
             raise ShapeMismatch("dataset sizes must be positive")
         if self.batch_size > self.train_size:
             raise ShapeMismatch("batch size exceeds the training set")
+        if not np.isfinite([self.lr, self.alpha, self.low, self.high]).all():
+            raise ShapeMismatch("lr, alpha, low and high must be finite")
         if not self.low < self.high:
             raise ShapeMismatch("need low < high for the sampling range")
         if self.lr <= 0 or self.clip_threshold <= 0 or self.alpha <= 0:

@@ -1,13 +1,15 @@
 """Slow, direct references for fast paths of the package: validation as a
-forward pass over the validation rows, central-difference gradients and
-snapping to a grid by a minimum over all of it.  Tests hold the package
+forward pass over the validation rows, central-difference gradients,
+snapping to a grid by a minimum over all of it and the residual over
+every entry of the target tensor.  Tests hold the package
 to them; nothing here is used by the package."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from bmpnet.scheme import BilinearScheme, forward_fast_batch
+from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
+from bmpnet.tensor import frobenius_sq, is_exact, matmul_tensor
 from bmpnet.training import mse
 
 
@@ -60,3 +62,12 @@ def snap(x, grid):
     xf = Fraction(float(x))
     return min((Fraction(g) for g in grid),
                key=lambda g: (abs(g - xf), abs(g), g))
+
+
+def residual_sq(scheme):
+    """Squared Frobenius distance to the structure tensor, subtracting the
+    dense target over all m^3 entries.  The reference for ``verify``'s
+    subtraction on the target's support."""
+    n = scheme.n
+    return frobenius_sq(reconstruct(scheme) - matmul_tensor(
+        n, n, n, exact=is_exact(scheme.H)))

@@ -1,6 +1,8 @@
 """Command line surface: every subcommand end to end on tiny workloads,
-config-file merging, exit codes, and byte-identical reruns."""
+config-file merging, exit codes, byte-identical reruns, and the flags
+each subcommand's option table declares."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -8,7 +10,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from bmpnet.cli import main
+from bmpnet import border
+from bmpnet.cli import _COMMANDS, _HELP, build_parser, main
 from bmpnet.scheme import BilinearScheme, scheme_to_json, to_float
 from bmpnet.verify import known_strassen
 from clirun import run_module
@@ -391,3 +394,121 @@ class TestModuleEntryPoint:
         proc = run_module(["demo", "classical2x2"], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "routes agree entrywise: True" in proc.stdout
+
+
+class TestNonFiniteOptions:
+    """A value no run can use is a usage error, found before training."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train-eps", ["--eps0", "inf"]), ("train-eps", ["--probe-eps", "0"]),
+        ("train-eps", ["--probe-eps", "inf"]),
+        ("train-eps", ["--probe-eps", "nan"]), ("train", ["--lr", "inf"]),
+        ("train", ["--low=-inf"])])
+    def test_exit_code_two(self, capsys, command, flags):
+        code, out, err = run_cli(capsys, [command] + TINY_TRAIN + flags)
+        assert code == 2
+        assert err.startswith("error: ") and "diverged" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["0", "inf", "nan"])
+    def test_probe_eps_rejected_before_training(self, capsys, monkeypatch,
+                                                value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+        monkeypatch.setattr(border, "fit", no_fit)
+        code, _, err = run_cli(capsys, ["train-eps"] + TINY_TRAIN
+                               + ["--probe-eps", value])
+        assert code == 2
+        assert err.startswith("error: probe_eps must be positive")
+
+    def test_infinite_clip_turns_clipping_off(self, capsys):
+        code, _, _ = run_cli(capsys, ["train"] + TINY_TRAIN
+                             + ["--clip", "inf"])
+        assert code == 0
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(sp):
+    return [a for a in sp._actions
+            if a.dest not in ("help", "config")]
+
+
+# every flag each subcommand took before the option tables declared them:
+# flag -> (dest, type of the parsed value; bool for a switch)
+_TRAIN_FLAGS = {
+    "--n": ("n", int), "--r": ("r", int), "--epochs": ("epochs", int),
+    "--batch-size": ("batch_size", int), "--lr": ("lr", float),
+    "--clip": ("clip", float), "--train-size": ("train_size", int),
+    "--val-size": ("val_size", int), "--alpha": ("alpha", float),
+    "--seed": ("seed", int), "--low": ("low", float),
+    "--high": ("high", float), "--resample": ("resample", bool),
+    "--out": ("out", str), "--verbose": ("verbose", bool),
+}
+_FLAGS = {
+    "train": _TRAIN_FLAGS,
+    "sweep": dict(
+        {k: v for k, v in _TRAIN_FLAGS.items() if k not in ("--r",
+                                                            "--verbose")},
+        **{"--ranks": ("ranks", str), "--reps": ("reps", int),
+           "--threads": ("threads", int),
+           "--top-vs-rest": ("top_vs_rest", bool)}),
+    "verify": {
+        "--scheme": ("scheme", str), "--exact": ("exact", bool),
+        "--round": ("round", bool), "--tol": ("tol", float),
+        "--grid": ("grid", str), "--out": ("out", str)},
+    "welch": {"--g1": ("g1", str), "--g2": ("g2", str),
+              "--out": ("out", str)},
+    "train-eps": dict(_TRAIN_FLAGS, **{
+        "--eps0": ("eps0", float), "--decay": ("decay", float),
+        "--floor": ("floor", float), "--dmax": ("dmax", int),
+        "--fmin": ("fmin", int), "--probe-eps": ("probe_eps", float)}),
+}
+_SAMPLE = {int: ("3", 3), float: ("0.5", 0.5), str: ("x", "x")}
+
+
+class TestOptionTables:
+    """Each subcommand's flags are exactly its option table."""
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_flag_dests_are_the_table_keys(self, command):
+        sp = _subparsers()[command]
+        dests = [a.dest for a in _options(sp)]
+        assert sorted(dests) == sorted(_COMMANDS[command][1])
+        for action in _options(sp):
+            default = _COMMANDS[command][1][action.dest]
+            switch = isinstance(action, argparse._StoreTrueAction)
+            assert switch == isinstance(default, bool), action.dest
+
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_earlier_flags_still_accepted(self, command):
+        parser = build_parser()
+        for flag, (dest, kind) in _FLAGS[command].items():
+            if kind is bool:
+                argv, want = [command, flag], True
+            else:
+                text, want = _SAMPLE[kind]
+                argv = [command, flag, text]
+            got = vars(parser.parse_args(argv))
+            assert got == {"command": command, dest: want}, flag
+            assert type(got[dest]) is kind, flag
+
+    def test_sweep_verbose_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--verbose"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_help_prints_every_option_help(self, command):
+        proc = run_module([command, "--help"], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        text = " ".join(proc.stdout.split())
+        helps = [_HELP[key] for key in _COMMANDS[command][1] if key in _HELP]
+        assert helps
+        for help_ in helps:
+            assert " ".join(help_.split()) in text

@@ -9,8 +9,10 @@ import pytest
 
 from bmpnet.scheme import BilinearScheme, forward_fast, reconstruct, to_float
 from bmpnet.tensor import ShapeMismatch, matmul_tensor
+from bmpnet.training import TrainConfig, train
 from bmpnet.verify import (
     DEFAULT_GRID,
+    _residual_sq,
     _snapper,
     exponent,
     known_strassen,
@@ -22,7 +24,7 @@ from bmpnet.verify import (
     verify_scheme,
 )
 from netgen import kron_scheme
-from reference import snap
+from reference import residual_sq, snap
 
 
 class TestKnownScheme:
@@ -85,6 +87,53 @@ class TestResidual:
     def test_exact_residual_needs_exact_scheme(self):
         with pytest.raises(ShapeMismatch):
             residual_sq_exact(to_float(known_strassen()), 2)
+
+
+class TestResidualOnSupport:
+    """The residual subtracts the target only where it is 1; float results
+    are bitwise those of the dense subtraction, exact ones equal."""
+
+    @staticmethod
+    def same_float(got, want):
+        assert type(got) is float and type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n, r", [(2, 7), (3, 23), (4, 49)])
+    def test_random_float_schemes(self, n, r):
+        rng = np.random.default_rng(n * r)
+        for scale in (1e-8, 1.0, 1e3):
+            s = BilinearScheme(n=n, r=r, H=scale * rng.normal(size=(n * n, r)),
+                               K=rng.normal(size=(n * n, r)),
+                               F=rng.normal(size=(r, n * n)))
+            self.same_float(_residual_sq(s, n), residual_sq(s))
+
+    def test_trained_scheme(self):
+        s = train(TrainConfig(n=2, r=7, epochs=2, batch_size=16,
+                              train_size=64, val_size=32)).scheme
+        self.same_float(_residual_sq(s, 2), residual_sq(s))
+
+    def test_signed_zero_and_nan_entries(self):
+        s = to_float(known_strassen())
+        s.H[s.H == 0] = -0.0
+        s.F[0, 0] = -0.0
+        self.same_float(_residual_sq(s, 2), residual_sq(s))
+        s.K[1, 1] = np.nan
+        got, want = _residual_sq(s, 2), residual_sq(s)
+        assert math.isnan(got) and math.isnan(want)
+        self.same_float(got, want)
+
+    def test_exact_schemes(self):
+        strassen = known_strassen()
+        H = strassen.H.copy()
+        H[2, 3] += Fraction(-2, 3)
+        perturbed = BilinearScheme(n=2, r=7, H=H, K=strassen.K,
+                                   F=strassen.F)
+        composed = kron_scheme(strassen, strassen)
+        for s in (strassen, perturbed, composed):
+            got = _residual_sq(s, s.n)
+            assert type(got) is Fraction
+            assert got == residual_sq(s)
+        assert residual_sq(perturbed) > 0
 
 
 class TestComposedScheme:
