@@ -85,11 +85,37 @@ _HELP = {
 }
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that float() parses, such as -1e-3 or -inf, as the
+    value of the flag before it; argparse alone takes it for a flag
+    unless it looks like -2 or -.5."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            flag = tokens[-1] if tokens else ""
+            if (token.startswith("-") and _is_number(token)
+                    and flag.startswith("--") and flag != "--"
+                    and "=" not in flag):
+                tokens[-1] = flag + "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
 def build_parser():
     """One subparser per entry of _COMMANDS and one flag per key of its
     option table, typed by the key's default: a bool gives a switch, an
     int or float converts the value, anything else keeps the string."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bmpnet",
         description="tensor-network calculus, scheme training and "
                     "verification for fast matrix multiplication")

@@ -15,9 +15,9 @@ import numpy as np
 from .network import strassen_pipeline
 from .tensor import (
     ShapeMismatch,
+    _forget_view,
     bmp,
     exact_array,
-    forget,
     matrix_from_json,
     matrix_to_json,
     zeros_matching,
@@ -131,7 +131,8 @@ def reconstruct(scheme, n=None):
     slot runs over the transposed layout, so each output factor is
     reindexed through that transpose first.  The sum over slots is one
     Bhattacharya-Mesner product of the three factors, each lifted to
-    order 3 with :func:`bmpnet.tensor.forget`; its output slots come out
+    order 3 as a broadcast view (:func:`bmpnet.tensor.forget` without its
+    copy), so each factor is stored once; its output slots come out
     as (f, h, k), so that every term multiplies h, k, f in that order.
     """
     if n is not None and n != scheme.n:
@@ -143,8 +144,9 @@ def reconstruct(scheme, n=None):
     m = n * n
     F_t = scheme.F.reshape(scheme.r, n, n).transpose(0, 2, 1).reshape(
         scheme.r, m)
-    out = bmp([forget(scheme.H.T, [2], [m]), forget(scheme.K.T, [0], [m]),
-               forget(F_t.T, [1], [m])])
+    out = bmp([_forget_view(scheme.H.T, [2], [m]),
+               _forget_view(scheme.K.T, [0], [m]),
+               _forget_view(F_t.T, [1], [m])])
     return out.transpose(1, 2, 0)
 
 

@@ -64,19 +64,30 @@ def zeros_matching(shape, like):
     return np.zeros(shape, dtype=np.float64)
 
 
+# entries per intermediate of one block of the shared index in bmp
+_BLOCK = 1 << 20
+
+
 def _rational_nonzero(t):
-    """Boolean nonzero mask of an object array whose entries are all
-    ints or Fractions; None for any other array (float, or an object
-    array holding floats, whose zeros must still meet NaN and inf)."""
-    if t.dtype != object or not all(isinstance(v, (int, Fraction))
-                                    for v in t.flat):
+    """Read-only boolean nonzero mask of an object array whose entries
+    are all ints or Fractions; None for any other array (float, or an
+    object array holding floats, whose zeros must still meet NaN and
+    inf).  Types and zeros are read on the core, index 0 of every
+    stride-0 (broadcast) axis, so each stored entry is read once."""
+    if t.dtype != object:
         return None
-    return t != 0
+    core = t[tuple(slice(0, 1) if step == 0 else slice(None)
+                   for step in t.strides)]
+    if not set(map(type, core.flat)) <= {int, Fraction}:
+        return None
+    return np.broadcast_to(core.astype(bool), t.shape)
 
 
-def _slab(f, k, h):
-    """View of ``f`` at index ``h`` of its slot ``k``, kept at extent 1."""
-    return f[(slice(None),) * k + (slice(h, h + 1),)]
+def _slabs(f, k, h0, h1):
+    """View of ``f`` at indices ``h0:h1`` of its slot ``k``, moved to a
+    new leading axis; slot ``k`` is kept at extent 1."""
+    block = f[(slice(None),) * k + (slice(h0, h1),)]
+    return block[None].swapaxes(0, k + 1)
 
 
 def bmp(factors):
@@ -89,7 +100,9 @@ def bmp(factors):
     that index with ``i_k`` replaced by ``h``.
 
     Requires at least two factors (the order-1 case is degenerate).
-    Works for float64 and exact object arrays alike.
+    Works for float64 and exact object arrays alike.  The shared index
+    is stepped in blocks; a float result equals, bit for bit, the sum
+    taken one ``h`` at a time in increasing order.
     """
     d = len(factors)
     if d < 2:
@@ -116,29 +129,33 @@ def bmp(factors):
 
     ref = next((f for f in factors if is_exact(f)), factors[0])
     out = zeros_matching(out_shape, ref)
+    step = max(1, min(l, _BLOCK // max(1, out.size)))
     masks = [_rational_nonzero(f) for f in factors]
     if all(m is not None for m in masks):
         # Exact rationals only: a term with a zero factor adds exactly
-        # zero, so multiply just where every factor slice is nonzero.
-        for h in range(l):
-            live = np.ones(out_shape, dtype=bool)
+        # zero, so multiply just where every factor is nonzero.
+        live = np.empty((step,) + out_shape, dtype=bool)
+        for h0 in range(0, l, step):
+            h1 = min(l, h0 + step)
+            block = live[:h1 - h0]
+            block[...] = True
             for k, m in enumerate(masks):
-                live &= _slab(m, k, h)
-            where = np.nonzero(live)
-            if not where[0].size:
-                continue
+                block &= _slabs(m, k, h0, h1)
+            where = np.unravel_index(np.flatnonzero(block), block.shape)
             term = None
             for k, f in enumerate(factors):
-                piece = np.broadcast_to(_slab(f, k, h), out_shape)[where]
-                term = piece if term is None else term * piece
-            out[where] = out[where] + term
+                at = where[1:k + 1] + (where[0] + h0,) + where[k + 2:]
+                term = f[at] if term is None else term * f[at]
+            np.add.at(out, where[1:], term)
         return out
-    for h in range(l):
-        term = None
-        for k, f in enumerate(factors):
-            piece = _slab(f, k, h)
-            term = piece if term is None else term * piece
-        out = out + term
+    for h0 in range(0, l, step):
+        h1 = min(l, h0 + step)
+        term = _slabs(factors[0], 0, h0, h1)
+        for k in range(1, d):
+            term = term * _slabs(factors[k], k, h0, h1)
+        # out + term_h0 + term_h0+1 + ..., added one h at a time
+        sums = np.concatenate([out[None], term])
+        out = np.add.accumulate(sums, axis=0, out=sums)[-1]
     return out
 
 
@@ -156,14 +173,9 @@ def blow(t):
     return out
 
 
-def forget(t, slots, extents):
-    """Insert free slots at the given 0-based result positions.
-
-    The result has order ``t.ndim + len(slots)`` and does not vary along
-    the inserted slots; ``extents`` supplies their sizes (the operation
-    itself cannot know them).  Erasing the inserted slots from a result
-    index recovers the source index.
-    """
+def _forget_view(t, slots, extents):
+    """:func:`forget` without the copy: a read-only broadcast view of
+    ``t`` whose inserted slots have stride 0."""
     t = np.asarray(t)
     slots = list(slots)
     extents = list(extents)
@@ -185,7 +197,18 @@ def forget(t, slots, extents):
         out = np.expand_dims(out, axis=s)
         target[s] = e
     shape = [target.get(j, sz) for j, sz in enumerate(out.shape)]
-    return np.broadcast_to(out, shape).copy()
+    return np.broadcast_to(out, shape)
+
+
+def forget(t, slots, extents):
+    """Insert free slots at the given 0-based result positions.
+
+    The result has order ``t.ndim + len(slots)`` and does not vary along
+    the inserted slots; ``extents`` supplies their sizes (the operation
+    itself cannot know them).  Erasing the inserted slots from a result
+    index recovers the source index.  The result is a fresh array.
+    """
+    return _forget_view(t, slots, extents).copy()
 
 
 def contraction(t, slots):
@@ -203,7 +226,13 @@ def contraction(t, slots):
             raise BadIndexSet("slot %d out of range for order %d" % (s, t.ndim))
     if not slots:
         return t.copy()
-    return np.asarray(t.sum(axis=tuple(sorted(slots))))
+    axes = tuple(sorted(slots))
+    mask = _rational_nonzero(t)
+    if mask is None:
+        return np.asarray(t.sum(axis=axes))
+    # exact rationals: add only the nonzero entries
+    return np.asarray(np.add.reduce(t, axis=axes, where=mask,
+                                    initial=Fraction(0)))
 
 
 def matmul_tensor(a, b, c, exact=False):
@@ -233,7 +262,9 @@ def frobenius_sq(t):
     Exact mode squares only the nonzero entries."""
     t = np.asarray(t)
     if is_exact(t):
-        return sum((x * x for x in t[np.nonzero(t)]), Fraction(0))
+        mask = _rational_nonzero(t)
+        live = t[t.astype(bool) if mask is None else mask]
+        return np.add.reduce(live * live, initial=Fraction(0))
     return float(np.sum(t.astype(np.float64) ** 2))
 
 

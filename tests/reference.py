@@ -1,15 +1,17 @@
 """Slow, direct references for fast paths of the package: validation as a
 forward pass over the validation rows, central-difference gradients,
-snapping to a grid by a minimum over all of it and the residual over
-every entry of the target tensor.  Tests hold the package
-to them; nothing here is used by the package."""
+snapping to a grid by a minimum over all of it, the residual over
+every entry of the target tensor and the product summed one shared index
+at a time.  Tests hold the package to them; nothing here is used by the
+package."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
-from bmpnet.tensor import frobenius_sq, is_exact, matmul_tensor
+from bmpnet.tensor import frobenius_sq, is_exact, matmul_tensor, \
+    zeros_matching
 from bmpnet.training import mse
 
 
@@ -71,3 +73,23 @@ def residual_sq(scheme):
     n = scheme.n
     return frobenius_sq(reconstruct(scheme) - matmul_tensor(
         n, n, n, exact=is_exact(scheme.H)))
+
+
+def slot_loop_bmp(factors):
+    """Bhattacharya-Mesner product summed one shared index at a time:
+    ``out = out + term`` for h = 0, 1, ..., each term the left-to-right
+    product of the factors' slices at h.  The float reference for
+    ``tensor.bmp``, which steps h in blocks and must match it bit for
+    bit.  Factors are assumed well formed."""
+    d = len(factors)
+    factors = [np.asarray(f) for f in factors]
+    l = factors[0].shape[0]
+    out_shape = tuple(factors[(j + 1) % d].shape[j] for j in range(d))
+    out = zeros_matching(out_shape, factors[0])
+    for h in range(l):
+        term = None
+        for k, f in enumerate(factors):
+            piece = f[(slice(None),) * k + (slice(h, h + 1),)]
+            term = piece if term is None else term * piece
+        out = out + term
+    return out

@@ -427,6 +427,35 @@ class TestNonFiniteOptions:
         assert code == 0
 
 
+class TestNegativeNumbers:
+    """A value that float() reads is a value even when it starts with a
+    minus sign and is not a plain decimal."""
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E2", "-1.5e+1"])
+    def test_scientific_value_trains(self, capsys, value):
+        code, out, err = run_cli(capsys, ["train"] + TINY_TRAIN
+                                 + ["--low", value])
+        assert code == 0, err
+        assert out.startswith("final train loss")
+
+    def test_same_as_written_with_equals(self):
+        parser = build_parser()
+        for value in ("-1e-3", "-2E2", "-1", "-.5", "-inf"):
+            spaced = parser.parse_args(["train", "--verbose", "--low",
+                                        value])
+            joined = parser.parse_args(["train", "--verbose",
+                                        "--low=" + value])
+            assert spaced.low == joined.low == float(value)
+            assert spaced.verbose is True
+
+    def test_negative_infinity_is_not_finite(self, capsys):
+        code, out, err = run_cli(capsys, ["train"] + TINY_TRAIN
+                                 + ["--low", "-inf"])
+        assert code == 2
+        assert err.startswith("error: ") and "must be finite" in err
+        assert out == ""
+
+
 def _subparsers():
     (action,) = [a for a in build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]

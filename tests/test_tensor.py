@@ -3,7 +3,9 @@
 The product kernel is checked against ``naive_bmp`` below, an
 independent implementation that walks every output index and shared
 value with plain Python loops.  It is deliberately slow and obvious;
-any disagreement points at the vectorised kernel.
+any disagreement points at the vectorised kernel.  Float products are
+also held, bit for bit, to ``reference.slot_loop_bmp``, which sums one
+shared index at a time.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bmpnet import tensor
 from bmpnet.tensor import (
     ArityMismatch,
     BadIndexSet,
@@ -31,6 +34,7 @@ from bmpnet.tensor import (
     tensor_to_json,
     zeros_matching,
 )
+from reference import slot_loop_bmp
 
 
 def naive_bmp(factors):
@@ -130,6 +134,96 @@ class TestBmp:
         assert np.isnan(bmp([zero, nan])[0, 0])
         exact_zero = np.array([[Fraction(0)]], dtype=object)
         assert np.isnan(float(bmp([exact_zero, nan.astype(object)])[0, 0]))
+
+    def test_float_bitwise_equals_slot_loop(self):
+        """Blocks of the shared index add up in the same order as one
+        index at a time: same bytes, -0.0 entries included, and a sum
+        of zeros is +0.0."""
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            d = int(rng.integers(2, 5))
+            extents = [int(e) for e in rng.integers(1, 5, size=d)]
+            l = int(rng.integers(1, 60))
+            factors = []
+            for k in range(d):
+                shape = list(extents)
+                shape[k] = l
+                f = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+                f[rng.random(size=f.shape) < 0.3] = 0.0
+                f[rng.random(size=f.shape) < 0.2] = -0.0
+                factors.append(f)
+            want = slot_loop_bmp(factors)
+            got = bmp(factors)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        negative_zeros = [np.full((3, 2), -0.0), np.ones((2, 3))]
+        assert bmp(negative_zeros).tobytes() == np.zeros((2, 2)).tobytes()
+
+    def test_float_single_entry_long_sum(self):
+        """An output of size 1 summed over many h stays the sequential
+        sum (numpy's own sum of 16 or more values is pairwise)."""
+        rng = np.random.default_rng(14)
+        for l in (16, 17, 64, 257):
+            factors = [rng.normal(size=(l, 1, 1)) * 1e8,
+                       rng.normal(size=(1, l, 1)),
+                       rng.normal(size=(1, 1, l))]
+            got = bmp(factors)
+            assert got.tobytes() == slot_loop_bmp(factors).tobytes()
+
+    def test_float_across_blocks(self, monkeypatch):
+        """An l spanning several blocks, at the block size in use and at
+        block sizes small enough to split every case."""
+        rng = np.random.default_rng(15)
+        # 2**20 entries of output: one h per block
+        factors = [rng.normal(size=(3, 128, 64)),
+                   rng.normal(size=(128, 3, 64)),
+                   rng.normal(size=(128, 128, 3))]
+        assert bmp(factors).tobytes() == slot_loop_bmp(factors).tobytes()
+        for block in (1, 5, 24):
+            monkeypatch.setattr(tensor, "_BLOCK", block)
+            for _ in range(10):
+                extents = [int(e) for e in rng.integers(1, 4, size=3)]
+                l = int(rng.integers(2, 30))
+                factors = []
+                for k in range(3):
+                    shape = list(extents)
+                    shape[k] = l
+                    factors.append(rng.normal(size=shape))
+                got = bmp(factors)
+                assert got.tobytes() == slot_loop_bmp(factors).tobytes()
+
+    def test_exact_broadcast_views_equal_copies(self):
+        """Factors lifted as read-only broadcast views give the product
+        of their forget copies, and both equal the reference."""
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            l, e0, e1, e2 = (int(e) for e in rng.integers(1, 5, size=4))
+            mats = [random_exact(rng, (l, e1)), random_exact(rng, (l, e2)),
+                    random_exact(rng, (e0, l))]
+            for mat in mats:
+                mat[rng.random(size=mat.shape) < 0.5] = 0
+            lifts = [([2], [e2]), ([0], [e0]), ([1], [e1])]
+            views = [np.broadcast_to(np.expand_dims(mat, s[0]),
+                                     forget(mat, s, e).shape)
+                     for mat, (s, e) in zip(mats, lifts)]
+            copies = [forget(mat, s, e) for mat, (s, e) in zip(mats, lifts)]
+            assert not any(v.flags.writeable for v in views)
+            from_views = bmp(views)
+            from_copies = bmp(copies)
+            want = naive_bmp(copies)
+            for idx in np.ndindex(want.shape):
+                assert from_views[idx] == from_copies[idx] == want[idx]
+                assert type(from_views[idx]) is Fraction
+
+    def test_exact_broadcast_nan_still_propagates(self):
+        """A float NaN in the stored entries of a broadcast object array
+        turns zero skipping off, so 0 * NaN still gives NaN."""
+        zero = np.full((2, 3), Fraction(0), dtype=object)
+        stored = np.array([[Fraction(1), float("nan")]], dtype=object)
+        nan_view = np.broadcast_to(stored, (3, 2))
+        out = bmp([zero, nan_view])
+        assert out.shape == (3, 3)
+        assert all(np.isnan(float(v)) for v in out.flat)
 
     def test_order3_random_2x2x2(self):
         rng = np.random.default_rng(3)
@@ -283,6 +377,21 @@ class TestContraction:
             step = contraction(contraction(t, set(j1)), set(j2))
             merged = contraction(t, set(j1) | set(j2_original))
             np.testing.assert_allclose(step, merged, atol=1e-12)
+
+    def test_exact_mostly_zero_equals_dense_sum(self):
+        """Only the nonzero entries are added, and the sums stay
+        Fractions, also where every entry summed is zero."""
+        rng = np.random.default_rng(10)
+        t = random_exact(rng, (4, 3, 5))
+        t[rng.random(size=t.shape) < 0.8] = 0
+        t[:, 1, :] = 0
+        for slots in ({0}, {1}, {0, 2}, {0, 1, 2}):
+            got = contraction(t, slots)
+            want = t.sum(axis=tuple(sorted(slots)))
+            assert got.shape == np.shape(want)
+            for idx in np.ndindex(got.shape):
+                assert got[idx] == np.asarray(want)[idx]
+                assert type(got[idx]) is Fraction
 
     def test_rejects_bad_slot(self):
         with pytest.raises(BadIndexSet):

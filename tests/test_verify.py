@@ -1,5 +1,6 @@
 """Certification path: residuals, slot norms, gauge fixing, grid
-snapping, the pinned rank-7 reference scheme and its 4x4 composition."""
+snapping, the pinned rank-7 reference scheme and its 4x4 and 8x8
+compositions."""
 
 import math
 from fractions import Fraction
@@ -157,6 +158,34 @@ class TestComposedScheme:
         report = verify_scheme(bad)
         assert report.exact_zero is False
         assert report.residual == math.sqrt(float(sq))
+
+
+class TestEightByEight:
+    """Strassen's scheme applied three levels deep: 8x8 at rank 343, the
+    largest exact certificate in the suite."""
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        s2 = known_strassen()
+        return kron_scheme(kron_scheme(s2, s2), s2)
+
+    def test_certified_exactly(self, scheme):
+        assert (scheme.n, scheme.r) == (8, 343)
+        report = verify_scheme(scheme)
+        assert report.exact_zero is True and report.residual == 0.0
+
+    def test_entry_moved_by_half_rejected(self, scheme):
+        F = scheme.F.copy()
+        F[100, 9] += Fraction(1, 2)
+        bad = BilinearScheme(n=8, r=343, H=scheme.H, K=scheme.K, F=F)
+        report = verify_scheme(bad)
+        assert report.exact_zero is False
+        # the residual is 1/2 times the outer product of slot 100's
+        # columns of H and K
+        h, k = scheme.H[:, 100], scheme.K[:, 100]
+        want = Fraction(1, 4) * sum(h * h) * sum(k * k)
+        assert want > 0
+        assert report.residual == math.sqrt(float(want))
 
 
 class TestSlotNorms:
