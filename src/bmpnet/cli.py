@@ -85,24 +85,28 @@ _HELP = {
 }
 
 
-def _is_number(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _is_number(part):
+    for parse in (float, Fraction):
+        try:
+            parse(part)
+            return True
+        except (ValueError, ZeroDivisionError):
+            pass
+    return False
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token that float() parses, such as -1e-3 or -inf, as the
-    value of the flag before it; argparse alone takes it for a flag
-    unless it looks like -2 or -.5."""
+    """Reads a token that starts with '-' and whose comma separated parts
+    each parse as a float or a Fraction, such as -1e-3, -inf or -1/2,0,1,
+    as the value of the flag before it; argparse alone takes it for a
+    flag unless it looks like -2 or -.5."""
 
     def parse_known_args(self, args=None, namespace=None):
         tokens = []
         for token in sys.argv[1:] if args is None else args:
             flag = tokens[-1] if tokens else ""
-            if (token.startswith("-") and _is_number(token)
+            if (token.startswith("-")
+                    and all(map(_is_number, token.split(",")))
                     and flag.startswith("--") and flag != "--"
                     and "=" not in flag):
                 tokens[-1] = flag + "=" + token

@@ -9,15 +9,16 @@ output files contain nothing time- or host-dependent.
 
 import csv
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from .stats import summarize, welch_one_tailed
 from .tensor import ShapeMismatch
 from .training import (
-    RunRecord, TrainConfig, TrainingDiverged, mix64, train_stack)
+    TrainConfig, TrainingDiverged, mix64, train_stack)
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .training import train  # noqa: F401
 
@@ -71,34 +72,48 @@ def make_train_config(cfg, rank, rep):
                        seed=run_seed(cfg.base_seed, rank, rep))
 
 
-def _train_rank(jobs):
-    """One rank's repetitions, trained as one stack: per run its record,
-    or the TrainingDiverged it raised."""
-    outcomes = train_stack([tc for _, _, tc in jobs])
-    for (rank, rep, _), rec in zip(jobs, outcomes):
-        if isinstance(rec, RunRecord):
-            rec.extras["rank"] = rank
-            rec.extras["repetition"] = rep
-    return outcomes
+@contextmanager
+def worker_pool(threads):
+    """A pool of ``threads`` spawned processes whose BLAS runs on one
+    thread each: they start with OPENBLAS_NUM_THREADS=1 in their
+    environment, which OpenBLAS reads only when it loads, so that the
+    workers do not contend for the cores.  The parent's environment is
+    as before once the pool has closed."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(
+                max_workers=threads,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 def sweep(cfg, threads=1, progress=None):
     """Train every (rank, repetition) pair; returns records sorted by
     (rank, repetition).  Each rank's repetitions train as one stack, run
     for run bit-identical to training them alone.  ``threads`` > 1
-    distributes the rank stacks over worker processes; results do not
-    depend on the schedule.  A diverged run raises its TrainingDiverged
+    distributes the rank stacks over a :func:`worker_pool`; results do
+    not depend on the schedule.  A diverged run raises its TrainingDiverged
     once the runs before it in (rank, repetition) order are reported, as
     a serial sweep would."""
-    stacks = [[(rank, rep, make_train_config(cfg, rank, rep))
-               for rep in range(cfg.reps)] for rank in sorted(cfg.ranks)]
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
-          else nullcontext()) as pool:
+    ranks = sorted(cfg.ranks)
+    stacks = [[make_train_config(cfg, rank, rep) for rep in range(cfg.reps)]
+              for rank in ranks]
+    with (worker_pool(threads) if threads > 1 else nullcontext()) as pool:
         records = []
-        for outcomes in (pool.map if pool else map)(_train_rank, stacks):
-            for rec in outcomes:
+        # workers run training.train_stack, so they never import this
+        # module's statistics and its scipy
+        for rank, outcomes in zip(ranks, (pool.map if pool else map)(
+                train_stack, stacks)):
+            for rep, rec in enumerate(outcomes):
                 if isinstance(rec, TrainingDiverged):
                     raise rec
+                rec.extras.update(rank=rank, repetition=rep)
                 if progress is not None:
                     progress(rec)
                 records.append(rec)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import BilinearScheme, init_scheme, reconstruct, scheme_to_json
+from .scheme import BilinearScheme, init_scheme, scheme_to_json
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .scheme import forward_fast_batch  # noqa: F401
 from .tensor import ShapeMismatch, matmul_tensor
@@ -153,15 +153,29 @@ def fourth_moment(a, b):
 def scorer(n, moment):
     """``score(scheme)``: the :func:`mse` of any scheme's factors H, K,
     F over the rows whose :func:`fourth_moment` is ``moment``, without
-    the rows.  A row's error is x^T D, with D = reconstruct - T as an
-    (m^2, m) matrix, so the mean is the sum of D * (moment D), whatever
-    the layout of the output index."""
-    target = matmul_tensor(n, n, n)
+    the rows.  A row's error is x^T D, with D the residual of the scheme
+    against the structure tensor T as an (m^2, m) matrix, so the mean is
+    the sum of D * (moment D), whatever the layout of the output index.
+
+    The factors and ``moment`` may carry a leading run axis, and then the
+    score holds one value per run.  D is the Khatri-Rao product of H and
+    K, one row per pair of input indices, times F with its columns put in
+    T's transposed output layout, minus T; each run's products are the
+    same matrix products as alone, so a run scores bitwise the same in
+    any stack."""
+    m = n * n
+    target = matmul_tensor(n, n, n).reshape(m * m, m)
+    flip = np.arange(m).reshape(n, n).T.ravel()
 
     def score(scheme):
-        scheme = BilinearScheme(n, len(scheme.F), scheme.H, scheme.K, scheme.F)
-        d = (reconstruct(scheme) - target).reshape(len(moment), -1)
-        return float((d * (moment @ d)).sum())
+        h, k = scheme.H, scheme.K
+        runs = h.shape[:-2]
+        kr = (h[..., :, None, :] * k[..., None, :, :]).reshape(
+            runs + (m * m, -1))
+        d = kr @ scheme.F[..., flip] - target
+        val = np.add.reduce((d * (moment @ d)).reshape(runs + (-1,)),
+                            axis=-1)
+        return float(val) if val.ndim == 0 else val
     return score
 
 
@@ -356,10 +370,11 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     block ``out``; by default the A = 3 arrays are H, K and F.  A step
     takes one forward pass for the losses and the gradients, clips per
     run and makes one Adam update, all in place.  Data, shuffles and
-    validation stay per run; an epoch's batches are views of the rows it
-    gathers once.  Per epoch, a run's train loss is the exact sample mean
-    of its batch losses and its val loss is scored after the updates;
-    then ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)``
+    validation sets stay per run; an epoch's batches are views of the rows
+    it gathers once.  Per epoch, a run's train loss is the exact sample
+    mean of its batch losses, and after the updates one :func:`scorer`
+    call scores every run still going; then
+    ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)``
     runs, with views of the run's parameter arrays and ``score(scheme)``,
     any scheme's val loss on the run's validation set (a :func:`scorer`).
 
@@ -373,8 +388,10 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         raise ShapeMismatch("runs of a stack may differ only in the seed")
     streams = [run_streams(c) for c in cfgs]
 
-    scores = [scorer(cfg.n, fourth_moment(*draw_operands(
-        cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high))) for s in streams]
+    moments = np.stack([fourth_moment(*draw_operands(
+        cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high)) for s in streams])
+    score_stack = scorer(cfg.n, moments)
+    scores = [scorer(cfg.n, moment) for moment in moments]
     first = [init(s["init"]) for s in streams]
     if any(np.size(a) != cfg.n * cfg.n * cfg.r for run in first for a in run):
         raise ShapeMismatch("every parameter array needs n^2 r entries")
@@ -434,21 +451,24 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
                         cfg.beta1, cfg.beta2, cfg.adam_eps)
             sq_err_total += batch_loss * ab.shape[1]
         factors = own if view is None else view(params, epoch)
+        finite = np.logical_and.reduce(
+            [np.isfinite(f).all(axis=(-2, -1)) for f in factors])
         for run in runs:
-            if failed[run] is not None:
-                continue
-            scheme = Factors(*(f[run] for f in factors))
-            if not all(np.isfinite(f).all() for f in scheme):
+            if failed[run] is None and not finite[run]:
                 diverge(run, epoch)
-                continue
+        live = [run for run in runs if failed[run] is None]
+        if not live:
+            return failed
+        # diverged runs are left out, so scoring them raises no warnings
+        vals = score_stack(factors) if len(live) == len(cfgs) else scorer(
+            cfg.n, moments[live])(Factors(*(f[live] for f in factors)))
+        for run, val in zip(live, vals):
             train_losses[run].append(float(sq_err_total[run]
                                            / cfg.train_size))
-            val_losses[run].append(scores[run](scheme))
+            val_losses[run].append(float(val))
             epoch_end(run, epoch, [a[run] for a in param_arrays],
                       train_losses[run][-1], val_losses[run][-1],
                       scores[run])
-        if all(failed):
-            return failed
     return [failed[run] or ([np.array(a[run]) for a in param_arrays],
                             train_losses[run], val_losses[run])
             for run in runs]

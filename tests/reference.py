@@ -1,5 +1,6 @@
 """Slow, direct references for fast paths of the package: validation as a
-forward pass over the validation rows, central-difference gradients,
+forward pass over the validation rows and as a quadratic form of the
+reconstructed tensor, central-difference gradients,
 snapping to a grid by a minimum over all of it, the residual over
 every entry of the target tensor and the product summed one shared index
 at a time.  Tests hold the package to them; nothing here is used by the
@@ -21,6 +22,19 @@ def direct_scorer(val_set):
     va_rows, vb_rows, vt_rows = val_set.flat()
     return lambda scheme: mse(
         forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
+
+
+def reconstruct_scorer(n, moment):
+    """``score(scheme)`` of one run: the quadratic form of ``training.scorer``
+    with the residual taken from ``scheme.reconstruct``, the scorer that the
+    batched Khatri-Rao residual replaced."""
+    target = matmul_tensor(n, n, n)
+
+    def score(scheme):
+        scheme = BilinearScheme(n, len(scheme.F), scheme.H, scheme.K, scheme.F)
+        d = (reconstruct(scheme) - target).reshape(len(moment), -1)
+        return float((d * (moment @ d)).sum())
+    return score
 
 
 def within_gate(direct, form):

@@ -455,6 +455,21 @@ class TestNegativeNumbers:
         assert err.startswith("error: ") and "must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("grid", ["-1,0,1", "-1/2,0,1/2"])
+    def test_negative_grid_list(self, capsys, grid):
+        verify = ["verify", "--scheme", "strassen", "--round", "--grid"]
+        spaced = run_cli(capsys, verify + [grid])
+        assert spaced == run_cli(capsys, verify[:-1] + ["--grid=" + grid])
+        # Strassen certifies on {-1, 0, 1}; snapped to halves it does not
+        assert spaced[0] == (0 if grid == "-1,0,1" else 1)
+        assert '"exact_zero"' in spaced[1]
+
+    def test_flag_after_grid_is_still_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scheme", "strassen", "--grid", "--round"])
+        assert exc.value.code == 2
+        assert "--grid: expected one argument" in capsys.readouterr().err
+
 
 def _subparsers():
     (action,) = [a for a in build_parser()._actions

@@ -3,6 +3,7 @@ statistics, flat-file export, and schedule independence."""
 
 import csv
 import json
+import os
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from bmpnet.experiment import (
     run_seed,
     sweep,
     top_vs_rest_welch,
+    worker_pool,
 )
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import TrainConfig, train
@@ -134,6 +136,28 @@ class TestSweep:
         assert [rec.extras for rec in one] == [rec.extras for rec in two]
         for a, b in zip(one, two):
             assert_same_run(a, (b.scheme, b.train_losses, b.val_losses))
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("parent", [None, "4"])
+    def test_workers_run_blas_on_one_thread(self, monkeypatch, parent):
+        if parent is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", parent)
+        before = dict(os.environ)
+        with worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2))
+        assert seen == ["1", "1"]
+        assert dict(os.environ) == before
+
+    def test_environment_restored_when_the_body_raises(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        with pytest.raises(KeyError):
+            with worker_pool(2):
+                assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+                raise KeyError("stop")
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 @pytest.fixture(scope="module")

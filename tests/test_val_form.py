@@ -1,6 +1,9 @@
 """Validation as a quadratic form of the residual tensor: the package's
 scorer against the forward pass over the same rows
-(``reference.direct_scorer``), held to ``reference.within_gate``."""
+(``reference.direct_scorer``), held to ``reference.within_gate``, and
+against the per-run scorer through ``reconstruct`` that it replaced
+(``reference.reconstruct_scorer``); a stack of runs scores each run as
+it scores alone."""
 
 import numpy as np
 import pytest
@@ -10,10 +13,12 @@ from bmpnet.border import EpsSchedule, train_eps
 from bmpnet.scheme import BilinearScheme, init_scheme
 from bmpnet.tensor import float_array
 from bmpnet.training import (
-    Factors, TrainConfig, fourth_moment, gen_dataset, run_streams, scorer,
-    train)
+    Factors, TrainConfig, TrainingDiverged, fit, fourth_moment, gen_dataset,
+    run_streams, scorer, train)
 from bmpnet.verify import known_strassen
-from reference import direct_scorer, within_gate
+from perrun import bits
+from reference import direct_scorer, reconstruct_scorer, within_gate
+from test_stack import blown_up, config, init_for
 
 RANGES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)]
 
@@ -29,12 +34,17 @@ def val_set(cfg):
 
 
 @pytest.mark.parametrize("low, high", RANGES)
-@pytest.mark.parametrize("n, r", [(2, 7), (3, 23)])
+@pytest.mark.parametrize("n, r", [(2, 7), (3, 19), (3, 23)])
 def test_random_schemes(n, r, low, high):
-    direct, form = both(n, low, high)
+    val = gen_dataset(n, 2000, 5, low, high)
+    moment = fourth_moment(val.a, val.b)
+    direct, form = direct_scorer(val), scorer(n, moment)
+    ref = reconstruct_scorer(n, moment)
     for seed in range(3):
         s = init_scheme(n, r, seed, 1.0)
-        assert within_gate(direct(s), form(s))
+        got, want = form(s), ref(s)
+        assert within_gate(direct(s), got)
+        assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("low, high", RANGES)
@@ -55,7 +65,12 @@ def strassen():
 @pytest.mark.parametrize("low, high", RANGES)
 def test_exact_strassen_scores_zero(low, high):
     direct, form = both(2, low, high)
-    assert form(strassen()) == 0.0
+    assert bits(form(strassen())) == bits(0.0)
+    moments = np.stack([fourth_moment(*gen_dataset(2, 100, seed, low, high)
+                                      .flat()[:2]) for seed in range(3)])
+    s = strassen()
+    stack = Factors(*(np.stack([x] * 3) for x in (s.H, s.K, s.F)))
+    assert bits(scorer(2, moments)(stack)) == bits(np.zeros(3))
     # the forward pass reads only the rounding of its targets, which
     # grows with the operands: 1.6e-30 on [-3, 1], just above the gate's
     # 1e-30 at a form of 0
@@ -76,6 +91,65 @@ def test_perturbed_strassen(delta, low, high):
     got = form(near)
     assert got > 0.0
     assert within_gate(direct(near), got)
+
+
+def signed_zeros(x, rng):
+    """x with about a quarter of its entries set to 0.0 and as many to
+    -0.0."""
+    x = x.copy()
+    pick = rng.random(x.shape)
+    x[pick < 0.25] = 0.0
+    x[pick > 0.75] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("r", [19, 23])
+def test_stack_scores_each_run_as_alone(r):
+    # the factors are views of a parameter block, as in training
+    n, runs, rng = 3, 3, np.random.default_rng(r)
+    moments = np.stack([fourth_moment(*gen_dataset(n, 500, seed).flat()[:2])
+                        for seed in range(runs)])
+    block = signed_zeros(rng.standard_normal((runs, 3, 9 * r)), rng)
+    stack = Factors(*(block[:, i].reshape((runs,) + shape) for i, shape
+                      in enumerate(((9, r), (9, r), (r, 9)))))
+    got = scorer(n, moments)(stack)
+    assert got.shape == (runs,)
+    for run in range(runs):
+        alone = scorer(n, moments[run])(
+            Factors(*(np.array(f[run]) for f in stack)))
+        assert bits(got[run]) == bits(alone)
+
+
+@pytest.mark.filterwarnings("error")
+def test_blown_up_run_is_left_unscored(monkeypatch):
+    # every score runs with warnings on, so scoring the overflowing run
+    # would fail the test; its training steps overflow with them off
+    plain = training.scorer
+
+    def loud(n, moment):
+        score = plain(n, moment)
+
+        def wrapped(scheme):
+            with np.errstate(all="warn"):
+                return score(scheme)
+        return wrapped
+
+    def pull(grads, out, epoch):
+        # run 1 takes no steps, so its blown-up factors stay finite
+        for i, g in enumerate(grads):
+            out[:, i] = g.reshape(len(g), -1)
+        out[1] = 0.0
+
+    monkeypatch.setattr(training, "scorer", loud)
+    cfgs = [config(seed) for seed in (40, 41, 42)]
+    with np.errstate(all="ignore"):
+        outcomes = fit(cfgs, init_for(cfgs[0]), lambda *args: None,
+                       blown_up({1: 1}), pull)
+    assert isinstance(outcomes[1], TrainingDiverged)
+    for run in (0, 2):
+        (alone,) = fit([cfgs[run]], init_for(cfgs[run]), lambda *args: None)
+        assert bits(outcomes[run][2]) == bits(alone[2])
+        assert bits(outcomes[run][1]) == bits(alone[1])
 
 
 def test_factors_slice_scores_as_its_scheme():
@@ -103,9 +177,14 @@ def test_border_run_val_and_probe_losses(monkeypatch):
         score = plain(n, moment)
 
         def wrapped(scheme):
+            # the epoch's score has a run axis, the probe's has none
             value = score(scheme)
-            seen.append((Factors(*(np.array(x) for x in
-                                   (scheme.H, scheme.K, scheme.F))), value))
+            factors = [np.array(x) for x in (scheme.H, scheme.K, scheme.F)]
+            if np.ndim(value):
+                seen.extend((Factors(*(f[run] for f in factors)), v)
+                            for run, v in enumerate(value))
+            else:
+                seen.append((Factors(*factors), value))
             return value
         return wrapped
 
