@@ -9,9 +9,7 @@ output files contain nothing time- or host-dependent.
 
 import csv
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 
@@ -78,7 +76,11 @@ def worker_pool(threads):
     thread each: they start with OPENBLAS_NUM_THREADS=1 in their
     environment, which OpenBLAS reads only when it loads, so that the
     workers do not contend for the cores.  The parent's environment is
-    as before once the pool has closed."""
+    as before once the pool has closed.  The process machinery loads
+    here, so serial sweeps never import it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -106,8 +108,6 @@ def sweep(cfg, threads=1, progress=None):
               for rank in ranks]
     with (worker_pool(threads) if threads > 1 else nullcontext()) as pool:
         records = []
-        # workers run training.train_stack, so they never import this
-        # module's statistics and its scipy
         for rank, outcomes in zip(ranks, (pool.map if pool else map)(
                 train_stack, stacks)):
             for rep, rec in enumerate(outcomes):

@@ -5,13 +5,12 @@ The t distribution's CDF is expressed through the regularised incomplete
 beta function; quantiles invert that CDF numerically.  Degrees of
 freedom follow the Welch-Satterthwaite estimate and are reported
 unrounded, so downstream numbers are reproducible from the inputs alone.
+scipy supplies the beta function and the root finder; each is imported
+by the function that calls it, so importing this module loads no scipy.
 """
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
-from scipy.special import betainc
 
 
 class TooFewSamples(ValueError):
@@ -58,6 +57,8 @@ def t_cdf(t, df):
     """CDF of Student's t with ``df`` (possibly fractional) degrees of
     freedom, via the identity with the regularised incomplete beta
     function; exact 0.5 at t = 0 by construction."""
+    from scipy.special import betainc
+
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     t = float(t)
@@ -68,6 +69,8 @@ def t_cdf(t, df):
 
 def t_quantile(p, df):
     """Inverse of :func:`t_cdf` in its first argument."""
+    from scipy.optimize import brentq
+
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if p == 0.5:

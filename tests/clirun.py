@@ -16,11 +16,16 @@ import bmpnet
 PACKAGE_ROOT = str(Path(bmpnet.__file__).resolve().parent.parent)
 
 
-def run_module(args, timeout):
-    """``python -m bmpnet *args``; returns the ``CompletedProcess``."""
+def run_python(args, timeout):
+    """``python *args`` with this ``bmpnet`` first on the path; returns
+    the ``CompletedProcess``."""
     inherited = os.environ.get("PYTHONPATH")
     path = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "bmpnet", *args],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
+def run_module(args, timeout):
+    """``python -m bmpnet *args``; returns the ``CompletedProcess``."""
+    return run_python(["-m", "bmpnet", *args], timeout)

@@ -153,6 +153,17 @@ class TestWelchFixture:
         assert d["ci95"][0] < d["ci95"][1]
         assert d["group1"]["count"] == 7
 
+    def test_exact_bits(self):
+        # the README's `welch` example, as the module computed it when it
+        # imported scipy at load time (scipy 1.17.1): where and when
+        # scipy loads must not move a bit of any reported number
+        d = welch_one_tailed(GROUP1, GROUP2).to_json()
+        assert [repr(d["t"]), repr(d["df"]), repr(d["p_one_tailed"]),
+                [repr(x) for x in d["ci95"]]] == [
+            "-3.3193348055988596", "10.540163546129676",
+            "0.003616296607558938",
+            ["-0.017608245026344067", "-0.003522154973655934"]]
+
 
 class TestWelchProperties:
     def test_identical_groups(self):
