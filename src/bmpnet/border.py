@@ -12,13 +12,13 @@ decay 1 the machinery reduces bitwise to ordinary training.
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scheme import BilinearScheme, scheme_to_json
-from .tensor import ShapeMismatch, matrix_from_json, matrix_to_json
-from .training import Factors, TrainingDiverged, fit
+from .scheme import BilinearScheme
+from .tensor import ShapeMismatch, matrix_to_json
+from .training import Factors, RunRecord, TrainingDiverged, fit
 # imported only for perfbench/tracing.py, which wraps them in this module
 from .training import (  # noqa: F401
     adam_update, clip_gradients, forward_fast_batch, gen_dataset,
@@ -67,9 +67,6 @@ class EpsScheme:
         for mat in self.f_coeffs:
             if np.asarray(mat).shape != (self.r, m):
                 raise ShapeMismatch("output coefficients must be (r, n^2)")
-
-    def f_powers(self):
-        return range(self.f_min, self.d_max + 1)
 
 
 @dataclass
@@ -157,44 +154,23 @@ def coefficient_grads(grads, powers, out):
     return out
 
 
-@dataclass
-class EpsRunRecord:
-    """Training record plus the annealing trajectory and probe losses."""
+@dataclass(kw_only=True)
+class EpsRunRecord(RunRecord):
+    """A run record plus the annealing trajectory and probe losses;
+    ``scheme`` is ``eps_scheme`` evaluated at its final eps."""
 
-    config: object
     schedule: EpsSchedule
-    train_losses: list
-    val_losses: list
     probe_losses: list
     epsilon_trajectory: list
     eps_scheme: EpsScheme
     probe_eps: float
-    wall_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def final_val_loss(self):
-        return self.val_losses[-1]
 
     def to_json(self, include_timing=False):
-        out = {
-            "config": self.config.to_json(),
-            "schedule": {"eps0": self.schedule.eps0,
-                         "decay": self.schedule.decay,
-                         "floor": self.schedule.floor},
-            "train_losses": list(self.train_losses),
-            "val_losses": list(self.val_losses),
-            "final_val_loss": self.final_val_loss,
-            "probe_eps": self.probe_eps,
-            "probe_losses": list(self.probe_losses),
-            "epsilon_trajectory": list(self.epsilon_trajectory),
-            "scheme": scheme_to_json(evaluate(self.eps_scheme)),
-            "eps_factors": eps_scheme_to_json(self.eps_scheme),
-        }
-        for key, val in self.extras.items():
-            out[key] = val
-        if include_timing:
-            out["wall_seconds"] = self.wall_seconds
+        out = super().to_json(include_timing)
+        out.update(schedule=asdict(self.schedule), probe_eps=self.probe_eps,
+                   probe_losses=list(self.probe_losses),
+                   epsilon_trajectory=list(self.epsilon_trajectory),
+                   eps_factors=eps_scheme_to_json(self.eps_scheme))
         return out
 
 
@@ -209,19 +185,6 @@ def eps_scheme_to_json(es):
         "k_coeffs": [matrix_to_json(m) for m in es.k_coeffs],
         "f_coeffs": [matrix_to_json(m) for m in es.f_coeffs],
     }
-
-
-def eps_scheme_from_json(obj):
-    return EpsScheme(
-        n=int(obj["n"]),
-        r=int(obj["r"]),
-        d_max=int(obj["d_max"]),
-        f_min=int(obj["f_min"]),
-        h_coeffs=[matrix_from_json(m) for m in obj["h_coeffs"]],
-        k_coeffs=[matrix_from_json(m) for m in obj["k_coeffs"]],
-        f_coeffs=[matrix_from_json(m) for m in obj["f_coeffs"]],
-        eps=float(obj["eps"]),
-    )
 
 
 def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
@@ -276,14 +239,16 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     arrays, train_losses, val_losses = outcome
+    final = eps_scheme(arrays, eps_path[-1])
     return EpsRunRecord(
         config=cfg,
-        schedule=schedule,
         train_losses=train_losses,
         val_losses=val_losses,
+        scheme=evaluate(final),
+        schedule=schedule,
         probe_losses=probe_losses,
         epsilon_trajectory=eps_path,
-        eps_scheme=eps_scheme(arrays, eps_path[-1]),
+        eps_scheme=final,
         probe_eps=probe_eps,
         wall_seconds=time.perf_counter() - started,
     )

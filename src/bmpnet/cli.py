@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .border import EpsSchedule, train_eps
-from .experiment import SweepConfig, adjacent_welch, export, per_rank_stats, sweep
+from .experiment import SweepConfig, adjacent_welch, export, per_rank_stats, \
+    sweep, write_json
 from .network import strassen_stages, total_bmp, total_direct, \
     build_matmul_chain, marginalize
 from .scheme import scheme_from_json, scheme_to_json
@@ -169,10 +170,12 @@ def _resolve(args, defaults):
                              % ", ".join(unknown))
         for key, value in loaded.items():
             # an option whose default is a bool, int or float takes values
-            # of that type only, except that an int may stand for a float
-            kind = type(defaults[key])
-            allowed = (int, float) if kind is float else kind
-            if kind in (bool, int, float) and (
+            # of that type only, except that an int may stand for a float;
+            # a path takes a string, or null for none
+            kind = str if key in ("out", "scheme") else type(defaults[key])
+            allowed = {float: (int, float), str: (str, type(None))}.get(
+                kind, kind)
+            if kind in (bool, int, float, str) and (
                     isinstance(value, bool) != (kind is bool)
                     or not isinstance(value, allowed)):
                 raise UsageError("option %s must be %s, got %r"
@@ -202,14 +205,6 @@ def _parse_group(value, name):
         raise UsageError("bad %s: %s" % (name, exc))
 
 
-def _write_json(outdir, name, payload):
-    path = os.path.join(outdir, name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(outdir, command, options, files):
     manifest = {
         "command": command,
@@ -217,7 +212,7 @@ def _write_manifest(outdir, command, options, files):
                     for k, v in options.items()},
         "files": sorted(files),
     }
-    _write_json(outdir, "manifest.json", manifest)
+    write_json(outdir, "manifest.json", manifest)
 
 
 def _config(cls, opts, **given):
@@ -290,7 +285,7 @@ def _cmd_train(opts):
              record.wall_seconds))
     if opts["out"]:
         outdir = opts["out"]
-        _write_json(outdir, "run.json", record.to_json())
+        write_json(outdir, "run.json", record.to_json())
         _write_manifest(outdir, "train", opts, ["run.json"])
         print("wrote %s" % os.path.join(outdir, "run.json"))
     return 0
@@ -322,7 +317,7 @@ def _cmd_sweep(opts):
             name = os.path.join(
                 "runs", "rank%02d_rep%d.json"
                 % (rec.extras["rank"], rec.extras["repetition"]))
-            _write_json(outdir, name, rec.to_json())
+            write_json(outdir, name, rec.to_json())
             files.append(name)
         files += export(records, outdir,
                         top_vs_rest=opts["top_vs_rest"])
@@ -348,25 +343,25 @@ def _load_scheme(opts):
 
 
 def _cmd_verify(opts):
+    grid = opts["grid"]
+    if grid is not None and not opts["round"]:
+        raise UsageError("--grid needs --round")
     loaded = _load_scheme(opts)
     if opts["round"]:
-        normalized = normalize_slots(loaded)
-        if opts["grid"] is not None:
-            parts = (opts["grid"].split(",")
-                     if isinstance(opts["grid"], str) else opts["grid"])
-            loaded = round_scheme(
-                normalized, grid=tuple(Fraction(str(p)) for p in parts))
-        else:
-            loaded = round_scheme(normalized)
+        snap = {}
+        if grid is not None:
+            parts = grid.split(",") if isinstance(grid, str) else grid
+            snap["grid"] = tuple(Fraction(str(p)) for p in parts)
+        loaded = round_scheme(normalize_slots(loaded), **snap)
     report = verify_scheme(loaded)
     payload = report.to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if opts["out"]:
         files = ["report.json"]
-        _write_json(opts["out"], "report.json", payload)
+        write_json(opts["out"], "report.json", payload)
         if opts["round"]:
-            _write_json(opts["out"], "rounded_scheme.json",
-                        scheme_to_json(loaded))
+            write_json(opts["out"], "rounded_scheme.json",
+                       scheme_to_json(loaded))
             files.append("rounded_scheme.json")
         _write_manifest(opts["out"], "verify", opts, files)
     if report.exact_zero is not None:
@@ -383,7 +378,7 @@ def _cmd_welch(opts):
     payload = report.to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if opts["out"]:
-        _write_json(opts["out"], "welch.json", payload)
+        write_json(opts["out"], "welch.json", payload)
         _write_manifest(opts["out"], "welch", opts, ["welch.json"])
     return 0
 
@@ -404,7 +399,7 @@ def _cmd_train_eps(opts):
           % (record.final_val_loss, record.probe_losses[-1],
              record.epsilon_trajectory[-1], record.wall_seconds))
     if opts["out"]:
-        _write_json(opts["out"], "run_eps.json", record.to_json())
+        write_json(opts["out"], "run_eps.json", record.to_json())
         _write_manifest(opts["out"], "train-eps", opts, ["run_eps.json"])
         print("wrote %s" % os.path.join(opts["out"], "run_eps.json"))
     return 0

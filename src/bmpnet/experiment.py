@@ -11,7 +11,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .stats import summarize, welch_one_tailed
 from .tensor import ShapeMismatch
@@ -49,11 +49,6 @@ class SweepConfig:
             raise ShapeMismatch("ranks must be distinct")
         if self.reps < 2:
             raise ShapeMismatch("need at least 2 repetitions per rank")
-
-    def to_json(self):
-        out = asdict(self)
-        out["ranks"] = list(self.ranks)
-        return out
 
 
 def run_seed(base_seed, rank, rep):
@@ -166,6 +161,17 @@ def _mean_std(values):
     return mean, var ** 0.5
 
 
+def write_json(outdir, name, payload):
+    """Write ``payload`` to ``outdir/name``, making its directories, in
+    the layout of every JSON file bmpnet writes: indent 2, sorted keys,
+    a trailing newline."""
+    path = os.path.join(outdir, name)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def export(records, outdir, top_vs_rest=False):
     """Write curves.csv, hist.csv and welch.json; returns the file names.
 
@@ -200,7 +206,6 @@ def export(records, outdir, top_vs_rest=False):
                 writer.writerow([rank, rec.extras["repetition"],
                                  repr(rec.final_val_loss)])
 
-    welch_path = os.path.join(outdir, "welch.json")
     payload = {
         "per_rank": {str(rank): stats.to_json()
                      for rank, stats in per_rank_stats(records).items()},
@@ -214,8 +219,5 @@ def export(records, outdir, top_vs_rest=False):
             {"rank1": hi, "rank2": lo, **report.to_json()}
             for hi, lo, report in top_vs_rest_welch(records)
         ]
-    with open(welch_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    write_json(outdir, "welch.json", payload)
     return ["curves.csv", "hist.csv", "welch.json"]

@@ -20,8 +20,6 @@ from .tensor import (
     contraction,
     forget,
     is_exact,
-    tensor_from_json,
-    tensor_to_json,
     zeros_matching,
 )
 
@@ -252,13 +250,6 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def classical_2x2(a_mat, b_mat):
-    """Matrix product via the chain network: builds the total tensor by
-    the product route and sums out the middle index."""
-    net = build_matmul_chain(a_mat, b_mat)
-    return observed_total(net)
-
-
 def combination_stage(coeff_sq, vec_pad):
     """Two-node network applying a padded square coefficient matrix to a
     padded operand vector; contracting the source slot of its total
@@ -333,35 +324,3 @@ def strassen_pipeline(a_mat, b_mat, scheme):
     """The padded output vector computed end to end through the staged
     networks: its first n^2 coordinates are vec(AB), the rest are 0."""
     return strassen_stages(a_mat, b_mat, scheme)["output"]
-
-
-def network_to_json(net):
-    """Serialise nodes, edges, order, and activations (as tensor JSON)."""
-    return {
-        "nodes": [
-            {"id": n.id, "states": n.states, "hidden": n.hidden}
-            for n in net.nodes
-        ],
-        "edges": [[src, dst] for src, dst in net.edges],
-        "order": list(net.order),
-        "activations": {
-            nid: tensor_to_json(t) for nid, t in net.activations.items()
-        },
-    }
-
-
-def network_from_json(obj, exact=False):
-    net = Network(
-        nodes=[
-            NodeSpec(d["id"], int(d["states"]), bool(d.get("hidden", False)))
-            for d in obj["nodes"]
-        ],
-        edges=[(src, dst) for src, dst in obj["edges"]],
-        order=list(obj["order"]),
-        activations={
-            nid: tensor_from_json(t, exact=exact)
-            for nid, t in obj["activations"].items()
-        },
-    )
-    validate(net)
-    return net

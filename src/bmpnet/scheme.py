@@ -17,7 +17,7 @@ from .tensor import (
     ShapeMismatch,
     _forget_view,
     bmp,
-    exact_array,
+    float_array,
     matrix_from_json,
     matrix_to_json,
     zeros_matching,
@@ -179,21 +179,8 @@ def scheme_from_json(obj, exact=False):
                           K=get("K", mat), F=get("F", mat))
 
 
-def to_exact(scheme):
-    """Exact-rational copy of a scheme (float entries convert exactly)."""
-    return BilinearScheme(
-        n=scheme.n,
-        r=scheme.r,
-        H=exact_array(scheme.H),
-        K=exact_array(scheme.K),
-        F=exact_array(scheme.F),
-    )
-
-
 def to_float(scheme):
     """float64 copy of a scheme."""
-    from .tensor import float_array
-
     return BilinearScheme(
         n=scheme.n,
         r=scheme.r,

@@ -268,12 +268,6 @@ def frobenius_sq(t):
     return float(np.sum(t.astype(np.float64) ** 2))
 
 
-def frobenius(t):
-    """Frobenius norm as a float (exact inputs are squared exactly first)."""
-    import math
-    return math.sqrt(float(frobenius_sq(t)))
-
-
 def scalar_to_json(v):
     """JSON-encode one scalar: ints stay ints, other rationals become
     'p/q' strings, floats stay floats (exact round-trip via repr)."""
@@ -301,27 +295,3 @@ def matrix_from_json(rows, exact=False):
     """Inverse of :func:`matrix_to_json`: a Fraction or float64 matrix."""
     vals = [[scalar_from_json(v, exact=exact) for v in row] for row in rows]
     return exact_array(vals) if exact else np.array(vals, dtype=np.float64)
-
-
-def tensor_to_json(t):
-    """Serialise as ``{"dims": [...], "data": [...]}`` with row-major data."""
-    t = np.asarray(t)
-    data = [scalar_to_json(v) for v in t.ravel(order="C")]
-    return {"dims": list(t.shape), "data": data}
-
-
-def tensor_from_json(obj, exact=False):
-    dims = tuple(int(d) for d in obj["dims"])
-    data = obj["data"]
-    expected = 1
-    for d in dims:
-        expected *= d
-    if len(data) != expected:
-        raise ShapeMismatch(
-            "data length %d does not match dims %s" % (len(data), list(dims)))
-    vals = [scalar_from_json(v, exact=exact) for v in data]
-    if exact:
-        out = np.empty(len(vals), dtype=object)
-        out[:] = vals
-        return out.reshape(dims)
-    return np.array(vals, dtype=np.float64).reshape(dims)

@@ -190,7 +190,7 @@ def clip_gradients(grads, threshold):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
     of the given :func:`global_norm`; runs below the threshold pass
     through untouched.  Returns the block."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ShapeMismatch("clip threshold must be positive")
     norm = global_norm(grads)
     if not norm.max() <= threshold:
@@ -272,7 +272,7 @@ class TrainConfig:
             raise ShapeMismatch("lr, alpha, low and high must be finite")
         if not self.low < self.high:
             raise ShapeMismatch("need low < high for the sampling range")
-        if self.lr <= 0 or self.clip_threshold <= 0 or self.alpha <= 0:
+        if not (self.lr > 0 and self.clip_threshold > 0 and self.alpha > 0):
             raise ShapeMismatch("lr, clip threshold and alpha must be > 0")
 
     def to_json(self):

@@ -94,14 +94,14 @@ def evaluate(es, eps=None):
     combo = range(es.d_max + 1)
     return BilinearScheme(es.n, es.r, poly(es.h_coeffs, combo),
                           poly(es.k_coeffs, combo),
-                          poly(es.f_coeffs, es.f_powers()))
+                          poly(es.f_coeffs, range(es.f_min, es.d_max + 1)))
 
 
 def coefficient_grads(es, d_h, d_k, d_f, eps):
     combo = range(es.d_max + 1)
     return tuple([d_h * (eps ** p) for p in combo]
                  + [d_k * (eps ** p) for p in combo]
-                 + [d_f * (eps ** p) for p in es.f_powers()])
+                 + [d_f * (eps ** p) for p in range(es.f_min, es.d_max + 1)])
 
 
 def batch_slices(perm, batch_size):

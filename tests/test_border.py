@@ -12,7 +12,6 @@ from bmpnet.border import (
     EpsilonNonpositive,
     coefficient_grads,
     eps_powers,
-    eps_scheme_from_json,
     eps_scheme_to_json,
     evaluate,
     init_eps_scheme,
@@ -20,7 +19,7 @@ from bmpnet.border import (
     wstate_embedded,
     wstate_eps_scheme,
 )
-from bmpnet.scheme import forward_fast_batch
+from bmpnet.scheme import forward_fast_batch, scheme_to_json
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
     TrainConfig,
@@ -61,7 +60,7 @@ class TestEpsScheme:
         assert len(es.f_coeffs) == 5
         assert all(m.shape == (4, 5) for m in es.h_coeffs)
         assert all(m.shape == (5, 4) for m in es.f_coeffs)
-        assert list(es.f_powers()) == [-2, -1, 0, 1, 2]
+        assert (es.f_min, es.d_max) == (-2, 2)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(EpsilonNonpositive):
@@ -308,19 +307,14 @@ class TestTrainEps:
         assert len(d["epsilon_trajectory"]) == 2
         assert len(d["eps_factors"]["h_coeffs"]) == 3
         assert d["final_val_loss"] == rec.val_losses[-1]
+        assert set(d) == {
+            "config", "epsilon_trajectory", "eps_factors", "final_val_loss",
+            "probe_eps", "probe_losses", "schedule", "scheme",
+            "train_losses", "val_losses"}
+        assert d["scheme"] == scheme_to_json(evaluate(rec.eps_scheme))
+        assert d["eps_factors"] == eps_scheme_to_json(rec.eps_scheme)
         timed = rec.to_json(include_timing=True)
         assert timed["wall_seconds"] >= 0.0
-
-
-class TestEpsSchemeJson:
-    def test_round_trip_bitwise(self):
-        es = small_eps_scheme(seed=31, d_max=2, f_min=-2)
-        back = eps_scheme_from_json(eps_scheme_to_json(es))
-        assert (back.n, back.r, back.d_max, back.f_min) == (2, 4, 2, -2)
-        assert back.eps == es.eps
-        for x, y in zip(back.h_coeffs + back.k_coeffs + back.f_coeffs,
-                        es.h_coeffs + es.k_coeffs + es.f_coeffs):
-            assert np.array_equal(x, y)
 
 
 class TestWState:

@@ -208,6 +208,13 @@ class TestVerify:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "rounded_scheme.json" in manifest["files"]
 
+    def test_grid_without_round_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--scheme", "strassen",
+                                          "--grid", "0,1"])
+        assert code == 2
+        assert err == "error: --grid needs --round\n"
+        assert out == ""
+
     def test_custom_grid(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps(scheme_to_json(to_float(
@@ -339,7 +346,8 @@ class TestConfigFile:
         ("train", "epochs", True), ("train", "lr", "0.01"),
         ("train", "clip", None), ("sweep", "seed", "1"),
         ("train-eps", "decay", "1"), ("train", "verbose", "false"),
-        ("train-eps", "dmax", 1.5)])
+        ("train-eps", "dmax", 1.5), ("train", "out", 5),
+        ("sweep", "out", ["a"])])
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path,
                                                  command, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -403,9 +411,11 @@ class TestNonFiniteOptions:
         ("train-eps", ["--eps0", "inf"]), ("train-eps", ["--probe-eps", "0"]),
         ("train-eps", ["--probe-eps", "inf"]),
         ("train-eps", ["--probe-eps", "nan"]), ("train", ["--lr", "inf"]),
-        ("train", ["--low=-inf"])])
+        ("train", ["--low=-inf"]), ("train", ["--clip", "nan"]),
+        ("sweep", ["--clip", "nan"])])
     def test_exit_code_two(self, capsys, command, flags):
-        code, out, err = run_cli(capsys, [command] + TINY_TRAIN + flags)
+        tiny = TINY_SWEEP if command == "sweep" else TINY_TRAIN
+        code, out, err = run_cli(capsys, [command] + tiny + flags)
         assert code == 2
         assert err.startswith("error: ") and "diverged" not in err
         assert out == ""

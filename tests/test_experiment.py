@@ -51,11 +51,6 @@ class TestConfig:
         with pytest.raises(ShapeMismatch):
             SweepConfig(reps=1)
 
-    def test_json_round_trip(self):
-        cfg = tiny_sweep_config(resample=True, alpha=0.5)
-        back = SweepConfig(**cfg.to_json())
-        assert back == cfg
-
 
 class TestSeeds:
     def test_runs_get_distinct_seeds(self):

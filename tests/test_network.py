@@ -17,12 +17,9 @@ from bmpnet.network import (
     OrderNotTopological,
     StateSizeMismatch,
     build_matmul_chain,
-    classical_2x2,
     hidden_positions,
     lift,
     marginalize,
-    network_from_json,
-    network_to_json,
     observed_total,
     parent_positions,
     strassen_pipeline,
@@ -32,7 +29,7 @@ from bmpnet.network import (
     validate,
 )
 from bmpnet.scheme import to_float
-from bmpnet.tensor import blow, contraction, exact_array, forget, is_exact
+from bmpnet.tensor import blow, contraction, exact_array, forget
 from bmpnet.verify import known_strassen
 
 
@@ -259,13 +256,13 @@ class TestMarginalize:
 
 class TestClassical2x2:
     def test_identity(self):
-        out = classical_2x2(np.eye(2), np.eye(2))
+        out = observed_total(build_matmul_chain(np.eye(2), np.eye(2)))
         np.testing.assert_array_equal(out, np.eye(2))
 
     def test_known_product(self):
         a = exact_array([[1, 2], [3, 4]])
         b = exact_array([[5, 6], [7, 8]])
-        out = classical_2x2(a, b)
+        out = observed_total(build_matmul_chain(a, b))
         want = exact_array([[19, 22], [43, 50]])
         for idx in np.ndindex((2, 2)):
             assert out[idx] == want[idx]
@@ -275,15 +272,15 @@ class TestClassical2x2:
         for _ in range(20):
             a = rng.uniform(-1, 1, (2, 2))
             b = rng.uniform(-1, 1, (2, 2))
-            np.testing.assert_allclose(classical_2x2(a, b), a @ b,
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                observed_total(build_matmul_chain(a, b)), a @ b, atol=1e-12)
 
     def test_bottom_right_entry_exact(self):
         # (AB)[1,1] must be a21*b12 + a22*b22
         rng = np.random.default_rng(25)
         a = random_exact(rng, (2, 2))
         b = random_exact(rng, (2, 2))
-        out = classical_2x2(a, b)
+        out = observed_total(build_matmul_chain(a, b))
         assert out[1, 1] == a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
 
 
@@ -353,30 +350,3 @@ class TestMassBookkeeping:
                 mass += term
             assert contraction(total, set(range(total.ndim))) == mass
 
-
-class TestNetworkJson:
-    def test_exact_round_trip(self):
-        rng = np.random.default_rng(32)
-        net = random_network(rng)
-        doc = network_to_json(net)
-        back = network_from_json(doc, exact=True)
-        assert back.order == net.order
-        assert back.edges == net.edges
-        d1 = total_direct(net)
-        d2 = total_direct(back)
-        for idx in np.ndindex(d1.shape):
-            assert d1[idx] == d2[idx]
-
-    def test_float_round_trip(self):
-        rng = np.random.default_rng(33)
-        net = build_matmul_chain(rng.normal(size=(2, 2)),
-                                 rng.normal(size=(2, 2)))
-        back = network_from_json(network_to_json(net))
-        assert not is_exact(back.activations["mid"])
-        np.testing.assert_allclose(total_direct(back), total_direct(net),
-                                   atol=1e-12)
-
-    def test_round_trip_keeps_hidden_flags(self):
-        net = build_matmul_chain(np.eye(2), np.eye(2))
-        back = network_from_json(network_to_json(net))
-        assert hidden_positions(back) == [1]

@@ -216,6 +216,11 @@ class TestClipping:
             after = global_norm(clip_gradients(g, 10.0))
             assert after <= before + 1e-12
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_rejects_threshold_not_above_zero(self, threshold):
+        with pytest.raises(ShapeMismatch):
+            clip_gradients(np.ones((1, 1, 2)), threshold)
+
     def test_norm_is_global_not_per_matrix(self):
         # each part has norm 8 < 10, but jointly ~11.3 > 10
         g = np.full((1, 2, 16), 2.0)
