@@ -165,8 +165,8 @@ class EpsRunRecord(RunRecord):
     eps_scheme: EpsScheme
     probe_eps: float
 
-    def to_json(self, include_timing=False):
-        out = super().to_json(include_timing)
+    def to_json(self):
+        out = super().to_json()
         out.update(schedule=asdict(self.schedule), probe_eps=self.probe_eps,
                    probe_losses=list(self.probe_losses),
                    epsilon_trajectory=list(self.epsilon_trajectory),

@@ -3,10 +3,11 @@
 Subcommands: demo, train, sweep, verify, welch, train-eps.  Options may
 come from flags or from a JSON config file (--config); flags win, and
 unknown config keys are rejected, and so are config values whose JSON
-type does not match the option (an int may stand for a float).  Exit
-codes: 0 on success, 1 when a requested check fails, 2 for usage or
-config errors, 3 when training diverges (a batch loss or an updated
-parameter is not finite).
+type does not match the option (an int may stand for a float, and a
+list option takes a comma separated string or a list of numbers and
+strings).  Exit codes: 0 on success, 1 when a requested check fails, 2
+for usage or config errors, 3 when training diverges (a batch loss or an
+updated parameter is not finite).
 Commands that write files place everything under --out next to a
 manifest.json listing the resolved options and the produced files.
 """
@@ -68,6 +69,9 @@ TRAIN_EPS_KEYS = dict(TRAIN_KEYS, **_defaults(EpsSchedule), dmax=2,
                       fmin=-2, probe_eps=1e-3)
 
 DEMO_KEYS = {"which": None}
+
+# options that hold a comma separated list
+_LISTS = ("ranks", "grid", "g1", "g2")
 
 # help text by option key, shown by every subcommand that has the option
 _HELP = {
@@ -169,6 +173,17 @@ def _resolve(args, defaults):
             raise UsageError("unknown config keys: %s"
                              % ", ".join(unknown))
         for key, value in loaded.items():
+            # a list option takes a comma separated string or a list of
+            # numbers and strings, or null where its default is None
+            if key in _LISTS:
+                if not (isinstance(value, str)
+                        or value is None and defaults[key] is None
+                        or isinstance(value, list) and all(
+                            type(v) in (int, float, str) for v in value)):
+                    raise UsageError(
+                        "option %s must be a comma separated string or a "
+                        "list of numbers and strings, got %r" % (key, value))
+                continue
             # an option whose default is a bool, int or float takes values
             # of that type only, except that an int may stand for a float;
             # a path takes a string, or null for none
@@ -185,17 +200,21 @@ def _resolve(args, defaults):
     return merged
 
 
+def _parts(value):
+    """The parts of a list option's string, or the text of each element
+    of its list, so that every part is parsed from text: a rank of 19.5
+    is an error, not 19."""
+    if isinstance(value, str):
+        return value.split(",")
+    return [str(v) for v in value]
+
+
 def _parse_ranks(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(part) for part in str(value).split(",") if part != "")
+    return tuple(int(part) for part in _parts(value) if part != "")
 
 
 def _parse_group(value, name):
-    if isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = str(value).split(",")
+    parts = _parts(value)
     if len(parts) != 3:
         raise UsageError("%s must be mean,std,count" % name)
     try:
@@ -205,14 +224,19 @@ def _parse_group(value, name):
         raise UsageError("bad %s: %s" % (name, exc))
 
 
-def _write_manifest(outdir, command, options, files):
-    manifest = {
-        "command": command,
-        "options": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in options.items()},
-        "files": sorted(files),
-    }
-    write_json(outdir, "manifest.json", manifest)
+def _write_out(command, opts, payloads, written=()):
+    """Under --out, write each JSON payload by its file name, then
+    manifest.json with the resolved options and every file, those that
+    ``export`` already wrote included; returns whether --out was given."""
+    outdir = opts["out"]
+    if not outdir:
+        return False
+    for name, payload in payloads.items():
+        write_json(outdir, name, payload)
+    write_json(outdir, "manifest.json", {
+        "command": command, "options": opts,
+        "files": sorted([*payloads, *written])})
+    return True
 
 
 def _config(cls, opts, **given):
@@ -283,11 +307,8 @@ def _cmd_train(opts):
     print("final train loss %.6e  final val loss %.6e  (%.2f s)"
           % (record.train_losses[-1], record.final_val_loss,
              record.wall_seconds))
-    if opts["out"]:
-        outdir = opts["out"]
-        write_json(outdir, "run.json", record.to_json())
-        _write_manifest(outdir, "train", opts, ["run.json"])
-        print("wrote %s" % os.path.join(outdir, "run.json"))
+    if _write_out("train", opts, {"run.json": record.to_json()}):
+        print("wrote %s" % os.path.join(opts["out"], "run.json"))
     return 0
 
 
@@ -310,21 +331,16 @@ def _cmd_sweep(opts):
     for hi, lo, report in adjacent_welch(records):
         print("rank %d vs %d: t=%.3f df=%.1f p=%.4g"
               % (hi, lo, report.t, report.df, report.p_one_tailed))
+    runs, written = {}, []
     if opts["out"]:
-        outdir = opts["out"]
-        files = []
-        for rec in records:
-            name = os.path.join(
-                "runs", "rank%02d_rep%d.json"
-                % (rec.extras["rank"], rec.extras["repetition"]))
-            write_json(outdir, name, rec.to_json())
-            files.append(name)
-        files += export(records, outdir,
-                        top_vs_rest=opts["top_vs_rest"])
-        opts_out = dict(opts)
-        opts_out["ranks"] = list(ranks)
-        _write_manifest(outdir, "sweep", opts_out, files)
-        print("wrote %d files under %s" % (len(files) + 1, outdir))
+        written = export(records, opts["out"],
+                         top_vs_rest=opts["top_vs_rest"])
+        runs = {os.path.join("runs", "rank%02d_rep%d.json" % (
+            rec.extras["rank"], rec.extras["repetition"])): rec.to_json()
+            for rec in records}
+    if _write_out("sweep", dict(opts, ranks=list(ranks)), runs, written):
+        print("wrote %d files under %s"
+              % (len(runs) + len(written) + 1, opts["out"]))
     return 0
 
 
@@ -350,20 +366,15 @@ def _cmd_verify(opts):
     if opts["round"]:
         snap = {}
         if grid is not None:
-            parts = grid.split(",") if isinstance(grid, str) else grid
-            snap["grid"] = tuple(Fraction(str(p)) for p in parts)
+            snap["grid"] = tuple(Fraction(p) for p in _parts(grid))
         loaded = round_scheme(normalize_slots(loaded), **snap)
     report = verify_scheme(loaded)
     payload = report.to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if opts["out"]:
-        files = ["report.json"]
-        write_json(opts["out"], "report.json", payload)
-        if opts["round"]:
-            write_json(opts["out"], "rounded_scheme.json",
-                       scheme_to_json(loaded))
-            files.append("rounded_scheme.json")
-        _write_manifest(opts["out"], "verify", opts, files)
+    payloads = {"report.json": payload}
+    if opts["round"]:
+        payloads["rounded_scheme.json"] = scheme_to_json(loaded)
+    _write_out("verify", opts, payloads)
     if report.exact_zero is not None:
         return 0 if report.exact_zero else 1
     return 0 if report.residual <= float(opts["tol"]) else 1
@@ -377,9 +388,7 @@ def _cmd_welch(opts):
     report = welch_one_tailed(g1, g2)
     payload = report.to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if opts["out"]:
-        write_json(opts["out"], "welch.json", payload)
-        _write_manifest(opts["out"], "welch", opts, ["welch.json"])
+    _write_out("welch", opts, {"welch.json": payload})
     return 0
 
 
@@ -398,9 +407,7 @@ def _cmd_train_eps(opts):
     print("final val loss %.6e  probe loss %.6e  eps %.4e  (%.2f s)"
           % (record.final_val_loss, record.probe_losses[-1],
              record.epsilon_trajectory[-1], record.wall_seconds))
-    if opts["out"]:
-        write_json(opts["out"], "run_eps.json", record.to_json())
-        _write_manifest(opts["out"], "train-eps", opts, ["run_eps.json"])
+    if _write_out("train-eps", opts, {"run_eps.json": record.to_json()}):
         print("wrote %s" % os.path.join(opts["out"], "run_eps.json"))
     return 0
 

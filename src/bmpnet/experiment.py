@@ -16,30 +16,20 @@ from dataclasses import dataclass, fields
 from .stats import summarize, welch_one_tailed
 from .tensor import ShapeMismatch
 from .training import (
-    TrainConfig, TrainingDiverged, mix64, train_stack)
+    RunOptions, TrainConfig, TrainingDiverged, mix64, train_stack)
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .training import train  # noqa: F401
 
 
 @dataclass
-class SweepConfig:
-    """A rank sweep: shared training hyperparameters, the rank list, and
-    how many repetitions to run per rank."""
+class SweepConfig(RunOptions):
+    """A rank sweep: the training hyperparameters its runs share, the
+    rank list, and how many repetitions to run per rank."""
 
     n: int = 3
     ranks: tuple = (19, 20, 21, 22, 23)
     reps: int = 7
-    epochs: int = 60
-    batch_size: int = 32
-    lr: float = 1e-3
-    clip_threshold: float = 10.0
-    train_size: int = 10000
-    val_size: int = 10000
-    alpha: float = 1.0
     base_seed: int = 0
-    low: float = -1.0
-    high: float = 1.0
-    resample: bool = False
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -57,11 +47,10 @@ def run_seed(base_seed, rank, rep):
 
 
 def make_train_config(cfg, rank, rep):
-    """One run's config: the sweep's fields that TrainConfig shares, by
-    name, plus the rank and the run seed."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
-              if hasattr(cfg, f.name)}
-    return TrainConfig(**shared, r=rank,
+    """One run's config: the sweep's :class:`RunOptions` and n, plus the
+    rank and the run seed."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(RunOptions)}
+    return TrainConfig(**shared, n=cfg.n, r=rank,
                        seed=run_seed(cfg.base_seed, rank, rep))
 
 

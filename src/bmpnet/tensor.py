@@ -41,13 +41,7 @@ def exact_array(values):
 
 def float_array(values):
     """Build a float64 ndarray, converting Fractions if present."""
-    arr = np.asarray(values)
-    if arr.dtype == object:
-        out = np.empty(arr.shape, dtype=np.float64)
-        for idx in np.ndindex(arr.shape):
-            out[idx] = float(arr[idx])
-        return out
-    return arr.astype(np.float64)
+    return np.asarray(values).astype(np.float64)
 
 
 def is_exact(t):

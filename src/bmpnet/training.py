@@ -237,12 +237,11 @@ def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 init_adam, adam_step = init_adam_params, adam_update
 
 
-@dataclass
-class TrainConfig:
-    """Hyperparameters of one training run."""
+@dataclass(kw_only=True)
+class RunOptions:
+    """The hyperparameters every run of a rank sweep shares: the fields
+    of both :class:`TrainConfig` and ``experiment.SweepConfig``."""
 
-    n: int
-    r: int
     epochs: int = 60
     batch_size: int = 32
     lr: float = 1e-3
@@ -250,14 +249,22 @@ class TrainConfig:
     train_size: int = 10000
     val_size: int = 10000
     alpha: float = 1.0
-    seed: int = 0
     low: float = -1.0
     high: float = 1.0
+    # by default one fixed training set, reshuffled per epoch
+    resample: bool = False
+
+
+@dataclass
+class TrainConfig(RunOptions):
+    """Hyperparameters of one training run."""
+
+    n: int
+    r: int
+    seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    # by default one fixed training set, reshuffled per epoch
-    resample: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
@@ -284,8 +291,8 @@ class RunRecord:
     """Everything one run produced.  ``wall_seconds`` is the run's share
     of its stack's training time, the stack's wall time divided by the
     number of runs in it, so the sum over a sweep's records is the
-    sweep's training time.  It stays out of the JSON by default so
-    identical seeds give identical files."""
+    sweep's training time.  It stays out of the JSON, so identical
+    seeds give identical files."""
 
     config: TrainConfig
     train_losses: list
@@ -298,7 +305,7 @@ class RunRecord:
     def final_val_loss(self):
         return self.val_losses[-1]
 
-    def to_json(self, include_timing=False):
+    def to_json(self):
         out = {
             "config": self.config.to_json(),
             "train_losses": list(self.train_losses),
@@ -308,8 +315,6 @@ class RunRecord:
         }
         for key, val in self.extras.items():
             out[key] = val
-        if include_timing:
-            out["wall_seconds"] = self.wall_seconds
         return out
 
 
@@ -390,7 +395,6 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
 
     moments = np.stack([fourth_moment(*draw_operands(
         cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high)) for s in streams])
-    score_stack = scorer(cfg.n, moments)
     scores = [scorer(cfg.n, moment) for moment in moments]
     first = [init(s["init"]) for s in streams]
     if any(np.size(a) != cfg.n * cfg.n * cfg.r for run in first for a in run):
@@ -460,8 +464,8 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         if not live:
             return failed
         # diverged runs are left out, so scoring them raises no warnings
-        vals = score_stack(factors) if len(live) == len(cfgs) else scorer(
-            cfg.n, moments[live])(Factors(*(f[live] for f in factors)))
+        vals = scorer(cfg.n, moments[live])(
+            Factors(*(f[live] for f in factors)))
         for run, val in zip(live, vals):
             train_losses[run].append(float(sq_err_total[run]
                                            / cfg.train_size))

@@ -6,9 +6,10 @@ Usage, from the root of a checkout:
 
 Runs every command below through ``python -m bmpnet`` (and the scripts
 under demos/) with the ``bmpnet`` of this checkout and
-OPENBLAS_NUM_THREADS=1, each into its own directory under OUTDIR, and
-prints ``sha256  name`` for every file written and for every command's
-standard output, with its exit code.  Wall times and the OUTDIR path are
+OPENBLAS_NUM_THREADS=1, each into its own directory under OUTDIR (after
+writing the command's config file there, if it has one), and prints
+``sha256  name`` for every file written and for every command's standard
+output, with its exit code.  Wall times and the OUTDIR path are
 masked first, so two checkouts run into two directories print the same
 lines exactly when their outputs agree; ``diff`` the two lists to see
 which files moved, then the files themselves to see how.  The name has
@@ -27,6 +28,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 TRAIN = ["--epochs", "5", "--train-size", "2000", "--seed", "0"]
 
+TINY_SWEEP = ["--n", "2", "--reps", "2", "--epochs", "2", "--train-size",
+              "200", "--val-size", "200"]
+
 # (name, argv); "{out}" is the command's own directory, "{root}" OUTDIR
 COMMANDS = [
     ("train-n2", ["train", "--n", "2", "--r", "7", "--val-size", "2000",
@@ -43,6 +47,12 @@ COMMANDS = [
                    "--round", "--out", "{out}"]),
     ("verify-strassen", ["verify", "--scheme", "strassen", "--exact",
                          "--out", "{out}"]),
+    ("sweep-top", ["sweep", *TINY_SWEEP, "--ranks", "5,6,7",
+                   "--top-vs-rest", "--out", "{out}"]),
+    ("sweep-config", ["sweep", "--config", "{out}/config.json", "--out",
+                      "{out}"]),
+    ("verify-grid", ["verify", "--scheme", "{root}/train-n2/scheme.json",
+                     "--round", "--grid", "-1/2,0,1/2", "--out", "{out}"]),
     ("welch", ["welch", "--g1", "0.42,0.05,7", "--g2", "0.49,0.06,7",
                "--out", "{out}"]),
     ("train-eps", ["train-eps", "--n", "2", "--r", "7", "--val-size",
@@ -51,11 +61,18 @@ COMMANDS = [
     ("demo-strassen", ["demo", "strassen2x2"]),
 ]
 
-WALL = re.compile(r"\(\d+\.\d+ s\)")
+# name -> the config.json written into the command's directory first
+CONFIGS = {
+    "sweep-config": {"n": 2, "ranks": [5, "7"], "reps": 2, "epochs": 2,
+                     "train_size": 200, "val_size": 200},
+}
+
+# a wall time in seconds, such as "(0.42 s)" or "after 0.4 s"
+WALL = re.compile(r"\d+\.\d+ s\b")
 
 
 def masked(text, root):
-    return WALL.sub("(<wall> s)", text.replace(str(root), "<out>"))
+    return WALL.sub("<wall> s", text.replace(str(root), "<out>"))
 
 
 def digest(text):
@@ -67,6 +84,8 @@ def run(name, argv, root):
     exit code."""
     out = root / name
     out.mkdir(parents=True, exist_ok=True)
+    if name in CONFIGS:
+        (out / "config.json").write_text(json.dumps(CONFIGS[name]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

@@ -7,11 +7,9 @@ they appear; without ``-s`` the verbose PASSED/FAILED column carries the
 same verdicts.
 """
 
-import json
 import math
 import shutil
 import time
-from fractions import Fraction
 
 import numpy as np
 

@@ -347,17 +347,35 @@ class TestConfigFile:
         ("train", "clip", None), ("sweep", "seed", "1"),
         ("train-eps", "decay", "1"), ("train", "verbose", "false"),
         ("train-eps", "dmax", 1.5), ("train", "out", 5),
-        ("sweep", "out", ["a"])])
+        ("sweep", "out", ["a"]), ("verify", "grid", 5),
+        ("sweep", "ranks", [[1]]), ("welch", "g1", [0.4, 0.05, [7]]),
+        ("sweep", "ranks", None), ("welch", "g2", [0.4, True, 7])])
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path,
                                                  command, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(
-            dict({"epochs": 2, "train_size": 64, "val_size": 32,
-                  "batch_size": 16}, **{key: value})))
+        base = {"verify": {"scheme": "strassen", "round": True},
+                "welch": {"g1": "0.42,0.05,7", "g2": "0.49,0.06,7"}}.get(
+            command, {"epochs": 2, "train_size": 64, "val_size": 32,
+                      "batch_size": 16})
+        cfg_path.write_text(json.dumps(dict(base, **{key: value})))
         code, out, err = run_cli(capsys, [command, "--config",
                                           str(cfg_path)])
         assert code == 2
         assert err.startswith("error: option %s must be" % key)
+        assert out == ""
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {"ranks": [19.5], "reps": 2}),
+        ("welch", {"g1": [0.4, 0.05, 7.5], "g2": "0.49,0.06,7"})])
+    def test_list_element_is_not_truncated(self, capsys, tmp_path,
+                                           command, config):
+        # 19.5 is no rank and 7.5 no count; neither becomes an int
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, [command, "--config",
+                                          str(cfg_path)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
 
     def test_int_config_value_stands_for_float(self, capsys, tmp_path):

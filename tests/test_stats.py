@@ -11,7 +11,6 @@ from bmpnet.stats import (
     DegenerateVariance,
     SampleStats,
     TooFewSamples,
-    WelchReport,
     summarize,
     t_cdf,
     t_quantile,
