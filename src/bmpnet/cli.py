@@ -210,7 +210,10 @@ def _parts(value):
 
 
 def _parse_ranks(value):
-    return tuple(int(part) for part in _parts(value) if part != "")
+    try:
+        return tuple(int(part) for part in _parts(value) if part != "")
+    except ValueError as exc:
+        raise UsageError("bad --ranks: %s" % exc)
 
 
 def _parse_group(value, name):

@@ -146,6 +146,14 @@ class TestSweep:
         assert "--threads must be at least 1" in err
         assert out == ""
 
+    def test_fractional_rank_names_the_option(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "2", "--ranks",
+                                          "19.5", "--reps", "2"])
+        assert code == 2
+        assert err == ("error: bad --ranks: invalid literal for int() "
+                       "with base 10: '19.5'\n")
+        assert out == ""
+
     def test_duplicate_ranks_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["sweep"] + TINY_SWEEP[:2]
                                + ["--ranks", "5,5", "--reps", "2"])
@@ -285,6 +293,18 @@ class TestWelch:
         code, _, _ = run_cli(capsys, ["welch", "--g1", "0,1,5"])
         assert code == 2
 
+    @pytest.mark.parametrize("std", ["1e200", "1e100", "1e-100"])
+    def test_spread_out_of_float_range_is_usage_error(self, capsys, std):
+        # the squared standard errors, or the squares in the degrees of
+        # freedom, overflow or underflow to 0/0
+        code, out, err = run_cli(capsys, ["welch", "--g1", "0,%s,3" % std,
+                                          "--g2", "1,%s,3" % std])
+        assert code == 2
+        assert err.startswith("error: standard errors or degrees of "
+                              "freedom leave the float range")
+        assert err.count("\n") == 1
+        assert out == ""
+
 
 class TestTrainEps:
     def test_writes_run_and_manifest(self, capsys, tmp_path):
@@ -375,7 +395,9 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, [command, "--config",
                                           str(cfg_path)])
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        option = {"sweep": "--ranks", "welch": "--g1"}[command]
+        assert err.startswith("error: bad %s: " % option)
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_int_config_value_stands_for_float(self, capsys, tmp_path):

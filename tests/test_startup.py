@@ -1,14 +1,21 @@
-"""What a fresh process loads.  scipy serves only the Welch test's
-t distribution and the process pool only ``--threads`` > 1, so neither
-loads with the command line or with commands that do not use them.
-Each check runs in its own child, since this process has long since
-imported both."""
+"""What a fresh process loads.  The package does not use scipy, and the
+process pool serves only ``--threads`` > 1, so neither loads with the
+command line or with commands that do not use them, the Welch test and
+a serial sweep included.  Each check runs in its own child, since this
+process may long since have imported both."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
-from clirun import run_python
+import pytest
+
+from clirun import PACKAGE_ROOT, run_python
 
 HEAVY = ("scipy", "multiprocessing", "concurrent.futures")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def loaded_after(code):
@@ -31,10 +38,37 @@ def test_verify_loads_neither():
     assert loaded_after(code) == []
 
 
-def test_a_welch_test_loads_scipy():
-    # the probe sees a module once it is loaded (scipy brings
-    # concurrent.futures along, so only scipy is asked for)
-    code = ("from bmpnet.stats import SampleStats, welch_one_tailed\n"
-            "g = SampleStats(mean=0.0, std=1.0, count=3)\n"
-            "welch_one_tailed(g, g)")
-    assert "scipy" in loaded_after(code)
+def test_welch_loads_neither():
+    code = ("from bmpnet import cli\n"
+            "assert cli.main(['welch', '--g1', '0.42,0.05,7', '--g2', "
+            "'0.49,0.06,7']) == 0")
+    assert loaded_after(code) == []
+
+
+def test_serial_sweep_loads_neither(tmp_path):
+    argv = ["sweep", "--n", "2", "--ranks", "5,7", "--reps", "2",
+            "--epochs", "1", "--batch-size", "16", "--train-size", "64",
+            "--val-size", "32", "--out", str(tmp_path / "sweep")]
+    code = "from bmpnet import cli\nassert cli.main(%r) == 0" % argv
+    assert loaded_after(code) == []
+    assert (tmp_path / "sweep" / "welch.json").exists()
+
+
+def test_no_module_imports_scipy():
+    for path in sorted(Path(PACKAGE_ROOT, "bmpnet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy"
+                           for name in names), path.name
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    deps = project["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
