@@ -110,31 +110,33 @@ def init_eps_scheme(n, r, seed, alpha=1.0, d_max=2, f_min=-2, eps=0.02):
 
 
 def eps_powers(d_max, f_min, eps):
-    """eps^p for the rows of the H, K and F coefficient stacks, as three
-    columns: powers 0..d_max twice, then f_min..d_max."""
+    """eps^p for the rows of a coefficient block, as an (A, 1) column:
+    powers 0..d_max for the H stack, again for K, then f_min..d_max for
+    F."""
     if eps <= 0:
         raise EpsilonNonpositive("eps must be positive, got %r" % eps)
-    combo = np.array([eps ** p for p in range(d_max + 1)])[:, None]
-    return combo, combo, np.array(
-        [eps ** p for p in range(f_min, d_max + 1)])[:, None]
+    combo = [eps ** p for p in range(d_max + 1)]
+    return np.array(combo + combo
+                    + [eps ** p for p in range(f_min, d_max + 1)])[:, None]
 
 
-def _stacks(coeffs, powers):
-    """Views of the H, K and F stacks of a block (..., A, n^2 r)."""
-    n_h = len(powers[0])
-    return (coeffs[..., :n_h, :], coeffs[..., n_h:2 * n_h, :],
-            coeffs[..., 2 * n_h:, :])
+def stack_index(d_max, f_min):
+    """The factor of each row of a coefficient block: 0 for the rows of
+    the H stack, 1 for K and 2 for F."""
+    return np.repeat([0, 1, 2], [d_max + 1, d_max + 1, d_max - f_min + 1])
 
 
-def _factors(coeffs, powers, n, r):
-    """H, K and F of a coefficient block at the eps of ``powers``: each
-    stack times its powers, summed over the powers in ascending order
-    from -0.0, which leaves every term's bits as they are."""
-    m, lead = n * n, coeffs.shape[:-2]
-    return tuple(np.add.reduce(stack * p, axis=-2, initial=-0.0)
-                 .reshape(lead + shape)
-                 for stack, p, shape in zip(_stacks(coeffs, powers), powers,
-                                            ((m, r), (m, r), (r, m))))
+def _factors(coeffs, powers, n_h, out):
+    """Fill the factor block ``out`` (3, ..., n^2 r) with H, K and F of a
+    coefficient block (..., A, n^2 r) at the eps of ``powers``: each
+    stack's rows times their powers, summed over the powers in ascending
+    order from -0.0, which leaves every term's bits as they are."""
+    terms = coeffs * powers
+    for k, stack in enumerate((terms[..., :n_h, :],
+                               terms[..., n_h:2 * n_h, :],
+                               terms[..., 2 * n_h:, :])):
+        np.add.reduce(stack, axis=-2, initial=-0.0, out=out[k])
+    return out
 
 
 def evaluate(es, eps=None):
@@ -142,16 +144,18 @@ def evaluate(es, eps=None):
     coeffs = np.stack([np.ravel(c)
                        for c in es.h_coeffs + es.k_coeffs + es.f_coeffs])
     powers = eps_powers(es.d_max, es.f_min, es.eps if eps is None else eps)
-    return BilinearScheme(es.n, es.r, *_factors(coeffs, powers, es.n, es.r))
+    block = _factors(coeffs, powers, es.d_max + 1,
+                     np.empty((3, es.n * es.n * es.r)))
+    return BilinearScheme(es.n, es.r, *Factors.of_block(block, es.n, es.r))
 
 
-def coefficient_grads(grads, powers, out):
-    """Chain rule from the gradients (dH, dK, dF) at the evaluated scheme
-    back to the coefficient block ``out``, which it returns: the eps^p
-    row of a stack receives eps^p times its factor's gradient."""
-    for g, p, stack in zip(grads, powers, _stacks(out, powers)):
-        np.multiply(g.reshape(g.shape[:-2] + (1, -1)), p, out=stack)
-    return out
+def coefficient_grads(grads, powers, index, out):
+    """Chain rule from the factor gradients ``grads``, a block (3, ...,
+    n^2 r) of dH, dK and dF flattened, back to the coefficient block
+    ``out`` (..., A, n^2 r), which it returns: row i of ``out`` is its
+    eps^p times the gradient of factor ``index[i]``."""
+    return np.multiply(grads.take(index, axis=0).swapaxes(0, -2), powers,
+                       out=out)
 
 
 @dataclass(kw_only=True)
@@ -221,12 +225,17 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
     # the powers of each epoch's eps, built once per epoch
     powers = functools.cache(
         lambda epoch: eps_powers(d_max, f_min, schedule.at(epoch)))
+    index = stack_index(d_max, f_min)
+    # the factor block of the stack of one, rewritten by every view
+    block = np.empty((3, 1, cfg.n * cfg.n * cfg.r))
+    factors = Factors.of_block(block, cfg.n, cfg.r)
 
     def view(params, epoch):
-        return Factors(*_factors(params, powers(epoch), cfg.n, cfg.r))
+        _factors(params, powers(epoch), n_h, block)
+        return factors
 
     def pull(grads, out, epoch):
-        coefficient_grads(grads, powers(epoch), out)
+        coefficient_grads(grads, powers(epoch), index, out)
 
     def epoch_end(run, epoch, arrays, train_loss, val_loss, score):
         es = eps_scheme(arrays, schedule.at(epoch))

@@ -22,7 +22,8 @@ class DegenerateVariance(ValueError):
 
 
 class NonFiniteStatistic(ValueError):
-    """The standard errors or degrees of freedom leave the float range."""
+    """A statistic of the test, or the t density it is solved with,
+    leaves the float range."""
 
 
 @dataclass
@@ -62,6 +63,9 @@ def summarize(values):
 _EPS = 2.0 ** -52
 # keeps the Lentz recurrences off an exact zero
 _TINY = 1e-300
+# log of the t^2 / df past which the quantile of the t distribution's
+# power-law tail is within half a unit in the last place of the root
+_LOG_FAR = 52 * math.log(2.0)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 # B_2k / (2k (2k - 1)) of Stirling's series for log Gamma, k = 1..5;
 # from a = 20 on, the first omitted term is below 1e-17
@@ -114,17 +118,21 @@ def _lower_tail(t, df):
     """P(T <= -|t|) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2).  x
     and 1 - x are formed from t^2/df directly, not by subtraction, and
     by the symmetry I_x(a, b) = 1 - I_(1-x)(b, a) the fraction is
-    evaluated where it converges."""
+    evaluated where it converges.  Where t^2/df overflows, log x is
+    log df - 2 log|t| and 1 - x rounds to 1."""
     z = t * t / df
-    if z == math.inf:
-        return 0.0
     if z == 0.0:
         return 0.5
     a = 0.5 * df
-    x = 1.0 / (1.0 + z)
-    y = z / (1.0 + z)
+    if z < math.inf:
+        log_x, x, y = -math.log1p(z), 1.0 / (1.0 + z), z / (1.0 + z)
+    elif math.isinf(t):
+        return 0.0
+    else:
+        log_x = math.log(df) - 2.0 * math.log(abs(t))
+        x, y = math.exp(log_x), 1.0
     # log of x^a (1 - x)^(1/2) / B(a, 1/2)
-    front = math.exp(-a * math.log1p(z) + 0.5 * math.log(y)
+    front = math.exp(a * log_x + 0.5 * math.log(y)
                      - _LOG_SQRT_PI - _log_gamma_drop(a))
     if x * (a + 2.5) < a + 1.0:
         return 0.5 * front * _beta_fraction(a, 0.5, x) / a
@@ -151,7 +159,15 @@ def t_quantile(p, df):
     Newton steps with the t density solve for the lower tail from
     t = 0.  The CDF is convex for t < 0, so no step passes the root:
     the iterates fall monotonically onto it, and stop once rounding
-    leaves no step of more than a unit in the last place."""
+    leaves no step of more than a unit in the last place.
+
+    In the far tail the density is c |t|^-(df+1) with c = peak
+    df^((df+1)/2), so the tail is c |t|^-df / df.  That power law lies
+    above the tail, by a relative (df+1) df^2 / (2 (df+2) t^2), so its
+    quantile lies beyond the root by at most df / (2 t^2) relative.  Once
+    t^2/df passes 2^52 that is below half a unit in the last place, and
+    the power law's quantile is returned, rounded by its exp to within
+    about 1e-13 relative."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     _check_df(df)
@@ -160,9 +176,21 @@ def t_quantile(p, df):
     tail = min(p, 1.0 - p)
     a = 0.5 * df
     log_peak = -_log_gamma_drop(a) - 0.5 * math.log(math.pi * df)
+    log_far = (log_peak + (a - 0.5) * math.log(df) - math.log(tail)) / df
+    if 2.0 * log_far - math.log(df) > _LOG_FAR:
+        try:
+            t = math.exp(log_far)
+        except OverflowError:
+            raise NonFiniteStatistic("the quantile leaves the float range "
+                                     "(p=%r, df=%r)" % (p, df)) from None
+        return -t if p < 0.5 else t
     t = 0.0
     for _ in range(1000):
         density = math.exp(log_peak - (a + 0.5) * math.log1p(t * t / df))
+        if density == 0.0:
+            raise NonFiniteStatistic(
+                "the t density underflows on the way to the quantile "
+                "(p=%r, df=%r)" % (p, df))
         step = (_lower_tail(t, df) - tail) / density
         if not step > _EPS * -t:
             return t if p < 0.5 else -t
@@ -223,6 +251,10 @@ def welch_one_tailed(group1, group2):
     p = t_cdf(t, df)
     halfwidth = t_quantile(0.975, df) * math.sqrt(se_sq)
     diff = group1.mean - group2.mean
+    if not all(map(math.isfinite, (t, diff - halfwidth, diff + halfwidth))):
+        raise NonFiniteStatistic(
+            "the t statistic or the confidence interval leaves the float "
+            "range (means %r and %r)" % (group1.mean, group2.mean))
     return WelchReport(
         t=t,
         df=df,

@@ -111,28 +111,53 @@ def mse(pred_rows, target_rows):
 
 
 def grad_analytic(scheme, a_rows, b_rows, target_rows, out=None):
-    """The :func:`mse` loss on one batch and its closed-form gradients,
-    as ``(loss, (dH, dK, dF))``; the factors and the rows may carry a
-    leading run axis, and then the loss holds one value per run.  The
-    gradients go into ``out``, three arrays shaped as H, K and F, if given.
+    """The squared errors of one batch's forward pass and the closed-form
+    gradients of their :func:`mse` loss, as ``(sq_err, (dH, dK, dF))``;
+    the factors and the rows may carry a leading run axis.  ``out``, if
+    given, holds four arrays: three shaped as H, K and F for the
+    gradients, and one shaped as the target rows for the squared errors,
+    which may be the target rows themselves.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
-    the loss is mse(V, T), dF = M^T E, and with G = E F^T,
+    the squared errors are (V - T)^2, their sum over the last two axes
+    divided by count is mse(V, T), dF = M^T E, and with G = E F^T,
     dH = A^T (G * W), dK = B^T (G * U).
     """
     count = a_rows.shape[-2]
-    out = (None, None, None) if out is None else out
+    out = (None,) * 4 if out is None else out
     u = a_rows @ scheme.H
     w = b_rows @ scheme.K
     m = u * w
     diff = m @ scheme.F - target_rows
-    err = 2.0 * diff / count
+    # 2 d and count / 2 are exact, so this rounds 2 d / count once
+    err = diff / (count * 0.5)
     d_f = np.matmul(m.mT, err, out=out[2])
     g = err @ scheme.F.mT
     d_h = np.matmul(a_rows.mT, g * w, out=out[0])
     d_k = np.matmul(b_rows.mT, g * u, out=out[1])
-    loss = (diff * diff).sum(axis=-1).sum(axis=-1) / count
-    return float(loss) if loss.ndim == 0 else loss, (d_h, d_k, d_f)
+    return np.multiply(diff, diff, out=out[3]), (d_h, d_k, d_f)
+
+
+def epoch_loss(sq_err, batch_size):
+    """Per run, the sample mean of an epoch's batch losses, and whether
+    every batch loss was finite, from the squared errors (R, count, m) of
+    its consecutive batches.  Each batch loss is the :func:`mse` of its
+    batch bit for bit: the row sums of a batch are one contiguous run,
+    reduced by the same pairwise sum as the batch alone.  The batch
+    losses times their sizes are then summed in batch order, which a
+    pairwise sum over the batches would not do."""
+    rows = np.add.reduce(sq_err, axis=-1)
+    runs, count = rows.shape
+    full = count - count % batch_size
+    losses = [np.add.reduce(rows[:, :full].reshape(runs, -1, batch_size),
+                            axis=-1) / batch_size]
+    if full < count:
+        losses.append(np.add.reduce(rows[:, full:], axis=-1, keepdims=True)
+                      / (count - full))
+    losses = np.concatenate(losses, axis=-1)
+    sizes = np.minimum(batch_size, count - np.arange(0, count, batch_size))
+    return (np.add.accumulate(losses * sizes, axis=-1)[:, -1] / count,
+            np.isfinite(losses).all(axis=-1))
 
 
 def fourth_moment(a, b):
@@ -362,6 +387,14 @@ class Factors(NamedTuple):
     K: np.ndarray
     F: np.ndarray
 
+    @classmethod
+    def of_block(cls, block, n, r):
+        """H, K and F as views of a factor block (3, ..., n^2 r) that
+        holds them flattened along its first axis."""
+        m = n * n
+        return cls(*(x.reshape(x.shape[:-1] + shape) for x, shape
+                     in zip(block, ((m, r), (m, r), (r, m)))))
+
 
 def fit(cfgs, init, epoch_end, view=None, pull=None):
     """The training loop of :func:`train_stack` and ``border.train_eps``:
@@ -371,22 +404,25 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     each; the parameters, both Adam moments and the gradient live in
     (R, A, n^2 r) float64 blocks.  ``view(params, epoch)`` maps the
     parameter block to the :class:`Factors` the loss is taken at, and
-    ``pull(grads, out, epoch)`` writes their gradients into the gradient
-    block ``out``; by default the A = 3 arrays are H, K and F.  A step
-    takes one forward pass for the losses and the gradients, clips per
-    run and makes one Adam update, all in place.  Data, shuffles and
-    validation sets stay per run; an epoch's batches are views of the rows
-    it gathers once.  Per epoch, a run's train loss is the exact sample
-    mean of its batch losses, and after the updates one :func:`scorer`
-    call scores every run still going; then
+    ``pull(grads, out, epoch)`` writes the gradient block ``out`` from
+    their gradients ``grads``, a (3, R, n^2 r) block of dH, dK and dF
+    flattened; by default the A = 3 arrays are H, K and F.  A step takes
+    one forward pass for the gradients, clips per run and makes one Adam
+    update, all in place.  Data, shuffles and validation sets stay per
+    run; an epoch's batches are views of the rows it gathers once, and
+    the forward pass writes its squared errors over the batch's target
+    rows, which no later step reads.  Per epoch, after the updates, a
+    run's train loss is the exact sample mean of its batch losses, summed
+    from those squared errors (:func:`epoch_loss`), and one
+    :func:`scorer` call scores every run still going; then
     ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)``
     runs, with views of the run's parameter arrays and ``score(scheme)``,
     any scheme's val loss on the run's validation set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
-    :class:`TrainingDiverged` it raised: a non-finite batch loss, or
-    non-finite factors at the end of an epoch, stops that run, and the
-    other runs go on untouched.
+    :class:`TrainingDiverged` it raised: a non-finite batch loss in an
+    epoch, or non-finite factors at its end, stops that run at the end of
+    the epoch, and the other runs go on untouched.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -408,19 +444,19 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         return [block[:, i].reshape((len(block),) + np.shape(a))
                 for i, a in enumerate(first[0])]
 
-    param_arrays, grad_arrays = arrays(params), arrays(grads)
+    param_arrays = arrays(params)
     own = Factors(*param_arrays) if view is None else None
+    if pull is None:
+        grad_out = arrays(grads)
+    else:
+        factor_grads = np.empty((3, len(cfgs), cfg.n * cfg.n * cfg.r))
+        grad_out = Factors.of_block(factor_grads, cfg.n, cfg.r)
     runs = range(len(cfgs))
     # row offset of each run in the stacked (R * train_size, n^2) data
     offsets = cfg.train_size * np.arange(len(cfgs))[:, None]
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
-
-    def diverge(run, epoch):
-        last = (train_losses[run][-1], val_losses[run][-1]) \
-            if train_losses[run] else (None, None)
-        failed[run] = TrainingDiverged(epoch, *last)
 
     for epoch in range(cfg.epochs):
         if epoch == 0 or cfg.resample:
@@ -436,30 +472,24 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
             .permutation(cfg.train_size) for c in cfgs])
         rows = None  # the last epoch's gather goes before the next
         rows = tuple(x.take(perm, axis=0) for x in data)
-        sq_err_total = np.zeros(len(cfgs))
         for ab, bb, tb in zip(*(batch_slices(x, cfg.batch_size)
                                 for x in rows)):
             factors = own if view is None else view(params, epoch)
-            batch_loss, dfs = grad_analytic(
-                factors, ab, bb, tb, grad_arrays if pull is None else None)
-            if not np.isfinite(batch_loss).all():
-                for run in np.flatnonzero(~np.isfinite(batch_loss)):
-                    if failed[run] is None:
-                        diverge(run, epoch)
-                if all(failed):
-                    return failed
+            grad_analytic(factors, ab, bb, tb, (*grad_out, tb))
             if pull is not None:
-                pull(dfs, grads, epoch)
+                pull(factor_grads, grads, epoch)
             clip_gradients(grads, cfg.clip_threshold)
             adam_update(state, params, grads, cfg.lr,
                         cfg.beta1, cfg.beta2, cfg.adam_eps)
-            sq_err_total += batch_loss * ab.shape[1]
+        train_loss, losses_finite = epoch_loss(rows[2], cfg.batch_size)
         factors = own if view is None else view(params, epoch)
-        finite = np.logical_and.reduce(
-            [np.isfinite(f).all(axis=(-2, -1)) for f in factors])
+        finite = np.logical_and.reduce([losses_finite] + [
+            np.isfinite(f).all(axis=(-2, -1)) for f in factors])
         for run in runs:
             if failed[run] is None and not finite[run]:
-                diverge(run, epoch)
+                last = (train_losses[run][-1], val_losses[run][-1]) \
+                    if train_losses[run] else (None, None)
+                failed[run] = TrainingDiverged(epoch, *last)
         live = [run for run in runs if failed[run] is None]
         if not live:
             return failed
@@ -467,8 +497,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         vals = scorer(cfg.n, moments[live])(
             Factors(*(f[live] for f in factors)))
         for run, val in zip(live, vals):
-            train_losses[run].append(float(sq_err_total[run]
-                                           / cfg.train_size))
+            train_losses[run].append(float(train_loss[run]))
             val_losses[run].append(float(val))
             epoch_end(run, epoch, [a[run] for a in param_arrays],
                       train_losses[run][-1], val_losses[run][-1],

@@ -59,6 +59,8 @@ COMMANDS = [
                    "2000", "--verbose", *TRAIN, "--out", "{out}"]),
     ("demo-classical", ["demo", "classical2x2"]),
     ("demo-strassen", ["demo", "strassen2x2"]),
+    # diverges in epoch 0: pins exit code 3 and what reaches stdout
+    ("train-diverge", ["train", "--n", "2", "--r", "7", "--alpha", "1e200"]),
 ]
 
 # name -> the config.json written into the command's directory first

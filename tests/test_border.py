@@ -14,6 +14,7 @@ from bmpnet.border import (
     eps_scheme_to_json,
     evaluate,
     init_eps_scheme,
+    stack_index,
     train_eps,
     wstate_embedded,
     wstate_eps_scheme,
@@ -179,8 +180,10 @@ class TestCoefficientGrads:
         scheme = evaluate(es)
         _, (d_h, d_k, d_f) = grad_analytic(scheme, a_rows, b_rows,
                                              t_rows)
-        grads = coefficient_grads((d_h, d_k, d_f), eps_powers(1, -1, 0.3),
-                                  np.empty((len(stacks), 16)))
+        grads = coefficient_grads(
+            np.stack([d_h.ravel(), d_k.ravel(), d_f.ravel()]),
+            eps_powers(1, -1, 0.3), stack_index(1, -1),
+            np.empty((len(stacks), 16)))
         h = 1e-6
         for _ in range(12):
             stack_i = rng.integers(len(stacks))
@@ -196,12 +199,10 @@ class TestCoefficientGrads:
 
     def test_power_scaling(self):
         es = small_eps_scheme(d_max=1, f_min=-1, eps=0.5)
-        d_h = np.ones((4, 4))
-        d_k = np.ones((4, 4))
-        d_f = np.ones((4, 4))
         out = np.empty((7, 16))
-        grads = coefficient_grads((d_h, d_k, d_f),
-                                  eps_powers(es.d_max, es.f_min, 0.5), out)
+        grads = coefficient_grads(np.ones((3, 16)),
+                                  eps_powers(es.d_max, es.f_min, 0.5),
+                                  stack_index(es.d_max, es.f_min), out)
         # H and K stacks: powers 0, 1; F stack: powers -1, 0, 1 for
         # d_max=1, f_min=-1, so seven rows, written into the block
         assert grads is out

@@ -305,6 +305,16 @@ class TestWelch:
         assert err.count("\n") == 1
         assert out == ""
 
+    def test_overflowing_mean_gap_is_usage_error(self, capsys):
+        # t and the interval would be -inf, which JSON cannot hold
+        code, out, err = run_cli(capsys, ["welch", "--g1", "-1e308,1,3",
+                                          "--g2", "1e308,1,3"])
+        assert code == 2
+        assert err.startswith("error: the t statistic or the confidence "
+                              "interval leaves the float range")
+        assert err.count("\n") == 1
+        assert out == ""
+
 
 class TestTrainEps:
     def test_writes_run_and_manifest(self, capsys, tmp_path):

@@ -4,11 +4,12 @@ statistics, flat-file export, and schedule independence."""
 import csv
 import json
 import os
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from bmpnet.cli import _COMMANDS, _resolve, build_parser
 from bmpnet.experiment import (
     SweepConfig,
     adjacent_welch,
@@ -22,7 +23,7 @@ from bmpnet.experiment import (
     worker_pool,
 )
 from bmpnet.tensor import ShapeMismatch
-from bmpnet.training import TrainConfig, train
+from bmpnet.training import RunOptions, TrainConfig, train
 from perrun import assert_same_run
 
 
@@ -82,18 +83,22 @@ class TestSeeds:
         for name in shared:
             assert getattr(tc, name) == getattr(cfg, name), name
 
-    def test_shared_fields_have_the_train_defaults_and_types(self):
-        # the sweep command line reads its defaults from SweepConfig, the
-        # train command line from TrainConfig; they must not drift apart
-        train_fields = {f.name: f for f in fields(TrainConfig)}
-        shared = [f for f in fields(SweepConfig) if f.name in train_fields]
-        assert len(shared) == 11
-        for f in shared:
-            g = train_fields[f.name]
-            assert f.type is g.type, f.name
-            if g.default is not MISSING:  # n has no TrainConfig default
-                assert f.default == g.default, f.name
-                assert type(f.default) is type(g.default), f.name
+    def test_run_options_are_declared_once(self):
+        # both configs inherit every shared field from RunOptions, and the
+        # train and sweep command lines read the same default for each
+        shared = {f.name for f in fields(RunOptions)}
+        assert len(shared) == 10
+        for cls in (TrainConfig, SweepConfig):
+            own = set(vars(cls).get("__annotations__", {}))
+            assert not own & shared, cls.__name__
+        parser = build_parser()
+        train_opts, sweep_opts = (
+            _resolve(parser.parse_args([command]), _COMMANDS[command][1])
+            for command in ("train", "sweep"))
+        for f in fields(RunOptions):
+            key = {"clip_threshold": "clip"}.get(f.name, f.name)
+            assert train_opts[key] == sweep_opts[key] == f.default, key
+            assert type(train_opts[key]) is type(sweep_opts[key]), key
 
 
 class TestSweep:

@@ -50,6 +50,12 @@ class TestStackMatchesPerRun:
         assert_stack_matches([config(seed, train_size=train_size)
                               for seed in (6, 7)])
 
+    def test_short_last_batch_in_a_stack_of_three(self):
+        # the epoch's batch losses come from a (3, 4, 16) block of full
+        # batches and a (3, 1) short one
+        assert_stack_matches([config(seed, n=3, r=23, train_size=65)
+                              for seed in (11, 12, 13)])
+
     @pytest.mark.parametrize("threshold, fires", [(0.5, True),
                                                   (1e12, False)])
     def test_clipping(self, monkeypatch, threshold, fires):
@@ -109,6 +115,10 @@ class TestStackMatchesPerRun:
         # H and K at powers 0..1, F at -1..1
         self.assert_border_matches(1, -1)
 
+    def test_border_run_nine_output_rows(self):
+        # F at powers -5..3: nine rows, where a pairwise sum would start
+        self.assert_border_matches(3, -5)
+
 
 def blown_up(victims):
     """A view of an (R, 3, 28) block at n=2, r=7 that multiplies H and K
@@ -125,6 +135,33 @@ def blown_up(victims):
         return Factors(H * scale, K * scale, F)
 
     return view
+
+
+def blown_up_once(victim, call):
+    """A view and a pull of an (R, 3, 28) block at n=2, r=7.  The view's
+    ``call``-th call (from 0) multiplies H and K of run ``victim`` by
+    1e200, so that run's batch loss overflows in that one step; the pull
+    drops that step's gradient of the run, so its factors stay finite
+    and only the batch loss shows the overflow."""
+    calls = []
+
+    def view(params, epoch):
+        calls.append(epoch)
+        H, K, F = (params[:, i].reshape((len(params),) + shape)
+                   for i, shape in enumerate(((4, 7), (4, 7), (7, 4))))
+        if len(calls) - 1 != call:
+            return Factors(H, K, F)
+        scale = np.ones((len(H), 1, 1))
+        scale[victim] = 1e200
+        return Factors(H * scale, K * scale, F)
+
+    def pull(grads, out, epoch):
+        for i, g in enumerate(grads):
+            out[:, i] = g.reshape(len(g), -1)
+        if len(calls) - 1 == call:
+            out[victim] = 0.0
+
+    return view, pull
 
 
 def init_for(cfg):
@@ -167,6 +204,26 @@ class TestDivergenceInsideAStack:
         assert outcomes[0].epoch == 2
         assert outcomes[2].args == (0, None, None)
         assert not isinstance(outcomes[1], TrainingDiverged)
+
+    @pytest.mark.parametrize("size, victim", [(1, 0), (3, 1)])
+    def test_batch_loss_overflow_in_mid_epoch(self, size, victim):
+        # 72 rows in batches of 16 take five steps and one end-of-epoch
+        # view per epoch: call 8 is the third step of epoch 1
+        cfgs = [config(seed) for seed in (46, 47, 48)[:size]]
+        with np.errstate(all="ignore"):
+            outcomes = fit(cfgs, init_for(cfgs[0]), lambda *args: None,
+                           *blown_up_once(victim, 8))
+        for run, cfg in enumerate(cfgs):
+            scheme, ref_train, ref_val = perrun.train(cfg)
+            if run == victim:
+                assert isinstance(outcomes[run], TrainingDiverged)
+                assert outcomes[run].args == (1, ref_train[0], ref_val[0])
+                continue
+            arrays, train_losses, val_losses = outcomes[run]
+            for got, want in zip(arrays, (scheme.H, scheme.K, scheme.F)):
+                assert bits(got) == bits(want)
+            assert bits(train_losses) == bits(ref_train)
+            assert bits(val_losses) == bits(ref_val)
 
     def test_every_run_blown_up_stops_the_stack(self):
         with np.errstate(all="ignore"):

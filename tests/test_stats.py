@@ -159,6 +159,51 @@ class TestAgainstScipy:
                 assert abs(q - want) <= 1e-10 * max(1.0, abs(q)), (df, p)
 
 
+def mp_lower_tail(t, df):
+    """P(T <= -|t|) in 40-digit mpmath, exact in every float input."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return 0.5 * mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t),
+                                    regularized=True)
+
+
+class TestFarTails:
+    """Past |t| = 1.3e154, t^2 overflows; past t^2/df = 2^52 the quantile
+    is the power-law tail's.  Both held to mpmath."""
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.5, 7.0])
+    def test_cdf_where_t_squared_overflows(self, df):
+        for t in (1e150, 1e154, 1e155, 1e160, 1e200, 1e300):
+            want = float(mp_lower_tail(t, df))
+            got = t_cdf(-t, df)
+            if want < sys.float_info.min:
+                assert got < sys.float_info.min, t
+            else:
+                assert abs(got - want) <= 1e-12 * want, t
+            assert t_cdf(t, df) == 1.0
+
+    def test_cauchy_far_tail(self):
+        # 1/2 - atan(t)/pi = atan(1/t)/pi, which is 1/(pi t) to the bit
+        assert abs(t_cdf(-1e160, 1.0) * math.pi * 1e160 - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.5, 10.0, 40.0])
+    def test_quantile_far_tail(self, df):
+        for p in (1e-12, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300):
+            if df < 1.0 and p < 1e-100:
+                continue  # the quantile is beyond 1e308
+            q = t_quantile(p, df)
+            assert q < 0.0
+            assert abs(float(mp_lower_tail(q, df)) / p - 1.0) <= 1e-12, p
+
+    def test_quantile_out_of_range_is_named(self):
+        # the Cauchy quantile of 5e-324 is -6e322; at df = 100 the density
+        # underflows before the root
+        for df in (1.0, 100.0):
+            with pytest.raises(NonFiniteStatistic):
+                t_quantile(5e-324, df)
+
+
 class TestTQuantile:
     def test_inverts_cdf(self):
         for df in (1.0, 10.5402, 30.0):
@@ -280,6 +325,14 @@ class TestWelchProperties:
         g1 = SampleStats(mean=0.0, std=std, count=3)
         g2 = SampleStats(mean=1.0, std=std, count=3)
         with pytest.raises(NonFiniteStatistic):
+            welch_one_tailed(g1, g2)
+
+    @pytest.mark.parametrize("mean, std", [(1e308, 1.0), (1e300, 1e-10)])
+    def test_statistic_out_of_float_range_rejected(self, mean, std):
+        # the gap of the means overflows, or only t = gap / se does
+        g1 = SampleStats(mean=-mean, std=std, count=3)
+        g2 = SampleStats(mean=mean, std=std, count=3)
+        with pytest.raises(NonFiniteStatistic, match="t statistic"):
             welch_one_tailed(g1, g2)
 
     def test_one_zero_variance_group_is_fine(self):

@@ -17,6 +17,7 @@ from bmpnet.training import (
     adam_update,
     batch_slices,
     clip_gradients,
+    epoch_loss,
     fit,
     gen_dataset,
     global_norm,
@@ -135,16 +136,24 @@ class TestGradients:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_loss_is_the_forward_pass_mse(self):
-        # the loss comes from the gradient's own forward pass, bit for
-        # bit the mse of a separate one, with or without a run axis
+        # the squared errors come from the gradient's own forward pass,
+        # bit for bit those of a separate one, with or without a run
+        # axis, and written over the targets when asked to
         rng = np.random.default_rng(60)
         for n in (2, 3):
             s, a, b, t = self.random_case(rng, n)
-            loss, _ = grad_analytic(s, a, b, t)
-            assert loss == mse(forward_fast_batch(s, a, b), t)
+            sq, grads = grad_analytic(s, a, b, t)
+            pred = forward_fast_batch(s, a, b)
+            assert sq.tobytes() == ((pred - t) * (pred - t)).tobytes()
+            assert sq.sum(axis=-1).sum(axis=-1) / len(a) == mse(pred, t)
             stack = Factors(s.H[None], s.K[None], s.F[None])
-            losses, _ = grad_analytic(stack, a[None], b[None], t[None])
-            assert losses.tobytes() == np.array([loss]).tobytes()
+            out = [np.empty((1,) + g.shape) for g in grads] + [t[None]]
+            got, stacked = grad_analytic(stack, a[None], b[None], t[None],
+                                         out)
+            assert got is out[3] and np.shares_memory(got, t)
+            assert got.tobytes() == sq.tobytes()
+            for g, o, alone in zip(stacked, out, grads):
+                assert g is o and g.tobytes() == alone.tobytes()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(62)
@@ -185,6 +194,25 @@ class TestGradients:
         for h in (1e-3, 1e-6):
             fd = grad_fd(s, a, b, t, h=h)
             assert self.max_rel_err(fd, exact) <= 1e-5
+
+
+class TestEpochLoss:
+    @pytest.mark.parametrize("count, batch_size", [(64, 16), (65, 16),
+                                                   (1000, 7), (10000, 32)])
+    def test_batch_by_batch_bits(self, count, batch_size):
+        # each batch's mse from its own (batch, m) rows, times its size,
+        # added in order from 0.0, as the steps once did it
+        rng = np.random.default_rng(count)
+        sq = rng.uniform(-1.5, 1.5, (3, count, 9)) ** 2
+        sq[1, count // 2, 4] = np.inf
+        sq[2, count - 1, 0] = np.nan
+        losses, finite = epoch_loss(sq.copy(), batch_size)
+        assert finite.tolist() == [True, False, False]
+        total = 0.0
+        for start in range(0, count, batch_size):
+            batch = sq[0, start:start + batch_size]
+            total += batch.sum(axis=-1).sum() / len(batch) * len(batch)
+        assert perrun.bits(losses[0]) == perrun.bits(total / count)
 
 
 class TestClipping:
