@@ -9,7 +9,8 @@ strings).  Exit codes: 0 on success, 1 when a requested check fails, 2
 for usage or config errors, 3 when training diverges (a batch loss or an
 updated parameter is not finite).
 Commands that write files place everything under --out next to a
-manifest.json listing the resolved options and the produced files.
+manifest.json listing the resolved options (--out as ".", the manifest's
+own directory) and the produced files.
 """
 
 import argparse
@@ -236,8 +237,10 @@ def _write_out(command, opts, payloads, written=()):
         return False
     for name, payload in payloads.items():
         write_json(outdir, name, payload)
+    # --out is recorded as the manifest's own directory, so the same
+    # command writes the same bytes wherever its files go
     write_json(outdir, "manifest.json", {
-        "command": command, "options": opts,
+        "command": command, "options": dict(opts, out="."),
         "files": sorted([*payloads, *written])})
     return True
 

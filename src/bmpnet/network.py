@@ -10,6 +10,7 @@ product.  Both routes must agree entrywise; keeping them separate is the
 point, as each checks the other.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .tensor import (
     contraction,
     forget,
     is_exact,
+    scaled,
+    unscaled,
     zeros_matching,
 )
 
@@ -143,8 +146,9 @@ def validate(net):
                 % (nid, act.shape, expect))
 
 
-def lift(net, i):
-    """Lift the activation at order-position ``i`` to an order-q tensor.
+def lift(net, i, t=None):
+    """Lift the activation at order-position ``i`` to an order-q tensor;
+    ``t``, when given, is lifted in its place (its scaled integers, say).
 
     The lifted tensor is indexed by all q node states, except that for
     every non-final node the slot after its own is the duplicated first
@@ -157,7 +161,7 @@ def lift(net, i):
     node_by_id = net.node_map()
     sizes = [node_by_id[nid].states for nid in net.order]
     nid = net.order[i]
-    t = np.asarray(net.activations[nid])
+    t = np.asarray(net.activations[nid] if t is None else t)
 
     parents = set(parent_positions(net, nid))
     gaps = [j for j in range(i) if j not in parents]
@@ -193,19 +197,38 @@ def total_direct(net):
     return out
 
 
-def total_bmp(net):
-    """Total tensor as one Bhattacharya-Mesner product of lifted factors.
+def _scaled_total(net):
+    """``(total, denom)``: the total tensor as one Bhattacharya-Mesner
+    product of lifted factors, times ``denom``.  Exact activations are
+    converted to scaled integers once, before lifting, so the lifts, the
+    product and any contraction of the result run on integers, and
+    ``denom`` is the product of their denominators; it is None when the
+    activations are taken as they are (floats, say).
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
     nothing to multiply and the lift itself is the total tensor.
     """
     validate(net)
-    q = len(net.order)
+    acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    denom = None
+    pairs = [scaled(a) for a in acts]
+    if any(map(is_exact, acts)) and all(p is not None for p in pairs):
+        acts = [p[0] for p in pairs]
+        denom = math.prod(p[1] for p in pairs)
+    q = len(acts)
     if q == 1:
-        return lift(net, 0)
-    factors = [lift(net, q - 1)] + [lift(net, k) for k in range(q - 1)]
-    return bmp(factors)
+        return lift(net, 0, acts[0]), denom
+    return bmp([lift(net, q - 1, acts[-1])]
+               + [lift(net, k, acts[k]) for k in range(q - 1)]), denom
+
+
+def total_bmp(net):
+    """Total tensor as one Bhattacharya-Mesner product of lifted factors
+    (see :func:`_scaled_total`); Fractions when the activations are
+    exact."""
+    total, denom = _scaled_total(net)
+    return total if denom is None else unscaled(total, denom)
 
 
 def hidden_positions(net):
@@ -220,8 +243,11 @@ def marginalize(total, slots):
 
 
 def observed_total(net):
-    """Total tensor with every hidden node summed out."""
-    return marginalize(total_bmp(net), hidden_positions(net))
+    """Total tensor with every hidden node summed out; exact activations
+    are summed out as scaled integers and rescaled once."""
+    total, denom = _scaled_total(net)
+    observed = marginalize(total, hidden_positions(net))
+    return observed if denom is None else unscaled(observed, denom)
 
 
 def build_matmul_chain(a_mat, b_mat):
@@ -307,9 +333,23 @@ def strassen_stages(a_mat, b_mat, scheme):
     a_pad[: n * n] = a_mat.reshape(n * n)
     b_pad[: n * n] = b_mat.reshape(n * n)
 
-    s1 = combination_stage(H_sq, a_pad)
-    s2 = combination_stage(K_sq, b_pad)
-    out = product_stage(s1, s2, F_sq)
+    def stages(h, a, k, b, f):
+        s1 = combination_stage(h, a)
+        s2 = combination_stage(k, b)
+        return s1, s2, product_stage(s1, s2, f)
+
+    parts = (H_sq, a_pad, K_sq, b_pad, F_sq)
+    pairs = [scaled(p) for p in parts]
+    if any(map(is_exact, parts)) and all(p is not None for p in pairs):
+        # each factor and operand is converted once; the stages run on
+        # integers, and only their results become Fractions
+        s1, s2, out = stages(*(p[0] for p in pairs))
+        d1 = pairs[0][1] * pairs[1][1]
+        d2 = pairs[2][1] * pairs[3][1]
+        s1, s2, out = (unscaled(s1, d1), unscaled(s2, d2),
+                       unscaled(out, d1 * d2 * pairs[4][1]))
+    else:
+        s1, s2, out = stages(*parts)
     return {
         "a_pad": a_pad,
         "b_pad": b_pad,

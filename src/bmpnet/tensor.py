@@ -3,10 +3,18 @@
 A tensor here is a plain ``numpy.ndarray`` in row-major layout.  The same
 code paths serve two scalar modes: ``float64`` arrays for numerical work,
 and object arrays of ``fractions.Fraction`` for exact rational arithmetic
-where no rounding is tolerated.  Slots (axes) are 0-based throughout.
+where no rounding is tolerated.  Exact products and sums run on scaled
+integers: each exact tensor is converted once to integers over a common
+denominator (:func:`scaled`), the arithmetic runs in int64 while a bound
+computed in Python ints allows it and in Python ints past it
+(:func:`fit_integers`), and the result becomes Fractions once
+(:func:`unscaled`).  Integer arrays stay integers.  Slots (axes) are
+0-based throughout.
 """
 
+import math
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,31 +58,91 @@ def is_exact(t):
 
 
 def zeros_matching(shape, like):
-    """Zero tensor of the given shape in the scalar mode of ``like``."""
-    if is_exact(like):
+    """Zero tensor of the given shape in the scalar mode of ``like``:
+    Fraction zeros for an object array, zeros of its own dtype for an
+    integer array, float64 zeros otherwise."""
+    like = np.asarray(like)
+    if like.dtype == object:
         out = np.empty(shape, dtype=object)
         out[...] = Fraction(0)
         return out
+    if like.dtype.kind == "i":
+        return np.zeros(shape, dtype=like.dtype)
     return np.zeros(shape, dtype=np.float64)
 
+
+# int64 carries a computation only while a bound on the magnitude of
+# every partial result, computed in Python ints, stays below this
+_INT64_BOUND = 1 << 62
 
 # entries per intermediate of one block of the shared index in bmp
 _BLOCK = 1 << 20
 
 
-def _rational_nonzero(t):
-    """Read-only boolean nonzero mask of an object array whose entries
-    are all ints or Fractions; None for any other array (float, or an
-    object array holding floats, whose zeros must still meet NaN and
-    inf).  Types and zeros are read on the core, index 0 of every
-    stride-0 (broadcast) axis, so each stored entry is read once."""
+def _core(t):
+    """The entries ``t`` stores: index 0 of every stride-0 (broadcast)
+    axis, kept at extent 1."""
+    if 0 not in t.strides:
+        return t
+    return t[(...,) + tuple(slice(0, 1) if step == 0 else slice(None)
+                            for step in t.strides)]
+
+
+def scaled(t):
+    """Scaled integers of an exact tensor: ``(ints, denom)`` with
+    ``t == ints / denom`` entrywise, ``denom`` the lcm of the entries'
+    denominators.  ``ints`` is int64 when every entry is below 2^62 in
+    magnitude, else an object array of Python ints.  Each stored entry is
+    read once, and a broadcast view gives a broadcast view.  An integer
+    array is its own scaled form, over 1.  None for any other array
+    (float, or an object array holding floats, whose zeros must still
+    meet NaN and inf)."""
+    t = np.asarray(t)
+    if t.dtype.kind == "i":
+        return t, 1
     if t.dtype != object:
         return None
-    core = t[tuple(slice(0, 1) if step == 0 else slice(None)
-                   for step in t.strides)]
-    if not set(map(type, core.flat)) <= {int, Fraction}:
+    core = _core(t)
+    vals = core.ravel().tolist()
+    if not set(map(type, vals)) <= {int, Fraction}:
         return None
-    return np.broadcast_to(core.astype(bool), t.shape)
+    denom = math.lcm(*set(map(attrgetter("denominator"), vals)))
+    nums = list(map(attrgetter("numerator"), vals)) if denom == 1 else [
+        v.numerator * (denom // v.denominator) for v in vals]
+    wide = max(map(abs, nums), default=0) >= _INT64_BOUND
+    ints = np.array(nums, dtype=object if wide else np.int64).reshape(
+        core.shape)
+    if core.shape != t.shape:
+        ints = np.broadcast_to(ints, t.shape)
+    return ints, denom
+
+
+def unscaled(ints, denom):
+    """Object array of the Fractions ``ints / denom``."""
+    ints = np.asarray(ints)
+    vals = [Fraction(v, denom) for v in ints.ravel().tolist()]
+    return np.array(vals, dtype=object).reshape(ints.shape)
+
+
+def _max_abs(a):
+    """Largest magnitude in an integer array, as a Python int."""
+    if not a.size:
+        return 0
+    top = int(np.abs(a).max())
+    # the most negative int64 is its own absolute value
+    return top if top >= 0 else -int(a.min())
+
+
+def fit_integers(arrays, terms, plus=0):
+    """Integer arrays made ready for a sum of ``terms`` products of one
+    entry of each, plus ``plus``: int64 while ``terms * prod(max |a|) +
+    plus`` (each maximum taken as at least 1, so that every partial
+    product is bounded too), computed in Python ints, stays below 2^62;
+    else object arrays of Python ints.  No result wraps."""
+    wide = any(a.dtype == object for a in arrays) or terms * math.prod(
+        max(_max_abs(a), 1) for a in arrays) + plus >= _INT64_BOUND
+    return [a.astype(object if wide else np.int64, copy=False)
+            for a in arrays]
 
 
 def _slabs(f, k, h0, h1):
@@ -82,6 +150,23 @@ def _slabs(f, k, h0, h1):
     new leading axis; slot ``k`` is kept at extent 1."""
     block = f[(slice(None),) * k + (slice(h0, h1),)]
     return block[None].swapaxes(0, k + 1)
+
+
+def _accumulate(factors, l, out):
+    """Add the product's terms to ``out``: the shared index stepped in
+    blocks, each block multiplied slab by slab, and its terms added one
+    h at a time."""
+    d = len(factors)
+    step = max(1, min(l, _BLOCK // max(1, out.size)))
+    for h0 in range(0, l, step):
+        h1 = min(l, h0 + step)
+        term = _slabs(factors[0], 0, h0, h1)
+        for k in range(1, d):
+            term = term * _slabs(factors[k], k, h0, h1)
+        # out + term_h0 + term_h0+1 + ..., added one h at a time
+        sums = np.concatenate([out[None], term])
+        out = np.add.accumulate(sums, axis=0, out=sums)[-1]
+    return out
 
 
 def bmp(factors):
@@ -94,9 +179,12 @@ def bmp(factors):
     that index with ``i_k`` replaced by ``h``.
 
     Requires at least two factors (the order-1 case is degenerate).
-    Works for float64 and exact object arrays alike.  The shared index
-    is stepped in blocks; a float result equals, bit for bit, the sum
-    taken one ``h`` at a time in increasing order.
+    Exact factors (ints and Fractions) are multiplied as scaled integers
+    (:func:`scaled`), in int64 while ``l * prod(max |f_k|)`` allows it,
+    and the result is rescaled once to Fractions; integer arrays give an
+    integer result.  The shared index is stepped in blocks; a float
+    result equals, bit for bit, the sum taken one ``h`` at a time in
+    increasing order.
     """
     d = len(factors)
     if d < 2:
@@ -121,36 +209,15 @@ def bmp(factors):
         out_shape.append(sizes.pop())
     out_shape = tuple(out_shape)
 
+    pairs = [scaled(f) for f in factors]
+    if all(p is not None for p in pairs):
+        ints = fit_integers([p[0] for p in pairs], l)
+        out = _accumulate(ints, l, np.zeros(out_shape, ints[0].dtype))
+        if not any(map(is_exact, factors)):
+            return out
+        return unscaled(out, math.prod(p[1] for p in pairs))
     ref = next((f for f in factors if is_exact(f)), factors[0])
-    out = zeros_matching(out_shape, ref)
-    step = max(1, min(l, _BLOCK // max(1, out.size)))
-    masks = [_rational_nonzero(f) for f in factors]
-    if all(m is not None for m in masks):
-        # Exact rationals only: a term with a zero factor adds exactly
-        # zero, so multiply just where every factor is nonzero.
-        live = np.empty((step,) + out_shape, dtype=bool)
-        for h0 in range(0, l, step):
-            h1 = min(l, h0 + step)
-            block = live[:h1 - h0]
-            block[...] = True
-            for k, m in enumerate(masks):
-                block &= _slabs(m, k, h0, h1)
-            where = np.unravel_index(np.flatnonzero(block), block.shape)
-            term = None
-            for k, f in enumerate(factors):
-                at = where[1:k + 1] + (where[0] + h0,) + where[k + 2:]
-                term = f[at] if term is None else term * f[at]
-            np.add.at(out, where[1:], term)
-        return out
-    for h0 in range(0, l, step):
-        h1 = min(l, h0 + step)
-        term = _slabs(factors[0], 0, h0, h1)
-        for k in range(1, d):
-            term = term * _slabs(factors[k], k, h0, h1)
-        # out + term_h0 + term_h0+1 + ..., added one h at a time
-        sums = np.concatenate([out[None], term])
-        out = np.add.accumulate(sums, axis=0, out=sums)[-1]
-    return out
+    return _accumulate(factors, l, zeros_matching(out_shape, ref))
 
 
 def blow(t):
@@ -167,9 +234,9 @@ def blow(t):
     return out
 
 
-def _forget_view(t, slots, extents):
-    """:func:`forget` without the copy: a read-only broadcast view of
-    ``t`` whose inserted slots have stride 0."""
+def _inserted(t, slots, extents):
+    """``t`` with slots of extent 1 inserted at the 0-based result
+    positions ``slots``, and the shape :func:`forget` widens it to."""
     t = np.asarray(t)
     slots = list(slots)
     extents = list(extents)
@@ -184,14 +251,16 @@ def _forget_view(t, slots, extents):
     for e in extents:
         if e < 1:
             raise ShapeMismatch("slot extents must be positive")
-    out = t
-    target = {}
-    # inserting at ascending final positions keeps earlier insertions put
-    for s, e in sorted(zip(slots, extents)):
-        out = np.expand_dims(out, axis=s)
-        target[s] = e
-    shape = [target.get(j, sz) for j, sz in enumerate(out.shape)]
-    return np.broadcast_to(out, shape)
+    target = dict(zip(slots, extents))
+    kept = iter(t.shape)
+    ones = [1 if j in target else next(kept) for j in range(d_out)]
+    return t.reshape(ones), [target.get(j, sz) for j, sz in enumerate(ones)]
+
+
+def _forget_view(t, slots, extents):
+    """:func:`forget` without the copy: a read-only broadcast view of
+    ``t`` whose inserted slots have stride 0."""
+    return np.broadcast_to(*_inserted(t, slots, extents))
 
 
 def forget(t, slots, extents):
@@ -202,14 +271,19 @@ def forget(t, slots, extents):
     itself cannot know them).  Erasing the inserted slots from a result
     index recovers the source index.  The result is a fresh array.
     """
-    return _forget_view(t, slots, extents).copy()
+    src, shape = _inserted(t, slots, extents)
+    out = np.empty(shape, dtype=src.dtype)
+    out[...] = src
+    return out
 
 
 def contraction(t, slots):
     """Sum over the given 0-based slots, dropping them from the order.
 
     An empty slot set returns a copy; contracting every slot yields an
-    order-0 tensor holding the total sum.
+    order-0 tensor holding the total sum.  Exact and integer tensors are
+    summed as integers, in int64 while ``max |t|`` times the contracted
+    extents allows it.
     """
     t = np.asarray(t)
     slots = list(slots)
@@ -221,12 +295,13 @@ def contraction(t, slots):
     if not slots:
         return t.copy()
     axes = tuple(sorted(slots))
-    mask = _rational_nonzero(t)
-    if mask is None:
+    pair = scaled(t)
+    if pair is None:
         return np.asarray(t.sum(axis=axes))
-    # exact rationals: add only the nonzero entries
-    return np.asarray(np.add.reduce(t, axis=axes, where=mask,
-                                    initial=Fraction(0)))
+    (ints,) = fit_integers([pair[0]],
+                           math.prod(t.shape[s] for s in axes))
+    out = np.asarray(ints.sum(axis=axes))
+    return unscaled(out, pair[1]) if is_exact(t) else out
 
 
 def matmul_tensor(a, b, c, exact=False):
@@ -252,14 +327,22 @@ def matmul_tensor(a, b, c, exact=False):
 
 
 def frobenius_sq(t):
-    """Sum of squared entries; a Fraction in exact mode, float otherwise.
-    Exact mode squares only the nonzero entries."""
+    """Sum of squared entries: a Fraction in exact mode, summed over
+    scaled integers; a Python int for an integer array; a float
+    otherwise."""
     t = np.asarray(t)
-    if is_exact(t):
-        mask = _rational_nonzero(t)
-        live = t[t.astype(bool) if mask is None else mask]
-        return np.add.reduce(live * live, initial=Fraction(0))
-    return float(np.sum(t.astype(np.float64) ** 2))
+    pair = scaled(t)
+    if pair is None:
+        if is_exact(t):
+            # an object array holding floats: the nonzero entries only
+            live = t[t.astype(bool)]
+            return np.add.reduce(live * live, initial=Fraction(0))
+        return float(np.sum(t.astype(np.float64) ** 2))
+    ints, denom = pair
+    flat = np.ravel(ints)
+    flat, _ = fit_integers([flat, flat], flat.size)
+    total = int(np.dot(flat, flat))
+    return Fraction(total, denom * denom) if is_exact(t) else total
 
 
 def scalar_to_json(v):
@@ -281,8 +364,12 @@ def scalar_from_json(v, exact=False):
 
 
 def matrix_to_json(mat):
-    """Nested row lists of JSON scalars."""
-    return [[scalar_to_json(v) for v in row] for row in np.asarray(mat)]
+    """Nested row lists of JSON scalars; a float64 matrix converts in one
+    ``tolist``, which gives what :func:`scalar_to_json` gives."""
+    mat = np.asarray(mat)
+    if mat.dtype == np.float64:
+        return mat.tolist()
+    return [[scalar_to_json(v) for v in row] for row in mat]
 
 
 def matrix_from_json(rows, exact=False):

@@ -472,16 +472,18 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
             .permutation(cfg.train_size) for c in cfgs])
         rows = None  # the last epoch's gather goes before the next
         rows = tuple(x.take(perm, axis=0) for x in data)
-        for ab, bb, tb in zip(*(batch_slices(x, cfg.batch_size)
-                                for x in rows)):
-            factors = own if view is None else view(params, epoch)
-            grad_analytic(factors, ab, bb, tb, (*grad_out, tb))
-            if pull is not None:
-                pull(factor_grads, grads, epoch)
-            clip_gradients(grads, cfg.clip_threshold)
-            adam_update(state, params, grads, cfg.lr,
-                        cfg.beta1, cfg.beta2, cfg.adam_eps)
-        train_loss, losses_finite = epoch_loss(rows[2], cfg.batch_size)
+        # a diverging run overflows quietly; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ab, bb, tb in zip(*(batch_slices(x, cfg.batch_size)
+                                    for x in rows)):
+                factors = own if view is None else view(params, epoch)
+                grad_analytic(factors, ab, bb, tb, (*grad_out, tb))
+                if pull is not None:
+                    pull(factor_grads, grads, epoch)
+                clip_gradients(grads, cfg.clip_threshold)
+                adam_update(state, params, grads, cfg.lr,
+                            cfg.beta1, cfg.beta2, cfg.adam_eps)
+            train_loss, losses_finite = epoch_loss(rows[2], cfg.batch_size)
         factors = own if view is None else view(params, epoch)
         finite = np.logical_and.reduce([losses_finite] + [
             np.isfinite(f).all(axis=(-2, -1)) for f in factors])

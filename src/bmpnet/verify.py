@@ -18,9 +18,11 @@ from .scheme import BilinearScheme, reconstruct
 from .tensor import (
     ShapeMismatch,
     exact_array,
+    fit_integers,
     frobenius_sq,
     is_exact,
     matmul_tensor,
+    scaled,
 )
 
 # snapping grid for trained factors; entries of published schemes for
@@ -60,13 +62,33 @@ def _residual_sq(scheme, n):
     """Squared Frobenius distance between the scheme's reconstruction and
     the n x n matrix-product structure tensor: a Fraction in exact mode,
     a float otherwise.  The target is 1 on n^3 entries and 0 elsewhere,
-    so only those entries are subtracted from; the float sum is taken in
-    C order."""
+    so only those entries are subtracted from.
+
+    An exact scheme is checked in scaled integers: with each factor
+    scaled to integers over the lcm of its denominators, and ``denom``
+    the product of the three, D = KR(H, K) @ F_t - denom * T is an
+    (m^2, m) integer matrix (KR the column-wise Khatri-Rao product, F_t
+    the output factor in the target's layout), taken in int64 while
+    ``r * max|h| * max|k| * max|f| + denom`` stays below 2^62; the
+    residual is sum(D^2) / denom^2.  Floats go through
+    :func:`bmpnet.scheme.reconstruct`, and their sum is taken in C
+    order."""
     if scheme.n != n:
         raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
                             % (scheme.n, n))
+    target = np.nonzero(matmul_tensor(n, n, n))
+    if is_exact(scheme.H):
+        r, m = scheme.r, n * n
+        F_t = scheme.F.reshape(r, n, n).transpose(0, 2, 1).reshape(r, m)
+        pairs = [scaled(f) for f in (scheme.H, scheme.K, F_t)]
+        if all(p is not None for p in pairs):
+            denom = math.prod(p[1] for p in pairs)
+            h, k, f = fit_integers([p[0] for p in pairs], r, denom)
+            d = (h[:, None, :] * k[None, :, :]).reshape(m * m, r) @ f
+            d.reshape(m, m, m)[target] -= denom
+            return Fraction(frobenius_sq(d), denom * denom)
     d = np.ascontiguousarray(reconstruct(scheme))
-    d[np.nonzero(matmul_tensor(n, n, n))] -= 1
+    d[target] -= 1
     return frobenius_sq(d)
 
 

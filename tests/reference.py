@@ -2,17 +2,19 @@
 forward pass over the validation rows and as a quadratic form of the
 reconstructed tensor, central-difference gradients,
 snapping to a grid by a minimum over all of it, the residual over
-every entry of the target tensor and the product summed one shared index
-at a time.  Tests hold the package to them; nothing here is used by the
+every entry of the target tensor, the product summed one shared index
+at a time, and exact products, totals and residuals taken in Fraction
+arithmetic.  Tests hold the package to them; nothing here is used by the
 package."""
 
 from fractions import Fraction
 
 import numpy as np
 
+from bmpnet.network import lift
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
-from bmpnet.tensor import frobenius_sq, is_exact, matmul_tensor, \
-    zeros_matching
+from bmpnet.tensor import _forget_view, frobenius_sq, is_exact, \
+    matmul_tensor, zeros_matching
 from bmpnet.training import mse
 
 
@@ -83,10 +85,64 @@ def snap(x, grid):
 def residual_sq(scheme):
     """Squared Frobenius distance to the structure tensor, subtracting the
     dense target over all m^3 entries.  The reference for ``verify``'s
-    subtraction on the target's support."""
+    subtraction on the target's support; an exact scheme is reconstructed
+    with :func:`masked_bmp` and its squares summed as Fractions, the
+    reference for ``verify``'s scaled integers."""
     n = scheme.n
-    return frobenius_sq(reconstruct(scheme) - matmul_tensor(
-        n, n, n, exact=is_exact(scheme.H)))
+    if not is_exact(scheme.H):
+        return frobenius_sq(reconstruct(scheme) - matmul_tensor(n, n, n))
+    m = n * n
+    F_t = scheme.F.reshape(scheme.r, n, n).transpose(0, 2, 1).reshape(
+        scheme.r, m)
+    d = masked_bmp([_forget_view(scheme.H.T, [2], [m]),
+                    _forget_view(scheme.K.T, [0], [m]),
+                    _forget_view(F_t.T, [1], [m])]).transpose(1, 2, 0) \
+        - matmul_tensor(n, n, n, exact=True)
+    return sum((v * v for v in d.flat), Fraction(0))
+
+
+def _rational_nonzero(t):
+    """Read-only boolean nonzero mask of an object array of ints and
+    Fractions, read on the core (index 0 of every stride-0 axis) and
+    broadcast back."""
+    core = t[tuple(slice(0, 1) if step == 0 else slice(None)
+                   for step in t.strides)]
+    return np.broadcast_to(core.astype(bool), t.shape)
+
+
+def masked_bmp(factors):
+    """Bhattacharya-Mesner product of exact factors (ints and Fractions)
+    in Fraction arithmetic, one shared index at a time, multiplying only
+    the terms whose factors are all nonzero: the exact product as it was
+    taken before scaled integers, and the reference for them.  Factors
+    are assumed well formed."""
+    d = len(factors)
+    factors = [np.asarray(f) for f in factors]
+    l = factors[0].shape[0]
+    out_shape = tuple(factors[(j + 1) % d].shape[j] for j in range(d))
+    out = np.full(out_shape, Fraction(0), dtype=object)
+    masks = [_rational_nonzero(f) for f in factors]
+    for h in range(l):
+        live = np.ones(out_shape, dtype=bool)
+        for k, m in enumerate(masks):
+            live &= np.take(m, [h], axis=k)
+        where = np.nonzero(live)
+        term = None
+        for k, f in enumerate(factors):
+            at = where[:k] + (np.full(len(where[0]), h),) + where[k + 1:]
+            term = f[at] if term is None else term * f[at]
+        np.add.at(out, where, term)
+    return out
+
+
+def masked_total(net):
+    """Total tensor of an exact network: the lifted activations, as
+    Fractions, multiplied by :func:`masked_bmp`."""
+    q = len(net.order)
+    if q == 1:
+        return lift(net, 0)
+    return masked_bmp([lift(net, q - 1)]
+                      + [lift(net, k) for k in range(q - 1)])
 
 
 def slot_loop_bmp(factors):

@@ -72,6 +72,27 @@ class TestTrain:
         run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(b)])
         assert (a / "run.json").read_bytes() == (b / "run.json").read_bytes()
 
+    def test_manifest_does_not_depend_on_the_directory(self, capsys,
+                                                       tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "deeper" / "b"
+        run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(a)])
+        run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(b)])
+        assert (a / "manifest.json").read_bytes() \
+            == (b / "manifest.json").read_bytes()
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["options"]["out"] == "."
+
+    def test_divergence_prints_no_numpy_warnings(self):
+        done = run_module(["train", "--n", "2", "--r", "7", "--alpha",
+                           "1e200", "--epochs", "1", "--train-size", "64",
+                           "--val-size", "64"], timeout=120)
+        assert done.returncode == 3
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.splitlines() == [
+            "error: training diverged in epoch 0: non-finite loss or "
+            "parameters (last finite losses: train None, val None)"]
+
     def test_divergence_has_its_own_exit_code(self, capsys):
         with np.errstate(all="ignore"):
             code, _, err = run_cli(capsys, ["train"] + TINY_TRAIN

@@ -214,7 +214,8 @@ class TestBmp:
 
     def test_exact_broadcast_nan_still_propagates(self):
         """A float NaN in the stored entries of a broadcast object array
-        turns zero skipping off, so 0 * NaN still gives NaN."""
+        keeps the product off scaled integers, so 0 * NaN still gives
+        NaN."""
         zero = np.full((2, 3), Fraction(0), dtype=object)
         stored = np.array([[Fraction(1), float("nan")]], dtype=object)
         nan_view = np.broadcast_to(stored, (3, 2))
@@ -376,8 +377,8 @@ class TestContraction:
             np.testing.assert_allclose(step, merged, atol=1e-12)
 
     def test_exact_mostly_zero_equals_dense_sum(self):
-        """Only the nonzero entries are added, and the sums stay
-        Fractions, also where every entry summed is zero."""
+        """Mostly-zero exact tensors sum as the dense object sum does, and
+        the sums stay Fractions, also where every entry summed is zero."""
         rng = np.random.default_rng(10)
         t = random_exact(rng, (4, 3, 5))
         t[rng.random(size=t.shape) < 0.8] = 0
