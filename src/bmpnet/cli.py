@@ -309,7 +309,14 @@ def _cmd_train(opts):
     if opts["verbose"]:
         def progress(epoch, tr, va):
             print("epoch %3d  train %.6e  val %.6e" % (epoch, tr, va))
-    record = train(cfg, progress=progress)
+    try:
+        record = train(cfg, progress=progress)
+    except TrainingDiverged as exc:
+        # a partial record: the curves before the diverged epoch, no scheme
+        _write_out("train", opts, {"run.json": dict(
+            config=cfg.to_json(), train_losses=exc.train_losses,
+            val_losses=exc.val_losses, diverged={"epoch": exc.epoch})})
+        raise
     print("final train loss %.6e  final val loss %.6e  (%.2f s)"
           % (record.train_losses[-1], record.final_val_loss,
              record.wall_seconds))

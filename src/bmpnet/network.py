@@ -73,10 +73,12 @@ class Network:
         return {node.id: node for node in self.nodes}
 
 
-def parent_positions(net, node_id):
-    """Positions (in net.order) of the node's parents, ascending."""
+def parent_positions(net, node_id=None):
+    """Ascending positions in net.order of the node's parents, or a list
+    of those of every node, in net.order."""
     pos = {nid: k for k, nid in enumerate(net.order)}
-    return sorted(pos[src] for src, dst in net.edges if dst == node_id)
+    every = [sorted(pos[s] for s, d in net.edges if d == n) for n in net.order]
+    return every if node_id is None else every[pos[node_id]]
 
 
 def validate(net):
@@ -84,7 +86,7 @@ def validate(net):
 
     Checks, in this sequence: node-id sanity, edge endpoints, acyclicity,
     the total order being a topological refinement, activation orders,
-    then activation axis extents.
+    then activation axis extents.  Returns ``parent_positions(net)``.
     """
     ids = [node.id for node in net.nodes]
     if len(set(ids)) != len(ids):
@@ -128,11 +130,11 @@ def validate(net):
                 "edge (%r, %r) runs against the order" % (src, dst))
 
     node_by_id = net.node_map()
-    for nid in ids:
+    every = parent_positions(net)
+    for nid, parents in zip(net.order, every):
         if nid not in net.activations:
             raise ActivationOrderMismatch("missing activation for %r" % nid)
         act = np.asarray(net.activations[nid])
-        parents = parent_positions(net, nid)
         want = len(parents) + 1
         if act.ndim != want:
             raise ActivationOrderMismatch(
@@ -144,11 +146,12 @@ def validate(net):
             raise StateSizeMismatch(
                 "activation of %r has shape %s, expected %s"
                 % (nid, act.shape, expect))
+    return every
 
 
-def lift(net, i, t=None):
+def lift(net, i, t=None, parents=None):
     """Lift the activation at order-position ``i`` to an order-q tensor;
-    ``t``, when given, is lifted in its place (its scaled integers, say).
+    ``t`` and ``parents``, when given, replace it and its parent positions.
 
     The lifted tensor is indexed by all q node states, except that for
     every non-final node the slot after its own is the duplicated first
@@ -163,7 +166,7 @@ def lift(net, i, t=None):
     nid = net.order[i]
     t = np.asarray(net.activations[nid] if t is None else t)
 
-    parents = set(parent_positions(net, nid))
+    parents = set(parent_positions(net, nid) if parents is None else parents)
     gaps = [j for j in range(i) if j not in parents]
     if gaps:
         t = forget(t, gaps, [sizes[j] for j in gaps])
@@ -181,19 +184,21 @@ def total_direct(net):
     Exponential in q; meant for small networks and as the reference
     implementation the product route is checked against.
     """
-    validate(net)
+    parents = validate(net)
     node_by_id = net.node_map()
     sizes = tuple(node_by_id[nid].states for nid in net.order)
-    parents = [parent_positions(net, nid) for nid in net.order]
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
     ref = next((a for a in acts if is_exact(a)), acts[0])
     out = zeros_matching(sizes, ref)
-    for idx in np.ndindex(sizes):
-        val = None
-        for j in range(len(sizes)):
-            entry = acts[j][tuple(idx[p] for p in parents[j]) + (idx[j],)]
-            val = entry if val is None else val * entry
-        out[idx] = val
+    if is_exact(out):
+        # numpy scalars in objects, as a per-entry product multiplies them
+        acts = [a if is_exact(a) else np.fromiter(a.flat, object, a.size)
+                .reshape(a.shape) for a in acts]
+    # node j's activation on the joint axes, extent 1 off j and its parents
+    views = [a.reshape([s if k == j or k in parents[j] else 1
+                        for k, s in enumerate(sizes)])
+             for j, a in enumerate(acts)]
+    out[...] = math.prod(views[1:], start=views[0])
     return out
 
 
@@ -209,18 +214,17 @@ def _scaled_total(net):
     lift of node k sits at position k + 1.  With a single node there is
     nothing to multiply and the lift itself is the total tensor.
     """
-    validate(net)
+    parents = validate(net)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
     denom = None
     pairs = [scaled(a) for a in acts]
     if any(map(is_exact, acts)) and all(p is not None for p in pairs):
         acts = [p[0] for p in pairs]
         denom = math.prod(p[1] for p in pairs)
-    q = len(acts)
-    if q == 1:
-        return lift(net, 0, acts[0]), denom
-    return bmp([lift(net, q - 1, acts[-1])]
-               + [lift(net, k, acts[k]) for k in range(q - 1)]), denom
+    lifted = [lift(net, k, acts[k], parents[k]) for k in range(len(acts))]
+    if len(lifted) == 1:
+        return lifted[0], denom
+    return bmp(lifted[-1:] + lifted[:-1]), denom
 
 
 def total_bmp(net):

@@ -365,13 +365,14 @@ def batch_slices(rows, batch_size):
 
 class TrainingDiverged(ArithmeticError):
     """A batch loss, or a scheme at the end of an epoch, stopped being
-    finite.  Carries
-    the epoch and the last finite per-epoch train and val losses (None
-    within the first epoch)."""
+    finite.  Carries the epoch, the last finite per-epoch train and val
+    losses (None within the first epoch) and, from ``losses``, the lists
+    of all of them (``train_losses`` and ``val_losses``)."""
 
-    def __init__(self, epoch, train_loss, val_loss):
+    def __init__(self, epoch, train_loss, val_loss, losses=((), ())):
         super().__init__(epoch, train_loss, val_loss)
         self.epoch, self.train_loss, self.val_loss = self.args
+        self.train_losses, self.val_losses = map(list, losses)
 
     def __str__(self):
         return ("training diverged in epoch %d: non-finite loss or "
@@ -489,9 +490,9 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
             np.isfinite(f).all(axis=(-2, -1)) for f in factors])
         for run in runs:
             if failed[run] is None and not finite[run]:
-                last = (train_losses[run][-1], val_losses[run][-1]) \
-                    if train_losses[run] else (None, None)
-                failed[run] = TrainingDiverged(epoch, *last)
+                curves = (train_losses[run], val_losses[run])
+                failed[run] = TrainingDiverged(epoch, *(
+                    c[-1] if c else None for c in curves), curves)
         live = [run for run in runs if failed[run] is None]
         if not live:
             return failed

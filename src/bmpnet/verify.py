@@ -8,7 +8,6 @@ residual is a proof rather than an impression.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,15 +109,14 @@ def residual_sq_exact(scheme, n):
 def slot_contribution_norms(scheme):
     """Frobenius norm of each rank-1 contribution h_s (x) k_s (x) f_s,
     which factorises as the product of the three vector norms.  Near-zero
-    slots flag wasted rank."""
-    norms = []
-    for s in range(scheme.r):
-        h = np.asarray([float(v) for v in scheme.H[:, s]])
-        k = np.asarray([float(v) for v in scheme.K[:, s]])
-        f = np.asarray([float(v) for v in scheme.F[s, :]])
-        norms.append(float(np.linalg.norm(h) * np.linalg.norm(k)
-                           * np.linalg.norm(f)))
-    return norms
+    slots flag wasted rank.  Each factor is converted to floats once;
+    ``norm`` copies a strided vector to a contiguous one, so every norm
+    is that of the vector's entries listed as floats."""
+    H, K, F = (np.asarray(m).astype(np.float64)
+               for m in (scheme.H, scheme.K, scheme.F))
+    norm = np.linalg.norm
+    return [float(norm(h) * norm(k) * norm(f))
+            for h, k, f in zip(H.T, K.T, F)]
 
 
 def verify_scheme(scheme):
@@ -137,25 +135,31 @@ def verify_scheme(scheme):
 
 
 def _snapper(grid):
-    """``snap(x)``: the grid value nearest to x, by bisection over the
-    midpoints of the sorted grid, in exact arithmetic.  At a midpoint the
-    tie goes to the smaller magnitude, then to the negative candidate."""
+    """``snap(mat)``: the grid values nearest to the entries of ``mat``.
+    The entries, as doubles, are placed among the doubles nearest to the
+    midpoints of the sorted grid by one ``searchsorted``, which is exact:
+    no double lies strictly between a midpoint and its nearest double.
+    An entry equal to one of those is settled in exact arithmetic, a tie
+    going to the smaller magnitude, then to the negative candidate; NaN
+    and inf raise as they do for ``Fraction``."""
     points = sorted(set(Fraction(g) for g in grid))
-    mids = [(lo + hi) / 2 for lo, hi in zip(points, points[1:])]
+    mids = np.array([float((a + b) / 2) for a, b in zip(points, points[1:])])
+    values = np.array(points, dtype=object)
 
-    def snap(x):
-        x = Fraction(float(x))
-        i = bisect_left(mids, x)
-        if i < len(mids) and mids[i] == x:
-            return min(points[i:i + 2], key=lambda g: (abs(g), g))
-        return points[i]
+    def snap(mat):
+        x = np.asarray(mat).astype(np.float64)
+        out = values[np.searchsorted(mids, x)]
+        for i in zip(*np.nonzero(np.isin(x, mids) | ~np.isfinite(x))):
+            exact = Fraction(x[i])
+            out[i] = min(points, key=lambda g: (abs(g - exact), abs(g), g))
+        return out
     return snap
 
 
 def round_scheme(scheme, grid=DEFAULT_GRID):
     """Snap every factor entry to the nearest grid value, returning an
     exact-mode scheme ready for rational verification."""
-    snap = np.vectorize(_snapper(grid), otypes=[object])
+    snap = _snapper(grid)
     return BilinearScheme(n=scheme.n, r=scheme.r, H=snap(scheme.H),
                           K=snap(scheme.K), F=snap(scheme.F))
 
@@ -164,17 +168,12 @@ def normalize_slots(scheme):
     """Gauge fix: rescale each slot so H and K columns have unit maximum
     magnitude, compensating in the matching F row.  Leaves the computed
     bilinear map unchanged; makes grids like {0, +-1/2, +-1} reachable."""
-    H = np.asarray(scheme.H).copy()
-    K = np.asarray(scheme.K).copy()
-    F = np.asarray(scheme.F).copy()
-    for s in range(scheme.r):
-        lam = max(abs(v) for v in H[:, s])
-        mu = max(abs(v) for v in K[:, s])
-        if lam != 0:
-            H[:, s] = H[:, s] / lam
-        if mu != 0:
-            K[:, s] = K[:, s] / mu
-        F[s, :] = F[s, :] * (lam * mu)
+    H, K, F = (np.asarray(m).copy() for m in (scheme.H, scheme.K, scheme.F))
+    lam, mu = (np.abs(t).max(axis=0) for t in (H, K))
+    for t, scale in ((H, lam), (K, mu)):
+        live = scale != 0
+        t[:, live] = t[:, live] / scale[live]
+    F[...] = F * (lam * mu)[:, None]
     return BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F)
 
 

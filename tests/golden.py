@@ -53,6 +53,10 @@ COMMANDS = [
                       "{out}"]),
     ("verify-grid", ["verify", "--scheme", "{root}/train-n2/scheme.json",
                      "--round", "--grid", "-1/2,0,1/2", "--out", "{out}"]),
+    # a grid whose midpoints 1/6 and -1/6 are not doubles
+    ("verify-third", ["verify", "--scheme", "{root}/train-n2/scheme.json",
+                      "--round", "--grid", "-1/3,0,1/3,2/3", "--out",
+                      "{out}"]),
     ("welch", ["welch", "--g1", "0.42,0.05,7", "--g2", "0.49,0.06,7",
                "--out", "{out}"]),
     ("train-eps", ["train-eps", "--n", "2", "--r", "7", "--val-size",

@@ -1,21 +1,24 @@
 """Slow, direct references for fast paths of the package: validation as a
 forward pass over the validation rows and as a quadratic form of the
-reconstructed tensor, central-difference gradients,
-snapping to a grid by a minimum over all of it, the residual over
-every entry of the target tensor, the product summed one shared index
-at a time, and exact products, totals and residuals taken in Fraction
-arithmetic.  Tests hold the package to them; nothing here is used by the
-package."""
+reconstructed tensor, central-difference gradients, snapping to a grid
+by a minimum over all of it and by bisection entry by entry, slot norms
+and gauge fixing slot by slot, the total tensor one joint state at a
+time, the residual over every entry of the target tensor, the product
+summed one shared index at a time, and exact products, totals and
+residuals taken in Fraction arithmetic.  Tests hold the package to them;
+nothing here is used by the package."""
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 
-from bmpnet.network import lift
+from bmpnet.network import lift, parent_positions
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
 from bmpnet.tensor import _forget_view, frobenius_sq, is_exact, \
     matmul_tensor, zeros_matching
 from bmpnet.training import mse
+from bmpnet.verify import DEFAULT_GRID
 
 
 def direct_scorer(val_set):
@@ -76,10 +79,87 @@ def grad_fd(scheme, a_rows, b_rows, target_rows, h=1e-6):
 def snap(x, grid):
     """The grid value nearest to x, by a minimum over the whole grid with
     exact distances; ties prefer smaller magnitude, then the negative
-    candidate.  The reference for ``verify``'s bisection."""
+    candidate.  The reference for :func:`bisection_snapper` and for
+    ``verify``'s ``searchsorted``."""
     xf = Fraction(float(x))
     return min((Fraction(g) for g in grid),
                key=lambda g: (abs(g - xf), abs(g), g))
+
+
+def bisection_snapper(grid):
+    """``snap(x)``: the grid value nearest to the scalar x, by bisection
+    over the midpoints of the sorted grid, in exact arithmetic.  At a
+    midpoint the tie goes to the smaller magnitude, then to the negative
+    candidate."""
+    points = sorted(set(Fraction(g) for g in grid))
+    mids = [(lo + hi) / 2 for lo, hi in zip(points, points[1:])]
+
+    def nearest(x):
+        x = Fraction(float(x))
+        i = bisect_left(mids, x)
+        if i < len(mids) and mids[i] == x:
+            return min(points[i:i + 2], key=lambda g: (abs(g), g))
+        return points[i]
+    return nearest
+
+
+def round_each(scheme, grid=DEFAULT_GRID):
+    """``verify.round_scheme`` entry by entry: the bisection snapper
+    through ``np.vectorize``, the rounding that one ``searchsorted`` over
+    whole factors replaced."""
+    snap = np.vectorize(bisection_snapper(grid), otypes=[object])
+    return BilinearScheme(n=scheme.n, r=scheme.r, H=snap(scheme.H),
+                          K=snap(scheme.K), F=snap(scheme.F))
+
+
+def slot_norms_each(scheme):
+    """``verify.slot_contribution_norms`` slot by slot, each vector's
+    entries converted with ``float()``: the bits the whole-array version
+    must keep."""
+    norms = []
+    for s in range(scheme.r):
+        h = np.asarray([float(v) for v in scheme.H[:, s]])
+        k = np.asarray([float(v) for v in scheme.K[:, s]])
+        f = np.asarray([float(v) for v in scheme.F[s, :]])
+        norms.append(float(np.linalg.norm(h) * np.linalg.norm(k)
+                           * np.linalg.norm(f)))
+    return norms
+
+
+def normalize_each(scheme):
+    """``verify.normalize_slots`` slot by slot, each maximum a generator
+    ``max`` over the column."""
+    H = np.asarray(scheme.H).copy()
+    K = np.asarray(scheme.K).copy()
+    F = np.asarray(scheme.F).copy()
+    for s in range(scheme.r):
+        lam = max(abs(v) for v in H[:, s])
+        mu = max(abs(v) for v in K[:, s])
+        if lam != 0:
+            H[:, s] = H[:, s] / lam
+        if mu != 0:
+            K[:, s] = K[:, s] / mu
+        F[s, :] = F[s, :] * (lam * mu)
+    return BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F)
+
+
+def total_each(net):
+    """``network.total_direct`` one joint state at a time: each entry the
+    left-to-right product of the nodes' activation entries at it.  The
+    network is assumed valid."""
+    node_by_id = net.node_map()
+    sizes = tuple(node_by_id[nid].states for nid in net.order)
+    parents = [parent_positions(net, nid) for nid in net.order]
+    acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    ref = next((a for a in acts if is_exact(a)), acts[0])
+    out = zeros_matching(sizes, ref)
+    for idx in np.ndindex(sizes):
+        val = None
+        for j in range(len(sizes)):
+            entry = acts[j][tuple(idx[p] for p in parents[j]) + (idx[j],)]
+            val = entry if val is None else val * entry
+        out[idx] = val
+    return out
 
 
 def residual_sq(scheme):

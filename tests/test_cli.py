@@ -10,9 +10,10 @@ import subprocess
 import numpy as np
 import pytest
 
-from bmpnet import border
+from bmpnet import border, cli
 from bmpnet.cli import _COMMANDS, _HELP, build_parser, main
 from bmpnet.scheme import BilinearScheme, scheme_to_json, to_float
+from bmpnet.training import TrainingDiverged
 from bmpnet.verify import known_strassen
 from clirun import run_module
 
@@ -99,6 +100,42 @@ class TestTrain:
                                    + ["--alpha", "1e200"])
         assert code == 3
         assert "error: training diverged in epoch 0" in err
+
+    def test_divergence_leaves_a_partial_record(self, capsys, tmp_path):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, ["train"] + TINY_TRAIN + [
+                "--alpha", "1e200", "--out", str(tmp_path)])
+        assert code == 3 and out == ""
+        assert "error: training diverged in epoch 0" in err
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record == {
+            "config": dict(record["config"], alpha=1e200),
+            "train_losses": [], "val_losses": [],
+            "diverged": {"epoch": 0}}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert manifest["files"] == ["run.json"]
+
+    def test_partial_record_keeps_the_curves(self, capsys, tmp_path,
+                                             monkeypatch):
+        def diverges(cfg, progress=None):
+            raise TrainingDiverged(2, 0.5, 0.25, ([0.75, 0.5], [0.5, 0.25]))
+
+        monkeypatch.setattr(cli, "train", diverges)
+        code, out, _ = run_cli(capsys, ["train"] + TINY_TRAIN
+                               + ["--out", str(tmp_path)])
+        assert code == 3 and out == ""
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record["diverged"] == {"epoch": 2}
+        assert record["train_losses"] == [0.75, 0.5]
+        assert record["val_losses"] == [0.5, 0.25]
+        assert record["config"]["seed"] == 0
+        # without --out nothing is written and nothing reaches stdout
+        elsewhere = tmp_path / "none"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli(capsys, ["train"] + TINY_TRAIN)[:2] == (3, "")
+        assert list(elsewhere.iterdir()) == []
 
     def test_sweep_divergence_has_its_own_exit_code(self, capsys):
         # every run of the first rank stack diverges; the sweep reports

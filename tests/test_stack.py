@@ -181,6 +181,8 @@ class TestDivergenceInsideAStack:
         alone = train(replace(cfgs[1], epochs=1))
         assert outcomes[1].args == (1, alone.train_losses[0],
                                     alone.val_losses[0])
+        assert outcomes[1].train_losses == alone.train_losses
+        assert outcomes[1].val_losses == alone.val_losses
         for run in (0, 2):
             arrays, train_losses, val_losses = outcomes[run]
             scheme, ref_train, ref_val = perrun.train(cfgs[run])

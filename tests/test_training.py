@@ -507,9 +507,16 @@ class TestDivergence:
         assert info.value.epoch == 1
         assert info.value.train_loss == first.train_losses[0]
         assert info.value.val_loss == first.val_losses[0]
+        assert info.value.train_losses == first.train_losses
+        assert info.value.val_losses == first.val_losses
 
     def test_survives_pickling(self):
         # sweep workers hand the error back to the parent process
         exc = pickle.loads(pickle.dumps(TrainingDiverged(2, 0.5, 0.25)))
         assert (exc.epoch, exc.train_loss, exc.val_loss) == (2, 0.5, 0.25)
         assert str(exc) == str(TrainingDiverged(2, 0.5, 0.25))
+        curves = ([0.75, 0.5], [0.5, 0.25])
+        exc = pickle.loads(pickle.dumps(
+            TrainingDiverged(2, 0.5, 0.25, curves)))
+        assert (exc.train_losses, exc.val_losses) == curves
+        assert exc.args == (2, 0.5, 0.25)

@@ -25,7 +25,7 @@ from bmpnet.verify import (
     verify_scheme,
 )
 from netgen import kron_scheme
-from reference import residual_sq, snap
+from reference import bisection_snapper, residual_sq, snap
 
 
 class TestKnownScheme:
@@ -246,19 +246,22 @@ class TestVerifyReport:
 class TestSnap:
     """Nearest grid value; ties break toward smaller magnitude."""
 
+    @staticmethod
+    def snap_one(grid, x):
+        (got,) = _snapper(grid)([x])
+        return got
+
     def test_plain_rounding(self):
-        snap_default = _snapper(DEFAULT_GRID)
-        assert snap_default(0.9) == 1
-        assert snap_default(-0.6) == Fraction(-1, 2)
-        assert snap_default(0.1) == 0
-        assert snap_default(0.4) == Fraction(1, 2)
+        assert self.snap_one(DEFAULT_GRID, 0.9) == 1
+        assert self.snap_one(DEFAULT_GRID, -0.6) == Fraction(-1, 2)
+        assert self.snap_one(DEFAULT_GRID, 0.1) == 0
+        assert self.snap_one(DEFAULT_GRID, 0.4) == Fraction(1, 2)
 
     def test_tie_prefers_smaller_magnitude(self):
-        snap_default = _snapper(DEFAULT_GRID)
-        assert snap_default(0.25) == 0
-        assert snap_default(-0.25) == 0
-        assert snap_default(0.75) == Fraction(1, 2)
-        assert snap_default(-0.75) == Fraction(-1, 2)
+        assert self.snap_one(DEFAULT_GRID, 0.25) == 0
+        assert self.snap_one(DEFAULT_GRID, -0.25) == 0
+        assert self.snap_one(DEFAULT_GRID, 0.75) == Fraction(1, 2)
+        assert self.snap_one(DEFAULT_GRID, -0.75) == Fraction(-1, 2)
 
     @pytest.mark.parametrize("grid", [
         DEFAULT_GRID,
@@ -267,16 +270,19 @@ class TestSnap:
     ])
     def test_bisection_matches_the_minimum_over_the_grid(self, grid):
         # every midpoint, as the nearest float and the next floats on
-        # either side, plus both zeros and the grid points themselves
+        # either side, plus both zeros and the grid points themselves;
+        # the bisection of the reference and the searchsorted snapper
+        # both agree with the minimum
         points = sorted(set(grid))
         xs = [0.0, -0.0] + [float(g) for g in points]
         for lo, hi in zip(points, points[1:]):
             mid = float((lo + hi) / 2)
             xs += [mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]
-        snap_grid = _snapper(grid)
-        for x in xs:
-            got, want = snap_grid(x), snap(x, grid)
+        bisect = bisection_snapper(grid)
+        for x, got in zip(xs, _snapper(grid)(xs)):
+            want = snap(x, grid)
             assert got == want and type(got) is type(want), x
+            assert bisect(x) == want, x
 
     def test_noisy_reference_snaps_back(self):
         rng = np.random.default_rng(3)
