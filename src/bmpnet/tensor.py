@@ -118,10 +118,12 @@ def scaled(t):
 
 
 def unscaled(ints, denom):
-    """Object array of the Fractions ``ints / denom``."""
+    """Object array of the Fractions ``ints / denom``, shared per value."""
     ints = np.asarray(ints)
-    vals = [Fraction(v, denom) for v in ints.ravel().tolist()]
-    return np.array(vals, dtype=object).reshape(ints.shape)
+    vals = ints.ravel().tolist()
+    each = {v: Fraction(v, denom) for v in set(vals)}  # shared: immutable
+    return np.fromiter(map(each.__getitem__, vals), object,
+                       len(vals)).reshape(ints.shape)
 
 
 def _max_abs(a):
@@ -180,11 +182,11 @@ def bmp(factors):
 
     Requires at least two factors (the order-1 case is degenerate).
     Exact factors (ints and Fractions) are multiplied as scaled integers
-    (:func:`scaled`), in int64 while ``l * prod(max |f_k|)`` allows it,
-    and the result is rescaled once to Fractions; integer arrays give an
-    integer result.  The shared index is stepped in blocks; a float
-    result equals, bit for bit, the sum taken one ``h`` at a time in
-    increasing order.
+    (:func:`scaled`) by one ``einsum``, in int64 while ``l * prod(max
+    |f_k|)`` allows it and in Python ints past it, and the result is
+    rescaled once to Fractions; integer arrays give an integer result.
+    Floats step the shared index in blocks; a float result equals, bit
+    for bit, the sum taken one ``h`` at a time in increasing order.
     """
     d = len(factors)
     if d < 2:
@@ -212,7 +214,9 @@ def bmp(factors):
     pairs = [scaled(f) for f in factors]
     if all(p is not None for p in pairs):
         ints = fit_integers([p[0] for p in pairs], l)
-        out = _accumulate(ints, l, np.zeros(out_shape, ints[0].dtype))
+        # exact in any order: one einsum, the shared label d in slot k of f_k
+        out = np.einsum(*(x for k, f in enumerate(ints) for x in (
+            f, [*range(k), d, *range(k + 1, d)])), [*range(d)])
         if not any(map(is_exact, factors)):
             return out
         return unscaled(out, math.prod(p[1] for p in pairs))

@@ -364,8 +364,8 @@ def batch_slices(rows, batch_size):
 
 
 class TrainingDiverged(ArithmeticError):
-    """A batch loss, or a scheme at the end of an epoch, stopped being
-    finite.  Carries the epoch, the last finite per-epoch train and val
+    """A batch or epoch mean loss, or a scheme at an epoch's end, stopped
+    being finite.  Carries the epoch, the last finite per-epoch train and val
     losses (None within the first epoch) and, from ``losses``, the lists
     of all of them (``train_losses`` and ``val_losses``)."""
 
@@ -421,8 +421,8 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     any scheme's val loss on the run's validation set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
-    :class:`TrainingDiverged` it raised: a non-finite batch loss in an
-    epoch, or non-finite factors at its end, stops that run at the end of
+    :class:`TrainingDiverged` it raised: a non-finite batch loss or epoch
+    mean, or non-finite factors at its end, stops that run at the end of
     the epoch, and the other runs go on untouched.
     """
     cfg = cfgs[0]
@@ -486,8 +486,9 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
                             cfg.beta1, cfg.beta2, cfg.adam_eps)
             train_loss, losses_finite = epoch_loss(rows[2], cfg.batch_size)
         factors = own if view is None else view(params, epoch)
-        finite = np.logical_and.reduce([losses_finite] + [
-            np.isfinite(f).all(axis=(-2, -1)) for f in factors])
+        finite = np.logical_and.reduce(
+            [losses_finite, np.isfinite(train_loss)]
+            + [np.isfinite(f).all(axis=(-2, -1)) for f in factors])
         for run in runs:
             if failed[run] is None and not finite[run]:
                 curves = (train_losses[run], val_losses[run])

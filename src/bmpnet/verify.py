@@ -16,6 +16,7 @@ import numpy as np
 from .scheme import BilinearScheme, reconstruct
 from .tensor import (
     ShapeMismatch,
+    _max_abs,
     exact_array,
     fit_integers,
     frobenius_sq,
@@ -109,11 +110,19 @@ def residual_sq_exact(scheme, n):
 def slot_contribution_norms(scheme):
     """Frobenius norm of each rank-1 contribution h_s (x) k_s (x) f_s,
     which factorises as the product of the three vector norms.  Near-zero
-    slots flag wasted rank.  Each factor is converted to floats once;
-    ``norm`` copies a strided vector to a contiguous one, so every norm
-    is that of the vector's entries listed as floats."""
-    H, K, F = (np.asarray(m).astype(np.float64)
-               for m in (scheme.H, scheme.K, scheme.F))
+    slots flag wasted rank.  Each factor is converted to floats once, an
+    exact one as ``ints / denom`` (:func:`scaled`) when both are below
+    2^53: they are doubles exactly, so each quotient is the correctly
+    rounded ``float()`` of its entry.  Other factors convert entry by
+    entry.  ``norm`` copies a strided vector to a contiguous one, so
+    every norm is that of the vector's entries listed as floats."""
+    def floats(m):
+        ints, denom = scaled(m) or (m, 1)
+        if ints.dtype != np.int64 or max(_max_abs(ints), denom) >= 1 << 53:
+            return np.asarray(m).astype(np.float64)
+        return ints / denom
+
+    H, K, F = map(floats, (scheme.H, scheme.K, scheme.F))
     norm = np.linalg.norm
     return [float(norm(h) * norm(k) * norm(f))
             for h, k, f in zip(H.T, K.T, F)]

@@ -65,6 +65,11 @@ COMMANDS = [
     ("demo-strassen", ["demo", "strassen2x2"]),
     # diverges in epoch 0: pins exit code 3 and what reaches stdout
     ("train-diverge", ["train", "--n", "2", "--r", "7", "--alpha", "1e200"]),
+    # every batch loss finite, the mean of epoch 6 overflows: exit code 3
+    ("train-overflow", ["train", "--n", "2", "--r", "7", "--epochs", "8",
+                        "--batch-size", "16", "--train-size", "64",
+                        "--val-size", "32", "--lr", "1e50", "--out",
+                        "{out}"]),
 ]
 
 # name -> the config.json written into the command's directory first

@@ -150,7 +150,10 @@ def fit(cfg, init, step, epoch_end,
             scheme, ctx = view(params, epoch)
         except NonFiniteEntries:
             raise TrainingDiverged(epoch, *last) from None
-        train_losses.append(float(sq_err_total / cfg.train_size))
+        train_loss = float(sq_err_total / cfg.train_size)
+        if not math.isfinite(train_loss):
+            raise TrainingDiverged(epoch, *last)
+        train_losses.append(train_loss)
         val_losses.append(score(scheme))
         epoch_end(epoch, ctx, train_losses[-1], val_losses[-1], score)
     return ctx, train_losses, val_losses

@@ -116,6 +116,25 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["files"] == ["run.json"]
 
+    def test_overflowing_epoch_mean_is_divergence(self, capsys, tmp_path):
+        # every batch loss is finite, the mean of epoch 6 overflows
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, [
+                "train", "--n", "2", "--r", "7", "--epochs", "8",
+                "--batch-size", "16", "--train-size", "64", "--val-size",
+                "32", "--lr", "1e50", "--out", str(tmp_path)])
+        assert code == 3 and out == ""
+        assert "error: training diverged in epoch 6" in err
+
+        def refuse(name):
+            raise ValueError("not JSON: %s" % name)
+
+        record = json.loads((tmp_path / "run.json").read_text(),
+                            parse_constant=refuse)
+        assert record["diverged"] == {"epoch": 6}
+        assert len(record["train_losses"]) == 6
+        assert len(record["val_losses"]) == 6
+
     def test_partial_record_keeps_the_curves(self, capsys, tmp_path,
                                              monkeypatch):
         def diverges(cfg, progress=None):

@@ -18,6 +18,7 @@ import pytest
 from netgen import kron_scheme, random_exact, random_network
 from reference import masked_bmp, masked_total, residual_sq
 
+from bmpnet import tensor
 from bmpnet.network import hidden_positions, observed_total, \
     strassen_pipeline, strassen_stages, total_bmp, total_direct
 from bmpnet.scheme import BilinearScheme, forward_fast
@@ -61,6 +62,38 @@ def equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and all(
         g == w for g, w in zip(got.flat, want.flat))
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Record the dtype of what each route of ``bmp`` multiplies:
+    ``einsum`` (integers, int64 or Python ints) and ``accumulate`` (the
+    ordered block sum of floats)."""
+    seen = {"einsum": [], "accumulate": []}
+    einsum, accumulate = np.einsum, tensor._accumulate
+
+    def spy_einsum(*args, **kwargs):
+        seen["einsum"].append(args[0].dtype)
+        return einsum(*args, **kwargs)
+
+    def spy_accumulate(factors, l, out):
+        seen["accumulate"].append(out.dtype)
+        return accumulate(factors, l, out)
+
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    monkeypatch.setattr(tensor, "_accumulate", spy_accumulate)
+    return seen
+
+
+def took(routes, kind):
+    """Whether every product of a fixture kind took one einsum: in int64
+    for the small kind, and for the big kind in Python ints at least
+    once (a product of mostly zeros can still fit int64)."""
+    if routes["accumulate"] or not routes["einsum"]:
+        return False
+    if kind == "small":
+        return set(routes["einsum"]) == {np.dtype(np.int64)}
+    return np.dtype(object) in routes["einsum"]
 
 
 def test_fixtures_take_both_routes():
@@ -129,6 +162,52 @@ class TestBound:
         assert bmp([ints, ints.T]).dtype == np.int64
         assert contraction(ints, [1]).dtype == np.int64
 
+    def test_int64_product_at_the_bound(self, routes):
+        # l * prod(max |f|) = 3 * 715827883 * (2^31 - 1) * 1 = 2^62 - 1:
+        # int64, and its extreme entries equal the Fraction reference
+        top = [715827883, (1 << 31) - 1, 1]
+        rng = np.random.default_rng(8)
+        factors = []
+        for k, m in enumerate(top):
+            shape = [2, 2, 2]
+            shape[k] = 3
+            f = rng.integers(-m, m + 1, size=shape)
+            f.flat[k] = m * (-1) ** k
+            factors.append(f)
+        got = bmp(factors)
+        assert got.dtype == np.int64
+        assert routes["einsum"] == [np.dtype(np.int64)]
+        assert not routes["accumulate"]
+        assert equal(got, masked_bmp([f.astype(object) for f in factors]))
+        full = [np.full(f.shape, m) for f, m in zip(factors, top)]
+        assert bmp(full)[0, 0, 0] == 3 * math.prod(top)
+        # the first maximum past the bound takes the Python-int route
+        full[1] = full[1] + 1
+        wide = bmp(full)
+        assert wide.dtype == object
+        assert routes["einsum"][-1] == np.dtype(object)
+        assert wide[0, 0, 0] == 3 * 715827883 * (1 << 31) >= 1 << 62
+
+    @pytest.mark.parametrize("extents, l", [((2, 0, 3), 2), ((2, 1, 3), 0),
+                                            ((0, 0), 0)])
+    def test_zero_extent(self, extents, l):
+        # int64 factors, Fractions, and Python ints past 2^62
+        d = len(extents)
+        for scale in (None, 1, 1 << 70):
+            factors = []
+            for k in range(d):
+                shape = list(extents)
+                shape[k] = l
+                f = np.arange(math.prod(shape)).reshape(shape) + 1
+                factors.append(f if scale is None
+                               else f.astype(object) * Fraction(scale))
+            got = bmp(factors)
+            assert got.shape == extents
+            assert got.dtype == (np.int64 if scale is None else object)
+            assert equal(got, masked_bmp([f.astype(object)
+                                          for f in factors]))
+            assert not got.size or not got.any()
+
     def test_integer_results_never_wrap(self):
         a = np.array([[1 << 40]])
         assert bmp([a, a])[0, 0] == 1 << 80
@@ -143,7 +222,7 @@ class TestBound:
 
 @pytest.mark.parametrize("kind", KINDS)
 class TestAgainstFractions:
-    def test_bmp(self, kind):
+    def test_bmp(self, kind, routes):
         rng = np.random.default_rng(2)
         for d in (2, 3, 4):
             for _ in range(4):
@@ -157,6 +236,7 @@ class TestAgainstFractions:
                 got = bmp(factors)
                 assert equal(got, masked_bmp(factors))
                 assert all_fractions(got)
+        assert took(routes, kind)
 
     def test_contraction(self, kind):
         rng = np.random.default_rng(3)
@@ -175,7 +255,7 @@ class TestAgainstFractions:
         assert type(got) is Fraction
         assert got == sum((v * v for v in t.flat), Fraction(0))
 
-    def test_network_totals(self, kind):
+    def test_network_totals(self, kind, routes):
         rng = np.random.default_rng(5)
         for _ in range(25):
             net = random_network(rng)
@@ -190,6 +270,7 @@ class TestAgainstFractions:
                 want, axis=tuple(hidden_positions(net)),
                 initial=Fraction(0)))
             assert all_fractions(observed)
+        assert took(routes, kind)
 
     def test_strassen_pipeline(self, kind):
         rng = np.random.default_rng(6)

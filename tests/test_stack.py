@@ -3,6 +3,7 @@
 alone, bit for bit, in its factors and in both loss lists; a run that
 diverges inside a stack stops alone and reports what it would alone."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,25 @@ class TestDivergenceInsideAStack:
                 assert bits(got) == bits(want)
             assert bits(train_losses) == bits(ref_train)
             assert bits(val_losses) == bits(ref_val)
+
+    def test_epoch_mean_overflow_stops_that_run_alone(self):
+        # at lr 1e50 every batch loss stays finite, but the epoch's mean
+        # train loss overflows: seed 0 in epoch 6 and seed 4 in epoch 5,
+        # while seed 2 finishes its eight epochs
+        cfgs = [config(seed, lr=1e50, epochs=8, train_size=64, val_size=32)
+                for seed in (0, 2, 4)]
+        with np.errstate(all="ignore"):
+            outcomes = train_stack(cfgs)
+            for cfg, out in zip(cfgs, outcomes):
+                if cfg.seed == 2:
+                    assert_same_run(out, perrun.train(cfg))
+                    continue
+                with pytest.raises(TrainingDiverged) as alone:
+                    perrun.train(cfg)
+                assert out.args == alone.value.args
+                assert out.epoch == {0: 6, 4: 5}[cfg.seed]
+                assert len(out.train_losses) == out.epoch
+                assert all(map(math.isfinite, out.train_losses))
 
     def test_every_run_blown_up_stops_the_stack(self):
         with np.errstate(all="ignore"):

@@ -11,6 +11,7 @@ import pytest
 
 from bmpnet.network import Network, NodeSpec, parent_positions, total_direct
 from bmpnet.scheme import BilinearScheme, to_float
+from bmpnet.tensor import scaled
 from bmpnet.verify import (
     DEFAULT_GRID,
     known_strassen,
@@ -151,6 +152,40 @@ class TestSlotNorms:
                            K=1e-3 * rng.normal(size=(9, 23)),
                            F=1e3 * rng.normal(size=(23, 9)))
         same(slot_contribution_norms(s), slot_norms_each(s))
+
+
+def lone_slot(entry, rest):
+    """Strassen's scheme, exact, with slot 0 made (entry e_0) (x) e_0
+    (x) e_0, so that its norm is ``entry`` as a double; with ``rest``
+    False every other H entry is 0."""
+    s = known_strassen()
+    H, K, F = s.H.copy(), s.K.copy(), s.F.copy()
+    if not rest:
+        H[...] = Fraction(0)
+    for t in (H, K, F.T):
+        t[:, 0] = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+    H[0, 0] = entry
+    return BilinearScheme(n=2, r=7, H=H, K=K, F=F)
+
+
+class TestSlotNormsPastTwoToThe53:
+    """Scaled integers or a denominator of 2^53 or more are not all
+    doubles; their quotient rounded from doubles would be off by a bit
+    here, so these factors are converted entry by entry."""
+
+    @pytest.mark.parametrize("entry, rest", [
+        (Fraction((1 << 53) + 5, 3), True),
+        (Fraction(1, (1 << 53) + 1), False)],
+        ids=["numerator", "denominator"])
+    def test_bits_of_the_reference(self, entry, rest):
+        s = lone_slot(entry, rest)
+        ints, denom = scaled(s.H)
+        assert ints.dtype == np.int64
+        assert max(int(abs(ints).max()), denom) >= 1 << 53
+        assert float(ints[0, 0]) / float(denom) != float(entry)
+        got = slot_contribution_norms(s)
+        same(got, slot_norms_each(s))
+        assert got[0] == float(entry)
 
 
 class TestNormalize:
