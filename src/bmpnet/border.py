@@ -18,7 +18,8 @@ import numpy as np
 
 from .scheme import BilinearScheme
 from .tensor import ShapeMismatch, matrix_to_json
-from .training import Factors, RunRecord, TrainingDiverged, fit
+from .training import (
+    ConfigError, Factors, RunRecord, TrainingDiverged, fit)
 # imported only for perfbench/tracing.py, which wraps them in this module
 from .training import (  # noqa: F401
     adam_update, clip_gradients, forward_fast_batch, gen_dataset,
@@ -83,11 +84,11 @@ class EpsSchedule:
         if self.eps0 <= 0:
             raise EpsilonNonpositive("eps0 must be positive")
         if not np.isfinite(self.eps0):
-            raise ShapeMismatch("eps0 must be finite")
+            raise ConfigError("eps0 must be finite")
         if not 0.0 < self.decay <= 1.0:
-            raise ShapeMismatch("decay must lie in (0, 1]")
+            raise ConfigError("decay must lie in (0, 1]")
         if not 0.0 < self.floor <= self.eps0:
-            raise ShapeMismatch("need 0 < floor <= eps0")
+            raise ConfigError("need 0 < floor <= eps0")
 
     def at(self, epoch):
         return max(self.floor, self.eps0 * self.decay ** epoch)

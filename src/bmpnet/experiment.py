@@ -14,9 +14,9 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 
 from .stats import summarize, welch_one_tailed
-from .tensor import ShapeMismatch
 from .training import (
-    RunOptions, TrainConfig, TrainingDiverged, mix64, train_stack)
+    ConfigError, RunOptions, TrainConfig, TrainingDiverged, mix64,
+    train_stack)
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .training import train  # noqa: F401
 
@@ -34,11 +34,11 @@ class SweepConfig(RunOptions):
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
         if len(self.ranks) < 1:
-            raise ShapeMismatch("need at least one rank")
+            raise ConfigError("need at least one rank")
         if len(set(self.ranks)) != len(self.ranks):
-            raise ShapeMismatch("ranks must be distinct")
+            raise ConfigError("ranks must be distinct")
         if self.reps < 2:
-            raise ShapeMismatch("need at least 2 repetitions per rank")
+            raise ConfigError("need at least 2 repetitions per rank")
 
 
 def run_seed(base_seed, rank, rep):

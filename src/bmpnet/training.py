@@ -12,7 +12,6 @@ record reproduces bitwise, alone or in any stack.
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +23,10 @@ from .tensor import ShapeMismatch, matmul_tensor
 
 class LengthMismatch(ValueError):
     """Prediction and target collections differ in shape."""
+
+
+class ConfigError(ValueError):
+    """A hyperparameter, rank list or schedule is out of its range."""
 
 
 _MASK64 = (1 << 64) - 1
@@ -73,9 +76,9 @@ def draw_operands(n, count, seed, low=-1.0, high=1.0):
     """Draw ``count`` operand pairs entrywise uniform on [low, high]:
     all of A first, then all of B, each (count, n, n)."""
     if count < 1:
-        raise ShapeMismatch("dataset size must be positive")
+        raise ConfigError("dataset size must be positive")
     if not low < high:
-        raise ShapeMismatch("need low < high for the sampling range")
+        raise ConfigError("need low < high for the sampling range")
     rng = np.random.default_rng(seed)
     return (rng.uniform(low, high, (count, n, n)),
             rng.uniform(low, high, (count, n, n)))
@@ -110,32 +113,33 @@ def mse(pred_rows, target_rows):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_analytic(scheme, a_rows, b_rows, target_rows, out=None):
+def grad_analytic(hk, f, ab_rows, target_rows, out=None):
     """The squared errors of one batch's forward pass and the closed-form
-    gradients of their :func:`mse` loss, as ``(sq_err, (dH, dK, dF))``;
-    the factors and the rows may carry a leading run axis.  ``out``, if
-    given, holds four arrays: three shaped as H, K and F for the
+    gradients of their :func:`mse` loss, as ``(sq_err, (dHK, dF))``.
+    ``hk`` holds H and K as one (2, ..., n^2, r) array and ``ab_rows``
+    the operand rows A and B as one (2, ..., count, n^2) array; F, the
+    target rows and both of them may carry a leading run axis.  ``out``,
+    if given, holds three arrays: two shaped as ``hk`` and F for the
     gradients, and one shaped as the target rows for the squared errors,
     which may be the target rows themselves.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
     the squared errors are (V - T)^2, their sum over the last two axes
     divided by count is mse(V, T), dF = M^T E, and with G = E F^T,
-    dH = A^T (G * W), dK = B^T (G * U).
+    dH = A^T (G * W) and dK = B^T (G * U).  U and W are one batched
+    product, and so are dH and dK.
     """
-    count = a_rows.shape[-2]
-    out = (None,) * 4 if out is None else out
-    u = a_rows @ scheme.H
-    w = b_rows @ scheme.K
-    m = u * w
-    diff = m @ scheme.F - target_rows
+    count = ab_rows.shape[-2]
+    out = (None,) * 3 if out is None else out
+    uw = ab_rows @ hk
+    m = uw[0] * uw[1]
+    diff = m @ f - target_rows
     # 2 d and count / 2 are exact, so this rounds 2 d / count once
     err = diff / (count * 0.5)
-    d_f = np.matmul(m.mT, err, out=out[2])
-    g = err @ scheme.F.mT
-    d_h = np.matmul(a_rows.mT, g * w, out=out[0])
-    d_k = np.matmul(b_rows.mT, g * u, out=out[1])
-    return np.multiply(diff, diff, out=out[3]), (d_h, d_k, d_f)
+    d_f = np.matmul(m.mT, err, out[1])
+    g = err @ f.mT
+    d_hk = np.matmul(ab_rows.mT, g * uw[::-1], out[0])
+    return np.multiply(diff, diff, out[2]), (d_hk, d_f)
 
 
 def epoch_loss(sq_err, batch_size):
@@ -216,7 +220,7 @@ def clip_gradients(grads, threshold):
     of the given :func:`global_norm`; runs below the threshold pass
     through untouched.  Returns the block."""
     if not threshold > 0:
-        raise ShapeMismatch("clip threshold must be positive")
+        raise ConfigError("clip threshold must be positive")
     norm = global_norm(grads)
     if not norm.max() <= threshold:
         # threshold / threshold is exactly 1, and x * 1 is x
@@ -226,12 +230,14 @@ def clip_gradients(grads, threshold):
 
 @dataclass
 class AdamState:
-    """Moment accumulators, step counter and the update's scratch."""
+    """Moment accumulators, step counter, the update's scratch, and the
+    last update's (lr, beta1, beta2, eps) with its 0-d constants."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
     scratch: tuple
+    constants: tuple = ((), ())
 
 
 def init_adam_params(params):
@@ -245,17 +251,24 @@ def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update of a float64 parameter block, such as a stack's
     (R, A, P) block, in place in ``params`` and ``state``, with the
     operations of m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2)
-    g^2, params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
+    g^2, params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
+    beta1, 1 - beta1, beta2, 1 - beta2, lr and eps enter as 0-d float64
+    arrays, kept in the state until the hyperparameters change."""
     state.step += 1
     t, m, v, (s, q) = state.step, state.m, state.v, state.scratch
-    np.add(np.multiply(m, beta1, out=m),
-           np.multiply(grads, 1.0 - beta1, out=s), out=m)
-    np.multiply(np.multiply(grads, grads, out=s), 1.0 - beta2, out=s)
-    np.add(np.multiply(v, beta2, out=v), s, out=v)
-    np.divide(m, 1.0 - beta1 ** t, out=s)
-    np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=q), out=q)
-    np.divide(np.multiply(s, lr, out=s), np.add(q, eps, out=q), out=s)
-    np.subtract(params, s, out=params)
+    hyper = (lr, beta1, beta2, eps)
+    if state.constants[0] != hyper:
+        state.constants = hyper, tuple(
+            np.array(x, dtype=np.float64)
+            for x in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, lr, eps))
+    b1, c1, b2, c2, rate, floor = state.constants[1]
+    np.add(np.multiply(m, b1, m), np.multiply(grads, c1, s), m)
+    np.multiply(np.multiply(grads, grads, s), c2, s)
+    np.add(np.multiply(v, b2, v), s, v)
+    np.divide(m, 1.0 - beta1 ** t, s)
+    np.sqrt(np.divide(v, 1.0 - beta2 ** t, q), q)
+    np.divide(np.multiply(s, rate, s), np.add(q, floor, q), s)
+    np.subtract(params, s, params)
 
 
 # the names perfbench/tracing.py times the update under
@@ -295,17 +308,17 @@ class TrainConfig(RunOptions):
         if self.n < 1 or self.r < 1:
             raise ShapeMismatch("n and r must be positive")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ShapeMismatch("epochs and batch size must be positive")
+            raise ConfigError("epochs and batch size must be positive")
         if self.train_size < 1 or self.val_size < 1:
-            raise ShapeMismatch("dataset sizes must be positive")
+            raise ConfigError("dataset sizes must be positive")
         if self.batch_size > self.train_size:
-            raise ShapeMismatch("batch size exceeds the training set")
+            raise ConfigError("batch size exceeds the training set")
         if not np.isfinite([self.lr, self.alpha, self.low, self.high]).all():
-            raise ShapeMismatch("lr, alpha, low and high must be finite")
+            raise ConfigError("lr, alpha, low and high must be finite")
         if not self.low < self.high:
-            raise ShapeMismatch("need low < high for the sampling range")
+            raise ConfigError("need low < high for the sampling range")
         if not (self.lr > 0 and self.clip_threshold > 0 and self.alpha > 0):
-            raise ShapeMismatch("lr, clip threshold and alpha must be > 0")
+            raise ConfigError("lr, clip threshold and alpha must be > 0")
 
     def to_json(self):
         return asdict(self)
@@ -356,13 +369,6 @@ def shuffle_seed(cfg, epoch):
     return mix64(cfg.seed, _TAG_SHUFFLE, epoch)
 
 
-def batch_slices(rows, batch_size):
-    """Consecutive batches of a stack's rows, (R, count, ...), along the
-    row axis, as views in order; the last one may be short."""
-    for start in range(0, rows.shape[1], batch_size):
-        yield rows[:, start:start + batch_size]
-
-
 class TrainingDiverged(ArithmeticError):
     """A batch or epoch mean loss, or a scheme at an epoch's end, stopped
     being finite.  Carries the epoch, the last finite per-epoch train and val
@@ -380,21 +386,30 @@ class TrainingDiverged(ArithmeticError):
                 % self.args)
 
 
-class Factors(NamedTuple):
+class Factors:
     """H, K and F of a stack of runs, each with a leading run axis: what
-    :func:`grad_analytic` reads of a scheme, and a :func:`scorer` of one."""
+    :func:`grad_analytic` reads of a scheme, and a :func:`scorer` of one.
+    H and K are the two rows of one (2, ..., n^2, r) array ``HK``, which
+    ``Factors(H, K, F)`` stacks and :meth:`of_block` views."""
 
-    H: np.ndarray
-    K: np.ndarray
-    F: np.ndarray
+    def __init__(self, H, K, F):
+        self.HK, self.F = np.stack((H, K)), F
+
+    H = property(lambda self: self.HK[0])
+    K = property(lambda self: self.HK[1])
+
+    def __iter__(self):
+        return iter((self.H, self.K, self.F))
 
     @classmethod
     def of_block(cls, block, n, r):
         """H, K and F as views of a factor block (3, ..., n^2 r) that
         holds them flattened along its first axis."""
-        m = n * n
-        return cls(*(x.reshape(x.shape[:-1] + shape) for x, shape
-                     in zip(block, ((m, r), (m, r), (r, m)))))
+        m, runs = n * n, block.shape[1:-1]
+        factors = cls.__new__(cls)
+        factors.HK = block[:2].reshape((2,) + runs + (m, r))
+        factors.F = block[2].reshape(runs + (r, m))
+        return factors
 
 
 def fit(cfgs, init, epoch_end, view=None, pull=None):
@@ -407,18 +422,21 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     parameter block to the :class:`Factors` the loss is taken at, and
     ``pull(grads, out, epoch)`` writes the gradient block ``out`` from
     their gradients ``grads``, a (3, R, n^2 r) block of dH, dK and dF
-    flattened; by default the A = 3 arrays are H, K and F.  A step takes
+    flattened; by default the A = 3 arrays are H, K and F, and the
+    factors and their gradients are views of the blocks.  A step takes
     one forward pass for the gradients, clips per run and makes one Adam
     update, all in place.  Data, shuffles and validation sets stay per
-    run; an epoch's batches are views of the rows it gathers once, and
-    the forward pass writes its squared errors over the batch's target
-    rows, which no later step reads.  Per epoch, after the updates, a
-    run's train loss is the exact sample mean of its batch losses, summed
-    from those squared errors (:func:`epoch_loss`), and one
-    :func:`scorer` call scores every run still going; then
-    ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)``
-    runs, with views of the run's parameter arrays and ``score(scheme)``,
-    any scheme's val loss on the run's validation set (a :func:`scorer`).
+    run; the stack's rows of A, B and the products live in one
+    (3, R count, n^2) array, an epoch gathers them once into (3, R,
+    count, n^2), and its batches are slices of that.  The forward pass
+    writes its squared errors over the batch's target rows, which no
+    later step reads.  Per epoch, after the updates, a run's train loss
+    is the exact sample mean of its batch losses, summed from those
+    squared errors (:func:`epoch_loss`), and one :func:`scorer` call
+    scores every run still going; then ``epoch_end(run, epoch, arrays,
+    train_loss, val_loss, score)`` runs, with views of the run's
+    parameter arrays and ``score(scheme)``, any scheme's val loss on the
+    run's validation set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
     :class:`TrainingDiverged` it raised: a non-finite batch loss or epoch
@@ -427,7 +445,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ShapeMismatch("runs of a stack may differ only in the seed")
+        raise ConfigError("runs of a stack may differ only in the seed")
     streams = [run_streams(c) for c in cfgs]
 
     moments = np.stack([fourth_moment(*draw_operands(
@@ -441,20 +459,20 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     grads = np.empty_like(params)
     state = init_adam_params(params)
 
-    def arrays(block):
-        return [block[:, i].reshape((len(block),) + np.shape(a))
-                for i, a in enumerate(first[0])]
-
-    param_arrays = arrays(params)
-    own = Factors(*param_arrays) if view is None else None
+    param_arrays = [params[:, i].reshape((len(params),) + np.shape(a))
+                    for i, a in enumerate(first[0])]
+    own = Factors.of_block(params.swapaxes(0, 1), cfg.n, cfg.r) \
+        if view is None else None
     if pull is None:
-        grad_out = arrays(grads)
+        grad_out = Factors.of_block(grads.swapaxes(0, 1), cfg.n, cfg.r)
     else:
         factor_grads = np.empty((3, len(cfgs), cfg.n * cfg.n * cfg.r))
         grad_out = Factors.of_block(factor_grads, cfg.n, cfg.r)
     runs = range(len(cfgs))
-    # row offset of each run in the stacked (R * train_size, n^2) data
-    offsets = cfg.train_size * np.arange(len(cfgs))[:, None]
+    size, batch = cfg.train_size, cfg.batch_size
+    data = np.empty((3, len(cfgs) * size, cfg.n * cfg.n))
+    # row offset of each run in the stack's rows
+    offsets = size * np.arange(len(cfgs))[:, None]
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
@@ -463,28 +481,29 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         if epoch == 0 or cfg.resample:
             # by default one fixed training set, a fresh one per epoch
             # with resampling
-            sets = (gen_dataset(cfg.n, cfg.train_size,
-                                mix64(s["data"], epoch) if epoch
-                                else s["data"], cfg.low, cfg.high).flat()
-                    for s in streams)
-            data = tuple(np.concatenate(x) for x in zip(*sets))
+            for run, s in enumerate(streams):
+                data[:, run * size:(run + 1) * size] = gen_dataset(
+                    cfg.n, size, mix64(s["data"], epoch) if epoch
+                    else s["data"], cfg.low, cfg.high).flat()
         perm = offsets + np.stack([
             np.random.default_rng(shuffle_seed(c, epoch))
-            .permutation(cfg.train_size) for c in cfgs])
+            .permutation(size) for c in cfgs])
         rows = None  # the last epoch's gather goes before the next
-        rows = tuple(x.take(perm, axis=0) for x in data)
+        rows = data.take(perm, axis=1)
         # a diverging run overflows quietly; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            for ab, bb, tb in zip(*(batch_slices(x, cfg.batch_size)
-                                    for x in rows)):
+            for start in range(0, size, batch):
                 factors = own if view is None else view(params, epoch)
-                grad_analytic(factors, ab, bb, tb, (*grad_out, tb))
+                tb = rows[2, :, start:start + batch]
+                grad_analytic(factors.HK, factors.F,
+                              rows[:2, :, start:start + batch], tb,
+                              (grad_out.HK, grad_out.F, tb))
                 if pull is not None:
                     pull(factor_grads, grads, epoch)
                 clip_gradients(grads, cfg.clip_threshold)
                 adam_update(state, params, grads, cfg.lr,
                             cfg.beta1, cfg.beta2, cfg.adam_eps)
-            train_loss, losses_finite = epoch_loss(rows[2], cfg.batch_size)
+            train_loss, losses_finite = epoch_loss(rows[2], batch)
         factors = own if view is None else view(params, epoch)
         finite = np.logical_and.reduce(
             [losses_finite, np.isfinite(train_loss)]

@@ -58,17 +58,19 @@ class VerifyReport:
         }
 
 
-def _residual_sq(scheme, n):
+def _residual_sq(scheme, n, factors=None):
     """Squared Frobenius distance between the scheme's reconstruction and
     the n x n matrix-product structure tensor: a Fraction in exact mode,
     a float otherwise.  The target is 1 on n^3 entries and 0 elsewhere,
     so only those entries are subtracted from.
 
     An exact scheme is checked in scaled integers: with each factor
-    scaled to integers over the lcm of its denominators, and ``denom``
-    the product of the three, D = KR(H, K) @ F_t - denom * T is an
-    (m^2, m) integer matrix (KR the column-wise Khatri-Rao product, F_t
-    the output factor in the target's layout), taken in int64 while
+    scaled to integers over the lcm of its denominators (``factors``,
+    the :func:`scaled` forms of H, K and F, if already at hand), and
+    ``denom`` the product of the three, D = KR(H, K) @ F_t - denom * T
+    is an (m^2, m) integer matrix (KR the column-wise Khatri-Rao
+    product, F_t the output factor in the target's layout, whose scaled
+    form is F's with its columns permuted), taken in int64 while
     ``r * max|h| * max|k| * max|f| + denom`` stays below 2^62; the
     residual is sum(D^2) / denom^2.  Floats go through
     :func:`bmpnet.scheme.reconstruct`, and their sum is taken in C
@@ -79,17 +81,23 @@ def _residual_sq(scheme, n):
     target = np.nonzero(matmul_tensor(n, n, n))
     if is_exact(scheme.H):
         r, m = scheme.r, n * n
-        F_t = scheme.F.reshape(r, n, n).transpose(0, 2, 1).reshape(r, m)
-        pairs = [scaled(f) for f in (scheme.H, scheme.K, F_t)]
+        pairs = factors or _scaled_factors(scheme)
         if all(p is not None for p in pairs):
             denom = math.prod(p[1] for p in pairs)
-            h, k, f = fit_integers([p[0] for p in pairs], r, denom)
+            f_t = pairs[2][0].reshape(r, n, n).transpose(0, 2, 1)
+            h, k, f = fit_integers([pairs[0][0], pairs[1][0],
+                                    f_t.reshape(r, m)], r, denom)
             d = (h[:, None, :] * k[None, :, :]).reshape(m * m, r) @ f
             d.reshape(m, m, m)[target] -= denom
             return Fraction(frobenius_sq(d), denom * denom)
     d = np.ascontiguousarray(reconstruct(scheme))
     d[target] -= 1
     return frobenius_sq(d)
+
+
+def _scaled_factors(scheme):
+    """:func:`scaled` of H, K and F, each None unless exact."""
+    return [scaled(f) for f in (scheme.H, scheme.K, scheme.F)]
 
 
 def residual(scheme, n):
@@ -107,22 +115,24 @@ def residual_sq_exact(scheme, n):
     return _residual_sq(scheme, n)
 
 
-def slot_contribution_norms(scheme):
+def slot_contribution_norms(scheme, factors=None):
     """Frobenius norm of each rank-1 contribution h_s (x) k_s (x) f_s,
     which factorises as the product of the three vector norms.  Near-zero
     slots flag wasted rank.  Each factor is converted to floats once, an
-    exact one as ``ints / denom`` (:func:`scaled`) when both are below
-    2^53: they are doubles exactly, so each quotient is the correctly
-    rounded ``float()`` of its entry.  Other factors convert entry by
-    entry.  ``norm`` copies a strided vector to a contiguous one, so
-    every norm is that of the vector's entries listed as floats."""
-    def floats(m):
-        ints, denom = scaled(m) or (m, 1)
+    exact one as ``ints / denom`` (its :func:`scaled` form, from
+    ``factors`` if already at hand) when both are below 2^53: they are
+    doubles exactly, so each quotient is the correctly rounded
+    ``float()`` of its entry.  Other factors convert entry by entry.
+    ``norm`` copies a strided vector to a contiguous one, so every norm
+    is that of the vector's entries listed as floats."""
+    def floats(m, pair):
+        ints, denom = pair or (m, 1)
         if ints.dtype != np.int64 or max(_max_abs(ints), denom) >= 1 << 53:
             return np.asarray(m).astype(np.float64)
         return ints / denom
 
-    H, K, F = map(floats, (scheme.H, scheme.K, scheme.F))
+    H, K, F = map(floats, (scheme.H, scheme.K, scheme.F),
+                  factors or _scaled_factors(scheme))
     norm = np.linalg.norm
     return [float(norm(h) * norm(k) * norm(f))
             for h, k, f in zip(H.T, K.T, F)]
@@ -130,15 +140,17 @@ def slot_contribution_norms(scheme):
 
 def verify_scheme(scheme):
     """Full report: float residual always, exact verdict when the scheme
-    carries rational entries."""
+    carries rational entries.  Each factor is scaled to integers once,
+    for the residual and the slot norms both."""
     exact = is_exact(scheme.H)
-    sq = _residual_sq(scheme, scheme.n)
+    factors = _scaled_factors(scheme)
+    sq = _residual_sq(scheme, scheme.n, factors)
     return VerifyReport(
         n=scheme.n,
         r=scheme.r,
         residual=math.sqrt(float(sq)),
         exact_zero=(sq == 0) if exact else None,
-        slot_norms=slot_contribution_norms(scheme),
+        slot_norms=slot_contribution_norms(scheme, factors),
         note="exact rational arithmetic" if exact else "float arithmetic",
     )
 

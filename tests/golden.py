@@ -3,19 +3,25 @@
 Usage, from the root of a checkout:
 
     python3 tests/golden.py OUTDIR > hashes.txt
+    python3 tests/golden.py OUTDIR --against hashes.txt
 
 Runs every command below through ``python -m bmpnet`` (and the scripts
 under demos/) with the ``bmpnet`` of this checkout and
-OPENBLAS_NUM_THREADS=1, each into its own directory under OUTDIR (after
-writing the command's config file there, if it has one), and prints
+OPENBLAS_NUM_THREADS=1, each into its own directory under OUTDIR, which
+must be empty or absent (after writing the command's config file there,
+if it has one), and prints
 ``sha256  name`` for every file written and for every command's standard
 output, with its exit code.  Wall times and the OUTDIR path are
 masked first, so two checkouts run into two directories print the same
-lines exactly when their outputs agree; ``diff`` the two lists to see
-which files moved, then the files themselves to see how.  The name has
-no ``test_`` prefix, so pytest does not collect it.
+lines exactly when their outputs agree.  With ``--against HASHES``, a
+list printed earlier, it prints instead the lines that moved, as a
+unified diff from HASHES to this run, and exits 1 if any did (0 if
+none); then ``diff`` the files themselves to see how.  The name has no
+``test_`` prefix, so pytest does not collect it.
 """
 
+import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -112,9 +118,16 @@ def run(name, argv, root):
 
 
 def main(argv):
-    if len(argv) != 2:
-        sys.exit("usage: golden.py OUTDIR")
-    root = Path(argv[1]).resolve()
+    parser = argparse.ArgumentParser(prog="golden.py")
+    parser.add_argument("outdir")
+    parser.add_argument("--against", metavar="HASHES",
+                        help="print only the lines that differ from this "
+                        "earlier list, and exit 1 if any do")
+    args = parser.parse_args(argv[1:])
+    root = Path(args.outdir).resolve()
+    if root.exists() and any(root.iterdir()):
+        # a stale file from an earlier run would be hashed as this run's
+        sys.exit("golden.py: %s is not empty" % root)
     demos = [(Path(p).stem, [str(p)])
              for p in sorted((ROOT / "demos").glob("*.py"))]
     lines = []
@@ -124,7 +137,15 @@ def main(argv):
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         text = masked(path.read_text(), root)
         lines.append("%s  %s" % (digest(text), path.relative_to(root)))
-    print("\n".join(lines))
+    if args.against is None:
+        print("\n".join(lines))
+        return
+    moved = list(difflib.unified_diff(
+        Path(args.against).read_text().splitlines(), lines,
+        args.against, "this run", lineterm="", n=0))
+    if moved:
+        print("\n".join(moved))
+        sys.exit(1)
 
 
 if __name__ == "__main__":

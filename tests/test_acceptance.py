@@ -99,8 +99,10 @@ def test_criterion_3_analytic_gradients():
         scheme = init_scheme(n, r, int(rng.integers(1 << 30)), 1.0)
         data = gen_dataset(n, 8, int(rng.integers(1 << 30)))
         a_rows, b_rows, t_rows = data.flat()
-        _, (d_h, d_k, d_f) = grad_analytic(scheme, a_rows, b_rows,
-                                             t_rows)
+        _, (d_hk, d_f) = grad_analytic(
+            np.stack((scheme.H, scheme.K)), scheme.F,
+            np.stack((a_rows, b_rows)), t_rows)
+        d_h, d_k = d_hk
         mats = {"H": (scheme.H, d_h), "K": (scheme.K, d_k),
                 "F": (scheme.F, d_f)}
         for name, (mat, grad) in mats.items():

@@ -22,6 +22,7 @@ from bmpnet.border import (
 from bmpnet.scheme import forward_fast_batch, scheme_to_json
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
+    ConfigError,
     TrainConfig,
     gen_dataset,
     grad_analytic,
@@ -178,10 +179,11 @@ class TestCoefficientGrads:
 
         stacks = [m.copy() for m in es.h_coeffs + es.k_coeffs + es.f_coeffs]
         scheme = evaluate(es)
-        _, (d_h, d_k, d_f) = grad_analytic(scheme, a_rows, b_rows,
-                                             t_rows)
+        _, (d_hk, d_f) = grad_analytic(
+            np.stack((scheme.H, scheme.K)), scheme.F,
+            np.stack((a_rows, b_rows)), t_rows)
         grads = coefficient_grads(
-            np.stack([d_h.ravel(), d_k.ravel(), d_f.ravel()]),
+            np.stack([d_hk[0].ravel(), d_hk[1].ravel(), d_f.ravel()]),
             eps_powers(1, -1, 0.3), stack_index(1, -1),
             np.empty((len(stacks), 16)))
         h = 1e-6
@@ -232,13 +234,15 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(EpsilonNonpositive):
             EpsSchedule(eps0=0.0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
+            EpsSchedule(eps0=np.inf)
+        with pytest.raises(ConfigError):
             EpsSchedule(decay=0.0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             EpsSchedule(decay=1.5)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             EpsSchedule(eps0=0.02, floor=0.05)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             EpsSchedule(floor=0.0)
 
 

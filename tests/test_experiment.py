@@ -22,8 +22,7 @@ from bmpnet.experiment import (
     top_vs_rest_welch,
     worker_pool,
 )
-from bmpnet.tensor import ShapeMismatch
-from bmpnet.training import RunOptions, TrainConfig, train
+from bmpnet.training import ConfigError, RunOptions, TrainConfig, train
 from perrun import assert_same_run
 
 
@@ -41,15 +40,15 @@ class TestConfig:
         assert cfg.n == 3 and cfg.reps == 7
 
     def test_rejects_duplicate_ranks(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             SweepConfig(ranks=(21, 21, 22))
 
     def test_rejects_empty_ranks(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             SweepConfig(ranks=())
 
     def test_rejects_single_rep(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             SweepConfig(reps=1)
 
 

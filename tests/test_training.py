@@ -6,17 +6,18 @@ import pickle
 import numpy as np
 import pytest
 
-from bmpnet.scheme import forward_fast_batch, init_scheme
+from bmpnet.scheme import BilinearScheme, forward_fast_batch, init_scheme
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
+    ConfigError,
     Factors,
     LengthMismatch,
     TrainConfig,
     TrainingDiverged,
     adam_step,
     adam_update,
-    batch_slices,
     clip_gradients,
+    draw_operands,
     epoch_loss,
     fit,
     gen_dataset,
@@ -32,6 +33,14 @@ from bmpnet.training import (
 )
 import perrun
 from reference import direct_scorer, grad_fd, within_gate
+
+
+def grads_of(s, a, b, t):
+    """(squared errors, (dH, dK, dF)) of one run's batch through the
+    stacked signature: H and K as one array, A and B as one."""
+    sq, (d_hk, d_f) = grad_analytic(np.stack((s.H, s.K)), s.F,
+                                    np.stack((a, b)), t)
+    return sq, (*d_hk, d_f)
 
 
 def tiny_config(**kw):
@@ -132,7 +141,7 @@ class TestGradients:
         a = rng.uniform(-1, 1, (6, 4))
         b = rng.uniform(-1, 1, (6, 4))
         t = forward_fast_batch(s, a, b)
-        for g in grad_analytic(s, a, b, t)[1]:
+        for g in grads_of(s, a, b, t)[1]:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_loss_is_the_forward_pass_mse(self):
@@ -142,25 +151,58 @@ class TestGradients:
         rng = np.random.default_rng(60)
         for n in (2, 3):
             s, a, b, t = self.random_case(rng, n)
-            sq, grads = grad_analytic(s, a, b, t)
+            sq, grads = grads_of(s, a, b, t)
             pred = forward_fast_batch(s, a, b)
             assert sq.tobytes() == ((pred - t) * (pred - t)).tobytes()
             assert sq.sum(axis=-1).sum(axis=-1) / len(a) == mse(pred, t)
             stack = Factors(s.H[None], s.K[None], s.F[None])
-            out = [np.empty((1,) + g.shape) for g in grads] + [t[None]]
-            got, stacked = grad_analytic(stack, a[None], b[None], t[None],
-                                         out)
-            assert got is out[3] and np.shares_memory(got, t)
+            out = [np.empty_like(stack.HK), np.empty_like(stack.F), t[None]]
+            got, (d_hk, d_f) = grad_analytic(
+                stack.HK, stack.F, np.stack((a, b))[:, None], t[None], out)
+            assert got is out[2] and np.shares_memory(got, t)
             assert got.tobytes() == sq.tobytes()
-            for g, o, alone in zip(stacked, out, grads):
-                assert g is o and g.tobytes() == alone.tobytes()
+            assert d_hk is out[0] and d_f is out[1]
+            for g, alone in zip((*d_hk, d_f), grads):
+                assert g.tobytes() == alone.tobytes()
+
+    def test_stack_of_three_with_a_short_tail_batch(self):
+        # three runs' rows gathered as the training loop gathers them,
+        # (3, R, count, n^2), in batches of 4 with a last batch of one
+        # row; the gradients land in views of an (R, 3, n^2 r) block,
+        # each run's bit for bit its gradients alone, and near the
+        # central differences
+        rng = np.random.default_rng(70)
+        n, r, count = 3, 11, 9
+        m = n * n
+        block = rng.normal(size=(3, 3, m * r))
+        factors = Factors.of_block(block.swapaxes(0, 1), n, r)
+        rows = rng.uniform(-1, 1, (3, 3, count, m))
+        grads = np.empty_like(block)
+        out = Factors.of_block(grads.swapaxes(0, 1), n, r)
+        for start in range(0, count, 4):
+            batch = rows[:, :, start:start + 4].copy()
+            tb = batch[2]
+            sq, _ = grad_analytic(factors.HK, factors.F, batch[:2], tb,
+                                  (out.HK, out.F, tb))
+            for run in range(3):
+                s = BilinearScheme(n, r, *(np.array(f[run])
+                                           for f in factors))
+                a, b, t = rows[:, run, start:start + 4]
+                want = perrun.grad_analytic(s, a, b, t)
+                got = [g.reshape(w.shape) for g, w in zip(grads[run], want)]
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+                assert self.max_rel_err(got, grad_fd(s, a, b, t)) <= 1e-5
+                pred = forward_fast_batch(s, a, b)
+                assert sq[run].tobytes() == ((pred - t) ** 2).tobytes()
+        assert len(a) == 1
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(62)
         for _ in range(20):
             n = int(rng.choice([2, 3]))
             s, a, b, t = self.random_case(rng, n)
-            _, got = grad_analytic(s, a, b, t)
+            _, got = grads_of(s, a, b, t)
             want = grad_fd(s, a, b, t, h=1e-6)
             assert self.max_rel_err(got, want) <= 1e-5
 
@@ -169,7 +211,7 @@ class TestGradients:
         rng = np.random.default_rng(63)
         s, a, b, _ = self.random_case(rng, 2)
         t = np.zeros((a.shape[0], 4))
-        _, got = grad_analytic(s, a, b, t)
+        _, got = grads_of(s, a, b, t)
         want = grad_fd(s, a, b, t, h=1e-6)
         assert self.max_rel_err(got, want) <= 1e-5
 
@@ -190,7 +232,7 @@ class TestGradients:
         # sizes must land on the analytic gradient
         rng = np.random.default_rng(64)
         s, a, b, t = self.random_case(rng, 2)
-        _, exact = grad_analytic(s, a, b, t)
+        _, exact = grads_of(s, a, b, t)
         for h in (1e-3, 1e-6):
             fd = grad_fd(s, a, b, t, h=h)
             assert self.max_rel_err(fd, exact) <= 1e-5
@@ -246,7 +288,7 @@ class TestClipping:
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
     def test_rejects_threshold_not_above_zero(self, threshold):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError):
             clip_gradients(np.ones((1, 1, 2)), threshold)
 
     def test_norm_is_global_not_per_matrix(self):
@@ -351,6 +393,27 @@ class TestAdam:
         assert block(H, K, F).tobytes() == params.tobytes()
 
 
+    def test_changed_hyperparameters_replace_the_constants(self):
+        # the state keeps the 0-d constants of the last update's lr,
+        # beta1, beta2 and eps; an update with other values must use
+        # them, not the kept ones, bit for bit as the per-array update
+        rng = np.random.default_rng(74)
+        s = init_scheme(2, 7, 19, 1.0)
+        ref = (s.H, s.K, s.F)
+        ref_state = perrun.init_adam(ref)
+        params = block(*ref)
+        state = init_adam_params(params)
+        for lr, beta1 in ((1e-3, 0.9), (5e-2, 0.5), (5e-2, 0.5),
+                          (1e-3, 0.9)):
+            grads = tuple(rng.normal(size=x.shape) for x in ref)
+            adam_update(state, params, block(*grads), lr, beta1)
+            ref, ref_state = perrun.adam_update(ref_state, ref, grads, lr,
+                                                beta1)
+            assert params.tobytes() == block(*ref).tobytes()
+            assert state.m.tobytes() == block(*ref_state[1]).tobytes()
+            assert state.v.tobytes() == block(*ref_state[2]).tobytes()
+
+
 class TestSeedDerivation:
     def test_mix64_is_deterministic_and_wide(self):
         assert mix64(1, 2, 3) == mix64(1, 2, 3)
@@ -370,27 +433,6 @@ class TestSeedDerivation:
         cfg = tiny_config(seed=9)
         seeds = {shuffle_seed(cfg, e) for e in range(50)}
         assert len(seeds) == 50
-
-
-class TestBatchSlices:
-    def test_partition_keeps_partial_tail(self):
-        perm = np.arange(10)[None]
-        sizes = [idx.shape[1] for idx in batch_slices(perm, 4)]
-        assert sizes == [4, 4, 2]
-
-    def test_covers_permutation_in_order(self):
-        rng = np.random.default_rng(69)
-        perm = rng.permutation(17)
-        chunks = list(batch_slices(perm[None], 5))
-        np.testing.assert_array_equal(np.concatenate(chunks, axis=1)[0],
-                                      perm)
-
-    def test_views_of_the_row_axis(self):
-        rows = np.arange(2 * 7 * 3).reshape(2, 7, 3)
-        chunks = list(batch_slices(rows, 3))
-        assert [c.shape for c in chunks] == [(2, 3, 3), (2, 3, 3), (2, 1, 3)]
-        assert all(np.shares_memory(c, rows) for c in chunks)
-        np.testing.assert_array_equal(np.concatenate(chunks, axis=1), rows)
 
 
 class TestTrain:
@@ -465,12 +507,22 @@ class TestTrain:
         assert rec.train_losses[-1] < rec.train_losses[0] / 100.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            tiny_config(batch_size=0)
-        with pytest.raises(ValueError):
-            tiny_config(batch_size=256, train_size=128)
-        with pytest.raises(ValueError):
-            tiny_config(lr=-1.0)
+        # a value out of range is a config error, not a shape mismatch
+        for bad in (dict(batch_size=0), dict(epochs=0),
+                    dict(batch_size=256), dict(train_size=0),
+                    dict(val_size=0), dict(lr=-1.0), dict(lr=np.inf),
+                    dict(clip_threshold=0.0), dict(alpha=0.0),
+                    dict(low=1.0, high=1.0), dict(high=np.nan)):
+            with pytest.raises(ConfigError):
+                tiny_config(**bad)
+
+    def test_shape_and_sampling_errors(self):
+        with pytest.raises(ShapeMismatch):
+            tiny_config(r=0)
+        with pytest.raises(ConfigError):
+            draw_operands(2, 0, 1)
+        with pytest.raises(ConfigError):
+            draw_operands(2, 5, 1, low=0.5, high=-0.5)
 
 
 class TestDivergence:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bmpnet import verify
 from bmpnet.network import Network, NodeSpec, parent_positions, total_direct
 from bmpnet.scheme import BilinearScheme, to_float
 from bmpnet.tensor import scaled
@@ -152,6 +153,26 @@ class TestSlotNorms:
                            K=1e-3 * rng.normal(size=(9, 23)),
                            F=1e3 * rng.normal(size=(23, 9)))
         same(slot_contribution_norms(s), slot_norms_each(s))
+
+    @pytest.mark.parametrize("s", pinned_schemes(),
+                             ids=["strassen", "float", "kron", "thirds"])
+    def test_report_scales_each_factor_once(self, s, monkeypatch):
+        # the residual and the slot norms of one report share the
+        # scaled forms of H, K and F, with the bits of each alone
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return scaled(t)
+
+        monkeypatch.setattr(verify, "scaled", counting)
+        report = verify.verify_scheme(s)
+        assert len(calls) == 3
+        same(report.slot_norms, slot_norms_each(s))
+        assert report.residual == verify.residual(s, s.n)
+        if report.exact_zero is not None:
+            assert report.exact_zero == (verify.residual_sq_exact(s, s.n)
+                                         == 0)
 
 
 def lone_slot(entry, rest):
