@@ -75,9 +75,6 @@ def zeros_matching(shape, like):
 # every partial result, computed in Python ints, stays below this
 _INT64_BOUND = 1 << 62
 
-# entries per intermediate of one block of the shared index in bmp
-_BLOCK = 1 << 20
-
 
 def _core(t):
     """The entries ``t`` stores: index 0 of every stride-0 (broadcast)
@@ -147,27 +144,15 @@ def fit_integers(arrays, terms, plus=0):
             for a in arrays]
 
 
-def _slabs(f, k, h0, h1):
-    """View of ``f`` at indices ``h0:h1`` of its slot ``k``, moved to a
-    new leading axis; slot ``k`` is kept at extent 1."""
-    block = f[(slice(None),) * k + (slice(h0, h1),)]
-    return block[None].swapaxes(0, k + 1)
-
-
 def _accumulate(factors, l, out):
-    """Add the product's terms to ``out``: the shared index stepped in
-    blocks, each block multiplied slab by slab, and its terms added one
-    h at a time."""
-    d = len(factors)
-    step = max(1, min(l, _BLOCK // max(1, out.size)))
-    for h0 in range(0, l, step):
-        h1 = min(l, h0 + step)
-        term = _slabs(factors[0], 0, h0, h1)
-        for k in range(1, d):
-            term = term * _slabs(factors[k], k, h0, h1)
-        # out + term_h0 + term_h0+1 + ..., added one h at a time
-        sums = np.concatenate([out[None], term])
-        out = np.add.accumulate(sums, axis=0, out=sums)[-1]
+    """Add the product's terms to ``out`` one shared index ``h`` at a
+    time, each term the left-to-right product of the factors' slices at
+    ``h``."""
+    for h in range(l):
+        term = factors[0][h:h + 1]
+        for k, f in enumerate(factors[1:], 1):
+            term = term * f[(slice(None),) * k + (slice(h, h + 1),)]
+        out = out + term
     return out
 
 
@@ -185,8 +170,9 @@ def bmp(factors):
     (:func:`scaled`) by one ``einsum``, in int64 while ``l * prod(max
     |f_k|)`` allows it and in Python ints past it, and the result is
     rescaled once to Fractions; integer arrays give an integer result.
-    Floats step the shared index in blocks; a float result equals, bit
-    for bit, the sum taken one ``h`` at a time in increasing order.
+    Floats are summed one ``h`` at a time in increasing order, ``out =
+    out + term``, each term the left-to-right product of the factors'
+    slices at ``h``.
     """
     d = len(factors)
     if d < 2:

@@ -143,13 +143,12 @@ def grad_analytic(hk, f, ab_rows, target_rows, out=None):
 
 
 def epoch_loss(sq_err, batch_size):
-    """Per run, the sample mean of an epoch's batch losses, and whether
-    every batch loss was finite, from the squared errors (R, count, m) of
-    its consecutive batches.  Each batch loss is the :func:`mse` of its
-    batch bit for bit: the row sums of a batch are one contiguous run,
-    reduced by the same pairwise sum as the batch alone.  The batch
-    losses times their sizes are then summed in batch order, which a
-    pairwise sum over the batches would not do."""
+    """Per run, the sample mean of an epoch's batch losses, from the
+    squared errors (R, count, m) of its consecutive batches.  Each batch
+    loss is the :func:`mse` of its batch bit for bit: the row sums of a
+    batch are one contiguous run, reduced by the same pairwise sum as the
+    batch alone.  The batch losses times their sizes are then summed in
+    batch order, which a pairwise sum over the batches would not do."""
     rows = np.add.reduce(sq_err, axis=-1)
     runs, count = rows.shape
     full = count - count % batch_size
@@ -160,8 +159,7 @@ def epoch_loss(sq_err, batch_size):
                       / (count - full))
     losses = np.concatenate(losses, axis=-1)
     sizes = np.minimum(batch_size, count - np.arange(0, count, batch_size))
-    return (np.add.accumulate(losses * sizes, axis=-1)[:, -1] / count,
-            np.isfinite(losses).all(axis=-1))
+    return np.add.accumulate(losses * sizes, axis=-1)[:, -1] / count
 
 
 def fourth_moment(a, b):
@@ -439,9 +437,9 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     run's validation set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
-    :class:`TrainingDiverged` it raised: a non-finite batch loss or epoch
-    mean, or non-finite factors at its end, stops that run at the end of
-    the epoch, and the other runs go on untouched.
+    :class:`TrainingDiverged` it raised: a non-finite epoch mean (as any
+    non-finite batch loss makes it), or non-finite factors, stops a run
+    at the end of the epoch, and the other runs go on untouched.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -503,10 +501,10 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
                 clip_gradients(grads, cfg.clip_threshold)
                 adam_update(state, params, grads, cfg.lr,
                             cfg.beta1, cfg.beta2, cfg.adam_eps)
-            train_loss, losses_finite = epoch_loss(rows[2], batch)
+            train_loss = epoch_loss(rows[2], batch)
         factors = own if view is None else view(params, epoch)
         finite = np.logical_and.reduce(
-            [losses_finite, np.isfinite(train_loss)]
+            [np.isfinite(train_loss)]
             + [np.isfinite(f).all(axis=(-2, -1)) for f in factors])
         for run in runs:
             if failed[run] is None and not finite[run]:

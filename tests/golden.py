@@ -51,6 +51,10 @@ COMMANDS = [
                    "--round", "--out", "{out}"]),
     ("verify-n3", ["verify", "--scheme", "{root}/train-n3/scheme.json",
                    "--round", "--out", "{out}"]),
+    # float verification, through the float bmp: exits 1, the residual
+    # is above tol
+    ("verify-float", ["verify", "--scheme", "{root}/train-n3/scheme.json",
+                      "--out", "{out}"]),
     ("verify-strassen", ["verify", "--scheme", "strassen", "--exact",
                          "--out", "{out}"]),
     ("sweep-top", ["sweep", *TINY_SWEEP, "--ranks", "5,6,7",

@@ -229,8 +229,8 @@ def slot_loop_bmp(factors):
     """Bhattacharya-Mesner product summed one shared index at a time:
     ``out = out + term`` for h = 0, 1, ..., each term the left-to-right
     product of the factors' slices at h.  The float reference for
-    ``tensor.bmp``, which steps h in blocks and must match it bit for
-    bit.  Factors are assumed well formed."""
+    ``tensor.bmp``, which must match it bit for bit.  Factors are
+    assumed well formed."""
     d = len(factors)
     factors = [np.asarray(f) for f in factors]
     l = factors[0].shape[0]

@@ -68,7 +68,7 @@ def equal(got, want):
 def routes(monkeypatch):
     """Record the dtype of what each route of ``bmp`` multiplies:
     ``einsum`` (integers, int64 or Python ints) and ``accumulate`` (the
-    ordered block sum of floats)."""
+    ordered sum of floats, one shared index at a time)."""
     seen = {"einsum": [], "accumulate": []}
     einsum, accumulate = np.einsum, tensor._accumulate
 

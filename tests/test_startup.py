@@ -72,3 +72,7 @@ def test_numpy_is_the_only_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     deps = project["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+    # the training step transposes with ndarray.mT, new in numpy 2.0
+    floor = re.search(r">=\s*([\d.]+)", deps[0])
+    assert floor is not None, deps[0]
+    assert tuple(map(int, floor.group(1).split("."))) >= (2, 0)

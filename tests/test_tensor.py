@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmpnet import tensor
 from bmpnet.tensor import (
     ArityMismatch,
     BadIndexSet,
@@ -133,8 +132,8 @@ class TestBmp:
         assert np.isnan(float(bmp([exact_zero, nan.astype(object)])[0, 0]))
 
     def test_float_bitwise_equals_slot_loop(self):
-        """Blocks of the shared index add up in the same order as one
-        index at a time: same bytes, -0.0 entries included, and a sum
+        """The float product adds in the same order as one index at a
+        time: same bytes, -0.0, NaN and inf entries included, and a sum
         of zeros is +0.0."""
         rng = np.random.default_rng(13)
         for _ in range(150):
@@ -155,6 +154,30 @@ class TestBmp:
             assert got.tobytes() == want.tobytes()
         negative_zeros = [np.full((3, 2), -0.0), np.ones((2, 3))]
         assert bmp(negative_zeros).tobytes() == np.zeros((2, 2)).tobytes()
+        # one NaN or +-inf entry per factor among magnitudes 1e-300 to
+        # 1e300 that overflow and underflow: the same bytes still, down
+        # to the sign bit of every NaN
+        rng = np.random.default_rng(17)
+        specials = (np.nan, -np.nan, np.inf, -np.inf)
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                d = int(rng.integers(2, 5))
+                extents = [int(e) for e in rng.integers(1, 5, size=d)]
+                l = int(rng.integers(1, 40))
+                factors = []
+                for k in range(d):
+                    shape = list(extents)
+                    shape[k] = l
+                    f = rng.normal(size=shape) * 10.0 ** rng.integers(
+                        -300, 301, size=shape)
+                    f[rng.random(size=f.shape) < 0.2] = 0.0
+                    f.flat[rng.integers(f.size)] = specials[
+                        rng.integers(len(specials))]
+                    factors.append(f)
+                want = slot_loop_bmp(factors)
+                got = bmp(factors)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_float_single_entry_long_sum(self):
         """An output of size 1 summed over many h stays the sequential
@@ -167,27 +190,24 @@ class TestBmp:
             got = bmp(factors)
             assert got.tobytes() == slot_loop_bmp(factors).tobytes()
 
-    def test_float_across_blocks(self, monkeypatch):
-        """An l spanning several blocks, at the block size in use and at
-        block sizes small enough to split every case."""
+    def test_float_across_blocks(self):
+        """A product with 2**20 entries of output, and products of l
+        from 2 to 29."""
         rng = np.random.default_rng(15)
-        # 2**20 entries of output: one h per block
         factors = [rng.normal(size=(3, 128, 64)),
                    rng.normal(size=(128, 3, 64)),
                    rng.normal(size=(128, 128, 3))]
         assert bmp(factors).tobytes() == slot_loop_bmp(factors).tobytes()
-        for block in (1, 5, 24):
-            monkeypatch.setattr(tensor, "_BLOCK", block)
-            for _ in range(10):
-                extents = [int(e) for e in rng.integers(1, 4, size=3)]
-                l = int(rng.integers(2, 30))
-                factors = []
-                for k in range(3):
-                    shape = list(extents)
-                    shape[k] = l
-                    factors.append(rng.normal(size=shape))
-                got = bmp(factors)
-                assert got.tobytes() == slot_loop_bmp(factors).tobytes()
+        for _ in range(30):
+            extents = [int(e) for e in rng.integers(1, 4, size=3)]
+            l = int(rng.integers(2, 30))
+            factors = []
+            for k in range(3):
+                shape = list(extents)
+                shape[k] = l
+                factors.append(rng.normal(size=shape))
+            got = bmp(factors)
+            assert got.tobytes() == slot_loop_bmp(factors).tobytes()
 
     def test_exact_broadcast_views_equal_copies(self):
         """Factors lifted as read-only broadcast views give the product
