@@ -157,8 +157,7 @@ def write_json(outdir, name, payload):
     path = os.path.join(outdir, name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def export(records, outdir, top_vs_rest=False):

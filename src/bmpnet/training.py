@@ -10,8 +10,11 @@ derived from the run's seed through a fixed mixing function, so each
 record reproduces bitwise, alone or in any stack.
 """
 
+import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -133,13 +136,15 @@ def grad_analytic(hk, f, ab_rows, target_rows, out=None):
     out = (None,) * 3 if out is None else out
     uw = ab_rows @ hk
     m = uw[0] * uw[1]
-    diff = m @ f - target_rows
+    diff = m @ f
+    diff -= target_rows
+    sq_err = np.multiply(diff, diff, out[2])
     # 2 d and count / 2 are exact, so this rounds 2 d / count once
-    err = diff / (count * 0.5)
+    err = np.divide(diff, count * 0.5, diff)
     d_f = np.matmul(m.mT, err, out[1])
-    g = err @ f.mT
-    d_hk = np.matmul(ab_rows.mT, g * uw[::-1], out[0])
-    return np.multiply(diff, diff, out[2]), (d_hk, d_f)
+    wu = uw[::-1]
+    np.multiply(err @ f.mT, wu, wu)
+    return sq_err, (np.matmul(ab_rows.mT, wu, out[0]), d_f)
 
 
 def epoch_loss(sq_err, batch_size):
@@ -165,14 +170,18 @@ def epoch_loss(sq_err, batch_size):
 def fourth_moment(a, b):
     """The m^2 x m^2 mean of x x^T over operand pairs, where x is the
     Kronecker product of the flattened operands a and b (m = n^2).  It
-    is summed 1,024 rows at a time, so no (count, m^2) array of all the
-    x exists at once."""
+    is summed 1,024 rows at a time, each chunk of x written into one
+    buffer reused across chunks, so no (count, m^2) array of all the x
+    exists at once.  ``einsum`` writes each zero product as +0 whatever
+    its sign; the total, which starts at +0, cannot show the sign."""
     a_rows, b_rows = (x.reshape(len(x), -1) for x in (a, b))
     (count, m), chunk = a_rows.shape, 1024
     total = np.zeros((m * m, m * m))
+    buf = np.empty((min(chunk, count), m, m))
     for start in range(0, count, chunk):
-        x = (a_rows[start:start + chunk, :, None]
-             * b_rows[start:start + chunk, None, :]).reshape(-1, m * m)
+        a_chunk = a_rows[start:start + chunk]
+        x = np.einsum("ti,tj->tij", a_chunk, b_rows[start:start + chunk],
+                      out=buf[:len(a_chunk)]).reshape(-1, m * m)
         total += x.T @ x
     return total / count
 
@@ -206,23 +215,32 @@ def scorer(n, moment):
     return score
 
 
+def _run_norms(grads):
+    """Each run's norm as a Python float: the squares summed per array,
+    then over the A arrays left to right in plain float additions (which
+    ``sum`` is not from Python 3.12 on), then one correctly rounded
+    root."""
+    return [math.sqrt(reduce(operator.add, squares)) for squares
+            in np.add.reduce(grads * grads, axis=-1).tolist()]
+
+
 def global_norm(grads):
     """Euclidean norm of each run's gradient block (R, A, P): the squares
     are summed per array, then over the A arrays in order."""
-    squares = np.add.reduce(grads * grads, axis=-1)
-    return np.sqrt(np.add.accumulate(squares, axis=-1)[:, -1])
+    return np.array(_run_norms(grads))
 
 
 def clip_gradients(grads, threshold):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
     of the given :func:`global_norm`; runs below the threshold pass
-    through untouched.  Returns the block."""
+    through untouched, and a NaN norm clips.  Returns the block."""
     if not threshold > 0:
         raise ConfigError("clip threshold must be positive")
-    norm = global_norm(grads)
-    if not norm.max() <= threshold:
+    norms = _run_norms(grads)
+    if not all(norm <= threshold for norm in norms):
         # threshold / threshold is exactly 1, and x * 1 is x
-        grads *= (threshold / np.maximum(norm, threshold))[:, None, None]
+        scale = threshold / np.maximum(norms, threshold)
+        np.multiply(grads, scale[:, None, None], grads)
     return grads
 
 
@@ -430,8 +448,9 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     writes its squared errors over the batch's target rows, which no
     later step reads.  Per epoch, after the updates, a run's train loss
     is the exact sample mean of its batch losses, summed from those
-    squared errors (:func:`epoch_loss`), and one :func:`scorer` call
-    scores every run still going; then ``epoch_end(run, epoch, arrays,
+    squared errors (:func:`epoch_loss`), and one call of the stack's
+    :func:`scorer`, built again only when a run drops out, scores every
+    run still going; then ``epoch_end(run, epoch, arrays,
     train_loss, val_loss, score)`` runs, with views of the run's
     parameter arrays and ``score(scheme)``, any scheme's val loss on the
     run's validation set (a :func:`scorer`).
@@ -474,6 +493,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
+    live, score_live = list(runs), scorer(cfg.n, moments)
 
     for epoch in range(cfg.epochs):
         if epoch == 0 or cfg.resample:
@@ -511,12 +531,13 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
                 curves = (train_losses[run], val_losses[run])
                 failed[run] = TrainingDiverged(epoch, *(
                     c[-1] if c else None for c in curves), curves)
-        live = [run for run in runs if failed[run] is None]
-        if not live:
+        still = [run for run in live if failed[run] is None]
+        if not still:
             return failed
-        # diverged runs are left out, so scoring them raises no warnings
-        vals = scorer(cfg.n, moments[live])(
-            Factors(*(f[live] for f in factors)))
+        if still != live:
+            # diverged runs are left out, so scoring them raises no warnings
+            live, score_live = still, scorer(cfg.n, moments[still])
+        vals = score_live(Factors(*(f[live] for f in factors)))
         for run, val in zip(live, vals):
             train_losses[run].append(float(train_loss[run]))
             val_losses[run].append(float(val))

@@ -4,9 +4,10 @@ reconstructed tensor, central-difference gradients, snapping to a grid
 by a minimum over all of it and by bisection entry by entry, slot norms
 and gauge fixing slot by slot, the total tensor one joint state at a
 time, the residual over every entry of the target tensor, the product
-summed one shared index at a time, and exact products, totals and
-residuals taken in Fraction arithmetic.  Tests hold the package to them;
-nothing here is used by the package."""
+summed one shared index at a time, exact products, totals and
+residuals taken in Fraction arithmetic, the validation moment from a
+fresh product per chunk, and clipping norms from array reductions.
+Tests hold the package to them; nothing here is used by the package."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -243,3 +244,34 @@ def slot_loop_bmp(factors):
             term = piece if term is None else term * piece
         out = out + term
     return out
+
+
+def chunked_fourth_moment(a, b):
+    """``training.fourth_moment`` with a fresh broadcast product for each
+    chunk of 1,024 rows, the formula its reused buffer replaced, which
+    fixes the bits of the moment."""
+    a_rows, b_rows = (x.reshape(len(x), -1) for x in (a, b))
+    (count, m), chunk = a_rows.shape, 1024
+    total = np.zeros((m * m, m * m))
+    for start in range(0, count, chunk):
+        x = (a_rows[start:start + chunk, :, None]
+             * b_rows[start:start + chunk, None, :]).reshape(-1, m * m)
+        total += x.T @ x
+    return total / count
+
+
+def array_global_norm(grads):
+    """``training.global_norm`` as array reductions: each array's squares
+    summed, the A sums accumulated in order, one ``np.sqrt``."""
+    squares = np.add.reduce(grads * grads, axis=-1)
+    return np.sqrt(np.add.accumulate(squares, axis=-1)[:, -1])
+
+
+def array_clip_gradients(grads, threshold):
+    """``training.clip_gradients`` on the norms of
+    :func:`array_global_norm`, the formula its Python-float norms
+    replaced."""
+    norm = array_global_norm(grads)
+    if not norm.max() <= threshold:
+        grads *= (threshold / np.maximum(norm, threshold))[:, None, None]
+    return grads

@@ -21,6 +21,7 @@ from bmpnet.experiment import (
     sweep,
     top_vs_rest_welch,
     worker_pool,
+    write_json,
 )
 from bmpnet.training import ConfigError, RunOptions, TrainConfig, train
 from perrun import assert_same_run
@@ -207,6 +208,19 @@ class TestGrouping:
     def test_top_vs_rest(self, records):
         pairs = top_vs_rest_welch(records)
         assert [(hi, lo) for hi, lo, _ in pairs] == [(7, 5)]
+
+
+def test_write_json_bytes(tmp_path):
+    # the one writer's bytes are json.dump's, with a trailing newline
+    payload = {"z": [1, [2.5, float("nan")], {"b": None, "a": True}],
+               "inf": [float("inf"), -float("inf")],
+               "\u00e9t\u00e9": "r\u00e9el", "a": {"y": -0.0, "x": 1e-300}}
+    write_json(str(tmp_path), "sub/out.json", payload)
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "sub" / "out.json").read_bytes() \
+        == (tmp_path / "want.json").read_bytes()
 
 
 class TestExport:

@@ -1,6 +1,7 @@
 """Training-loop tests: data generation, loss, gradients against the
 finite-difference oracle, clipping, Adam, and the epoch loop."""
 
+import math
 import pickle
 
 import numpy as np
@@ -32,7 +33,9 @@ from bmpnet.training import (
     train,
 )
 import perrun
-from reference import direct_scorer, grad_fd, within_gate
+from reference import (
+    array_clip_gradients, array_global_norm, direct_scorer, grad_fd,
+    within_gate)
 
 
 def grads_of(s, a, b, t):
@@ -321,6 +324,46 @@ class TestClipping:
         want = perrun.clip_gradients(tuple(g[0]), 1.0)
         got = clip_gradients(g, 1.0)
         assert got.tobytes() == np.stack(want)[None].tobytes()
+
+    @staticmethod
+    def edge_stack(poison):
+        """Five runs of eleven arrays: far above the threshold, with a
+        sum of squares whose bits depend on its order, below it, at
+        exactly 10, all zero, and one holding ``poison``."""
+        rng = np.random.default_rng(92)
+        g = np.zeros((5, 11, 4))
+        g[0] = rng.normal(size=(11, 4)) \
+            * 10.0 ** rng.uniform(-8, 8, size=(11, 1))
+        g[1] = rng.normal(size=(11, 4)) * 0.1
+        g[2, 0, 0], g[2, 1, 0] = 6.0, 8.0
+        g[4] = rng.normal(size=(11, 4))
+        g[4, 3, 1] = poison
+        return g
+
+    @pytest.mark.parametrize("threshold", [10.0, np.inf])
+    def test_edge_runs_bit_for_bit(self, threshold):
+        # --clip inf never clips, not even a run of infinite norm
+        g = self.edge_stack(np.inf)
+        squares = (g[0] * g[0]).sum(axis=-1)
+        norms = global_norm(g)
+        assert norms[0] > 1e5 and norms[1] < 10.0 and norms[2] == 10.0
+        assert norms[3] == 0.0 and norms[4] == np.inf
+        for other in (math.fsum(squares), squares[::-1].cumsum()[-1]):
+            assert math.sqrt(other) != norms[0]
+        assert norms.tobytes() == array_global_norm(g).tobytes()
+        # inf times the scale 0 is NaN, as in a diverging step
+        with np.errstate(invalid="ignore"):
+            want = array_clip_gradients(g.copy(), threshold)
+            assert clip_gradients(g, threshold).tobytes() == want.tobytes()
+        assert np.isnan(want).any() == (threshold == 10.0)
+
+    def test_nan_norm_clips(self):
+        g = self.edge_stack(np.nan)[1:]
+        assert np.isnan(global_norm(g)[-1])
+        with np.errstate(invalid="ignore"):
+            want = array_clip_gradients(g.copy(), 10.0)
+            assert clip_gradients(g, 10.0).tobytes() == want.tobytes()
+        assert np.isnan(want[-1]).all()
 
 
 def block(*arrays):

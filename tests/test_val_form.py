@@ -13,11 +13,12 @@ from bmpnet.border import EpsSchedule, train_eps
 from bmpnet.scheme import BilinearScheme, init_scheme
 from bmpnet.tensor import float_array
 from bmpnet.training import (
-    Factors, TrainConfig, TrainingDiverged, fit, fourth_moment, gen_dataset,
-    run_streams, scorer, train)
+    Factors, TrainConfig, TrainingDiverged, draw_operands, fit, fourth_moment,
+    gen_dataset, run_streams, scorer, train)
 from bmpnet.verify import known_strassen
 from perrun import bits
-from reference import direct_scorer, reconstruct_scorer, within_gate
+from reference import (
+    chunked_fourth_moment, direct_scorer, reconstruct_scorer, within_gate)
 from test_stack import blown_up, config, init_for
 
 RANGES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)]
@@ -166,6 +167,18 @@ def test_fourth_moment_is_the_mean_over_all_rows(count):
     x = (a[:, :, None] * b[:, None, :]).reshape(count, 16)
     np.testing.assert_allclose(fourth_moment(val.a, val.b), x.T @ x / count,
                                rtol=1e-13)
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fourth_moment_bits(n, count):
+    # bitwise against a fresh product per chunk: a set below one chunk and
+    # a short last chunk fill part of the reused buffer, and the zeros of
+    # the first rows lose their sign in it without changing a bit of S
+    a, b = draw_operands(n, count, 40 + n)
+    a[:3, 0], b[:2, -1] = -0.0, 0.0
+    assert fourth_moment(a, b).tobytes() \
+        == chunked_fourth_moment(a, b).tobytes()
 
 
 def test_border_run_val_and_probe_losses(monkeypatch):
