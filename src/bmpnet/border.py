@@ -127,17 +127,29 @@ def stack_index(d_max, f_min):
     return np.repeat([0, 1, 2], [d_max + 1, d_max + 1, d_max - f_min + 1])
 
 
-def _factors(coeffs, powers, n_h, out):
-    """Fill the factor block ``out`` (3, ..., n^2 r) with H, K and F of a
-    coefficient block (..., A, n^2 r) at the eps of ``powers``: each
-    stack's rows times their powers, summed over the powers in ascending
-    order from -0.0, which leaves every term's bits as they are."""
-    terms = coeffs * powers
-    for k, stack in enumerate((terms[..., :n_h, :],
-                               terms[..., n_h:2 * n_h, :],
-                               terms[..., 2 * n_h:, :])):
-        np.add.reduce(stack, axis=-2, initial=-0.0, out=out[k])
-    return out
+def _factor_writer(shape, n_h, out):
+    """``write(coeffs, powers)``, which fills the factor block ``out``
+    (3, ..., n^2 r) with H, K and F of a coefficient block shaped
+    ``shape`` (..., A, n^2 r) at the eps of ``powers`` and returns it.
+    Each row times its power goes into one terms buffer, made here with
+    the views read of it.  The H and K stacks are then summed over their
+    n_h powers by one reduction of an (..., 2, n_h, n^2 r) view, and F by
+    a second, each in ascending order from -0.0, which leaves every
+    term's bits as they are."""
+    terms = np.empty(shape)
+    lead, size = shape[:-2], shape[-1]
+    # a slice of whole rows of a new array: the reshape is a view
+    hk_terms = terms[..., :2 * n_h, :].reshape(lead + (2, n_h, size))
+    f_terms = terms[..., 2 * n_h:, :]
+    hk_out, f_out = np.moveaxis(out[:2], 0, -2), out[2]
+    mul, add = np.multiply, np.add.reduce
+
+    def write(coeffs, powers):
+        mul(coeffs, powers, terms)
+        add(hk_terms, -2, None, hk_out, initial=-0.0)
+        add(f_terms, -2, None, f_out, initial=-0.0)
+        return out
+    return write
 
 
 def evaluate(es, eps=None):
@@ -145,8 +157,9 @@ def evaluate(es, eps=None):
     coeffs = np.stack([np.ravel(c)
                        for c in es.h_coeffs + es.k_coeffs + es.f_coeffs])
     powers = eps_powers(es.d_max, es.f_min, es.eps if eps is None else eps)
-    block = _factors(coeffs, powers, es.d_max + 1,
-                     np.empty((3, es.n * es.n * es.r)))
+    write = _factor_writer(coeffs.shape, es.d_max + 1,
+                           np.empty((3, es.n * es.n * es.r)))
+    block = write(coeffs, powers)
     return BilinearScheme(es.n, es.r, *Factors.of_block(block, es.n, es.r))
 
 
@@ -228,11 +241,13 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
         lambda epoch: eps_powers(d_max, f_min, schedule.at(epoch)))
     index = stack_index(d_max, f_min)
     # the factor block of the stack of one, rewritten by every view
-    block = np.empty((3, 1, cfg.n * cfg.n * cfg.r))
+    size = cfg.n * cfg.n * cfg.r
+    block = np.empty((3, 1, size))
     factors = Factors.of_block(block, cfg.n, cfg.r)
+    write = _factor_writer((1, len(index), size), n_h, block)
 
     def view(params, epoch):
-        _factors(params, powers(epoch), n_h, block)
+        write(params, powers(epoch))
         return factors
 
     def pull(grads, out, epoch):

@@ -23,6 +23,11 @@ from .scheme import BilinearScheme, init_scheme, scheme_to_json
 from .scheme import forward_fast_batch  # noqa: F401
 from .tensor import ShapeMismatch, matmul_tensor
 
+# the ufuncs of a training step, looked up once
+_add, _sub, _mul, _div, _sqrt, _matmul = (
+    np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.matmul)
+_sum = np.add.reduce
+
 
 class LengthMismatch(ValueError):
     """Prediction and target collections differ in shape."""
@@ -116,7 +121,30 @@ def mse(pred_rows, target_rows):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_analytic(hk, f, ab_rows, target_rows, out=None):
+class GradBuffers:
+    """The temporaries of :func:`grad_analytic` for batches of ``count``
+    rows of ``runs`` runs, allocated once with the views it reads of
+    them: U and W as one (2, *runs, count, r) array with its two rows and
+    their reversal, M with its transpose, the residual, G, the 0-d
+    count / 2, and the last F seen with its transpose.  F is read
+    through a view of its block, so one transpose serves every step that
+    passes the same F."""
+
+    __slots__ = ("uw", "u", "w", "wu", "m", "m_t", "diff", "g", "half",
+                 "f", "f_t")
+
+    def __init__(self, runs, count, m, r):
+        self.uw = np.empty((2,) + runs + (count, r))
+        self.u, self.w, self.wu = self.uw[0], self.uw[1], self.uw[::-1]
+        self.m = np.empty(runs + (count, r))
+        self.m_t = self.m.mT
+        self.diff = np.empty(runs + (count, m))
+        self.g = np.empty_like(self.m)
+        self.half = np.array(count * 0.5)
+        self.f = self.f_t = None
+
+
+def grad_analytic(hk, f, ab_rows, target_rows, out=None, ws=None):
     """The squared errors of one batch's forward pass and the closed-form
     gradients of their :func:`mse` loss, as ``(sq_err, (dHK, dF))``.
     ``hk`` holds H and K as one (2, ..., n^2, r) array and ``ab_rows``
@@ -124,7 +152,9 @@ def grad_analytic(hk, f, ab_rows, target_rows, out=None):
     target rows and both of them may carry a leading run axis.  ``out``,
     if given, holds three arrays: two shaped as ``hk`` and F for the
     gradients, and one shaped as the target rows for the squared errors,
-    which may be the target rows themselves.
+    which may be the target rows themselves.  ``ws``, the
+    :class:`GradBuffers` of the batch size, holds every temporary; a
+    call without it makes its own.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
     the squared errors are (V - T)^2, their sum over the last two axes
@@ -132,19 +162,22 @@ def grad_analytic(hk, f, ab_rows, target_rows, out=None):
     dH = A^T (G * W) and dK = B^T (G * U).  U and W are one batched
     product, and so are dH and dK.
     """
-    count = ab_rows.shape[-2]
-    out = (None,) * 3 if out is None else out
-    uw = ab_rows @ hk
-    m = uw[0] * uw[1]
-    diff = m @ f
-    diff -= target_rows
-    sq_err = np.multiply(diff, diff, out[2])
+    if ws is None:
+        ws = GradBuffers(np.broadcast_shapes(
+            hk.shape[1:-2], ab_rows.shape[1:-2], f.shape[:-2]),
+            ab_rows.shape[-2], f.shape[-1], f.shape[-2])
+    d_hk, d_f, sq_err = (None,) * 3 if out is None else out
+    if f is not ws.f:
+        ws.f, ws.f_t = f, f.mT
+    _matmul(ab_rows, hk, ws.uw)
+    m, diff, wu = _mul(ws.u, ws.w, ws.m), ws.diff, ws.wu
+    _sub(_matmul(m, f, diff), target_rows, diff)
+    sq_err = _mul(diff, diff, sq_err)
     # 2 d and count / 2 are exact, so this rounds 2 d / count once
-    err = np.divide(diff, count * 0.5, diff)
-    d_f = np.matmul(m.mT, err, out[1])
-    wu = uw[::-1]
-    np.multiply(err @ f.mT, wu, wu)
-    return sq_err, (np.matmul(ab_rows.mT, wu, out[0]), d_f)
+    _div(diff, ws.half, diff)
+    d_f = _matmul(ws.m_t, diff, d_f)
+    _mul(_matmul(diff, ws.f_t, ws.g), wu, wu)
+    return sq_err, (_matmul(ab_rows.mT, wu, d_hk), d_f)
 
 
 def epoch_loss(sq_err, batch_size):
@@ -215,76 +248,110 @@ def scorer(n, moment):
     return score
 
 
-def _run_norms(grads):
-    """Each run's norm as a Python float: the squares summed per array,
-    then over the A arrays left to right in plain float additions (which
-    ``sum`` is not from Python 3.12 on), then one correctly rounded
-    root."""
-    return [math.sqrt(reduce(operator.add, squares)) for squares
-            in np.add.reduce(grads * grads, axis=-1).tolist()]
+def _run_norms(sums):
+    """Each run's norm as a Python float from the (R, A) sums of squares
+    of its arrays: summed over the A arrays left to right in plain float
+    additions (which ``sum`` is not from Python 3.12 on), then one
+    correctly rounded root."""
+    return [math.sqrt(reduce(operator.add, run)) for run in sums.tolist()]
 
 
 def global_norm(grads):
     """Euclidean norm of each run's gradient block (R, A, P): the squares
     are summed per array, then over the A arrays in order."""
-    return np.array(_run_norms(grads))
+    return np.array(_run_norms(_sum(grads * grads, -1)))
 
 
-def clip_gradients(grads, threshold):
+class Workspace:
+    """What one stack's step writes, allocated once for (R, A, P) blocks
+    shaped as ``params``: the Adam state (step count, moments, scratch,
+    the last hyperparameters with their 0-d constants, and the 0-d bias
+    corrections), the clipping squares with their per-array sums and
+    per-run scales, and the :class:`GradBuffers` of each batch size.  A
+    threshold, if given, is checked here, once.  ``squared`` is the
+    gradient block whose squares ``squares`` holds, set by a
+    :func:`clip_gradients` that scaled no run, so the next
+    :func:`adam_update` of that block reads g^2 there."""
+
+    def __init__(self, params, threshold=None):
+        if threshold is not None and not threshold > 0:
+            raise ConfigError("clip threshold must be positive")
+        zeros = np.zeros_like(np.asarray(params, dtype=np.float64))
+        self.step, self.m, self.v = 0, zeros, zeros.copy()
+        self.s, self.q = np.empty_like(zeros), np.empty_like(zeros)
+        self.hyper, self.constants = None, ()
+        self.fix1, self.fix2 = np.empty(()), np.empty(())
+        self.squares, self.squared = np.empty_like(zeros), None
+        self.sums = np.empty(zeros.shape[:-1])
+        self.scale = np.empty(zeros.shape[:-2] + (1, 1))
+        self.grad = {}
+
+    def gradient(self, n, r, count):
+        """The stack's :class:`GradBuffers` for batches of ``count`` rows
+        at n and r, made on first use."""
+        if count not in self.grad:
+            self.grad[count] = GradBuffers(self.m.shape[:-2], count,
+                                           n * n, r)
+        return self.grad[count]
+
+
+def clip_gradients(grads, threshold, ws=None):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
-    of the given :func:`global_norm`; runs below the threshold pass
-    through untouched, and a NaN norm clips.  Returns the block."""
-    if not threshold > 0:
-        raise ConfigError("clip threshold must be positive")
-    norms = _run_norms(grads)
-    if not all(norm <= threshold for norm in norms):
-        # threshold / threshold is exactly 1, and x * 1 is x
-        scale = threshold / np.maximum(norms, threshold)
-        np.multiply(grads, scale[:, None, None], grads)
+    of the given :func:`global_norm`; returns the block.  A run whose
+    norm is at most the threshold is scaled by exactly 1 (so at an
+    infinite threshold every finite or infinite norm passes), any other
+    by threshold / norm, so a NaN norm gives NaN to its own run alone.
+    The squares are written into the :class:`Workspace` ``ws``; a call
+    without one makes its own."""
+    if ws is None:
+        ws = Workspace(grads, threshold)
+    squares = _mul(grads, grads, ws.squares)
+    norms = _run_norms(_sum(squares, -1, None, ws.sums))
+    if all(norm <= threshold for norm in norms):
+        ws.squared = grads
+        return grads
+    ws.squared = None
+    ws.scale.flat = [1.0 if norm <= threshold else threshold / norm
+                     for norm in norms]
+    _mul(grads, ws.scale, grads)
     return grads
 
 
-@dataclass
-class AdamState:
-    """Moment accumulators, step counter, the update's scratch, and the
-    last update's (lr, beta1, beta2, eps) with its 0-d constants."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-    scratch: tuple
-    constants: tuple = ((), ())
-
-
 def init_adam_params(params):
-    """Zero Adam state for a parameter block."""
-    zeros = np.zeros_like(np.asarray(params, dtype=np.float64))
-    return AdamState(0, zeros, zeros.copy(),
-                     (np.empty_like(zeros), np.empty_like(zeros)))
+    """Zero Adam state for a parameter block: a :class:`Workspace`."""
+    return Workspace(params)
 
 
 def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update of a float64 parameter block, such as a stack's
-    (R, A, P) block, in place in ``params`` and ``state``, with the
-    operations of m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2)
-    g^2, params - (lr m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
-    beta1, 1 - beta1, beta2, 1 - beta2, lr and eps enter as 0-d float64
-    arrays, kept in the state until the hyperparameters change."""
-    state.step += 1
-    t, m, v, (s, q) = state.step, state.m, state.v, state.scratch
-    hyper = (lr, beta1, beta2, eps)
-    if state.constants[0] != hyper:
-        state.constants = hyper, tuple(
+    (R, A, P) block, in place in ``params`` and the :class:`Workspace`
+    ``state``, with the operations of m = beta1 m + (1 - beta1) g, v =
+    beta2 v + (1 - beta2) g^2, params - (lr m / (1 - beta1^t)) /
+    (sqrt(v / (1 - beta2^t)) + eps).  beta1, 1 - beta1, beta2, 1 - beta2,
+    lr and eps enter as 0-d float64 arrays, kept in the state until the
+    hyperparameters change, and so do both bias corrections.  g^2 comes
+    from the squares of a :func:`clip_gradients` that left ``grads`` as
+    they were."""
+    state.step = t = state.step + 1
+    if (lr, beta1, beta2, eps) != state.hyper:
+        state.hyper = lr, beta1, beta2, eps
+        state.constants = tuple(
             np.array(x, dtype=np.float64)
             for x in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, lr, eps))
-    b1, c1, b2, c2, rate, floor = state.constants[1]
-    np.add(np.multiply(m, b1, m), np.multiply(grads, c1, s), m)
-    np.multiply(np.multiply(grads, grads, s), c2, s)
-    np.add(np.multiply(v, b2, v), s, v)
-    np.divide(m, 1.0 - beta1 ** t, s)
-    np.sqrt(np.divide(v, 1.0 - beta2 ** t, q), q)
-    np.divide(np.multiply(s, rate, s), np.add(q, floor, q), s)
-    np.subtract(params, s, params)
+    b1, c1, b2, c2, rate, floor = state.constants
+    m, v, s, q, fix1, fix2 = (state.m, state.v, state.s, state.q,
+                              state.fix1, state.fix2)
+    _add(_mul(m, b1, m), _mul(grads, c1, s), m)
+    squares = state.squares if state.squared is grads \
+        else _mul(grads, grads, s)
+    state.squared = None
+    _mul(squares, c2, s)
+    _add(_mul(v, b2, v), s, v)
+    fix1[()], fix2[()] = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    _div(m, fix1, s)
+    _sqrt(_div(v, fix2, q), q)
+    _div(_mul(s, rate, s), _add(q, floor, q), s)
+    _sub(params, s, params)
 
 
 # the names perfbench/tracing.py times the update under
@@ -441,10 +508,12 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     flattened; by default the A = 3 arrays are H, K and F, and the
     factors and their gradients are views of the blocks.  A step takes
     one forward pass for the gradients, clips per run and makes one Adam
-    update, all in place.  Data, shuffles and validation sets stay per
-    run; the stack's rows of A, B and the products live in one
-    (3, R count, n^2) array, an epoch gathers them once into (3, R,
-    count, n^2), and its batches are slices of that.  The forward pass
+    update, all in place, with every temporary in the stack's one
+    :class:`Workspace`, so a step allocates no buffer.  Data, shuffles and
+    validation sets stay per run; the stack's rows of A, B and the
+    products live in one (3, R count, n^2) array, an epoch gathers them
+    once into one (3, R, count, n^2) array made before the first, and
+    its batches are slices of that, made once with it.  The forward pass
     writes its squared errors over the batch's target rows, which no
     later step reads.  Per epoch, after the updates, a run's train loss
     is the exact sample mean of its batch losses, summed from those
@@ -474,7 +543,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     params = np.array([[np.ravel(a) for a in run] for run in first],
                       dtype=np.float64)
     grads = np.empty_like(params)
-    state = init_adam_params(params)
+    ws = Workspace(params, cfg.clip_threshold)
 
     param_arrays = [params[:, i].reshape((len(params),) + np.shape(a))
                     for i, a in enumerate(first[0])]
@@ -490,6 +559,18 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     data = np.empty((3, len(cfgs) * size, cfg.n * cfg.n))
     # row offset of each run in the stack's rows
     offsets = size * np.arange(len(cfgs))[:, None]
+    # each epoch gathers the stack's rows into this one array, so every
+    # batch is a view made here, with its outputs and buffers
+    rows = np.empty((3, len(cfgs), size, cfg.n * cfg.n))
+    batches = []
+    for start in range(0, size, batch):
+        ab, tb = (rows[:2, :, start:start + batch],
+                  rows[2, :, start:start + batch])
+        batches.append((ab, tb, (grad_out.HK, grad_out.F, tb),
+                        ws.gradient(cfg.n, cfg.r, tb.shape[-2])))
+    hk, f = (None, None) if own is None else (own.HK, own.F)
+    lr, beta1, beta2, eps, threshold = (
+        cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.clip_threshold)
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
@@ -506,21 +587,19 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         perm = offsets + np.stack([
             np.random.default_rng(shuffle_seed(c, epoch))
             .permutation(size) for c in cfgs])
-        rows = None  # the last epoch's gather goes before the next
-        rows = data.take(perm, axis=1)
+        # every index is in range, and "clip" writes without a buffer
+        data.take(perm, axis=1, out=rows, mode="clip")
         # a diverging run overflows quietly; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, size, batch):
-                factors = own if view is None else view(params, epoch)
-                tb = rows[2, :, start:start + batch]
-                grad_analytic(factors.HK, factors.F,
-                              rows[:2, :, start:start + batch], tb,
-                              (grad_out.HK, grad_out.F, tb))
+            for ab, tb, out, buffers in batches:
+                if view is not None:
+                    factors = view(params, epoch)
+                    hk, f = factors.HK, factors.F
+                grad_analytic(hk, f, ab, tb, out, buffers)
                 if pull is not None:
                     pull(factor_grads, grads, epoch)
-                clip_gradients(grads, cfg.clip_threshold)
-                adam_update(state, params, grads, cfg.lr,
-                            cfg.beta1, cfg.beta2, cfg.adam_eps)
+                clip_gradients(grads, threshold, ws)
+                adam_update(ws, params, grads, lr, beta1, beta2, eps)
             train_loss = epoch_loss(rows[2], batch)
         factors = own if view is None else view(params, epoch)
         finite = np.logical_and.reduce(

@@ -61,6 +61,9 @@ COMMANDS = [
                    "--top-vs-rest", "--out", "{out}"]),
     ("sweep-config", ["sweep", "--config", "{out}/config.json", "--out",
                       "{out}"]),
+    # never clips, so every Adam update reads g^2 from the clipping
+    ("sweep-noclip", ["sweep", *TINY_SWEEP, "--ranks", "5,6", "--clip",
+                      "inf", "--out", "{out}"]),
     ("verify-grid", ["verify", "--scheme", "{root}/train-n2/scheme.json",
                      "--round", "--grid", "-1/2,0,1/2", "--out", "{out}"]),
     # a grid whose midpoints 1/6 and -1/6 are not doubles

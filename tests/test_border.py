@@ -9,6 +9,7 @@ from bmpnet.border import (
     EpsScheme,
     EpsSchedule,
     EpsilonNonpositive,
+    _factor_writer,
     coefficient_grads,
     eps_powers,
     eps_scheme_to_json,
@@ -159,6 +160,35 @@ class TestEvaluate:
         big = np.abs(np.asarray(evaluate(es, 1e-6).F)).max()
         small = np.abs(np.asarray(evaluate(es, 1e-1).F)).max()
         assert big > small * 1e3
+
+
+class TestFactorWriter:
+    @pytest.mark.parametrize("d_max, f_min", [(2, -2), (1, -1), (0, 0),
+                                              (3, -1)])
+    def test_bits_of_each_stack_summed_alone(self, d_max, f_min):
+        # H and K are summed by one reduction of a (..., 2, d_max + 1,
+        # P) view; each must equal its stack's rows summed alone from
+        # -0.0, with +-0, +-inf and NaN among the coefficients
+        rng = np.random.default_rng(d_max - f_min)
+        n_h, size = d_max + 1, 12
+        rows = len(stack_index(d_max, f_min))
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for lead in ((), (1,), (3,)):
+            out = np.empty((3,) + lead + (size,))
+            write = _factor_writer(lead + (rows, size), n_h, out)
+            for _ in range(170):
+                coeffs = rng.normal(size=lead + (rows, size)) \
+                    * 10.0 ** rng.uniform(-5, 5, size=lead + (rows, 1))
+                mask = rng.random(coeffs.shape) < 0.2
+                coeffs[mask] = rng.choice(special, size=mask.sum())
+                powers = eps_powers(d_max, f_min, rng.uniform(1e-3, 1.0))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert write(coeffs, powers) is out
+                    terms = coeffs * powers
+                    for k, stack in enumerate(np.split(
+                            terms, [n_h, 2 * n_h], axis=-2)):
+                        want = np.add.reduce(stack, axis=-2, initial=-0.0)
+                        assert out[k].tobytes() == want.tobytes()
 
 
 class TestCoefficientGrads:

@@ -9,13 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bmpnet import experiment
+from bmpnet import experiment, training
 from bmpnet.border import EpsSchedule, train_eps
 from bmpnet.experiment import SweepConfig, sweep
 from bmpnet.scheme import init_scheme
 from bmpnet.training import (
-    Factors, RunRecord, TrainConfig, TrainingDiverged, fit, train,
-    train_stack)
+    Factors, RunRecord, TrainConfig, TrainingDiverged, fit, global_norm,
+    train, train_stack)
 import perrun
 from perrun import assert_same_run, bits
 
@@ -285,3 +285,80 @@ class TestSweepDivergence:
         assert all(isinstance(rec, RunRecord) for rec in records)
         assert len({rec.wall_seconds for rec in records}) == 1
         assert "wall_seconds" not in records[0].to_json()
+
+
+def clip_spy(monkeypatch):
+    """Record, per call of ``training.clip_gradients`` in ``fit``, which
+    runs were above the threshold and whether the squares were kept for
+    the Adam update."""
+    real, seen = training.clip_gradients, []
+
+    def spy(grads, threshold, ws=None):
+        over = tuple(global_norm(grads) > threshold)
+        out = real(grads, threshold, ws)
+        seen.append((over, ws.squared is grads))
+        return out
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    return seen
+
+
+class TestWorkspaceStep:
+    # every buffer of a step lives in the stack's workspace, made once;
+    # the runs must still equal the per-run loop bit for bit
+
+    def test_short_last_batch_in_a_stack_of_three_at_n2(self):
+        # 70 rows in batches of 16: four full batches and one of six,
+        # each size with its own gradient buffers
+        assert_stack_matches([config(seed, train_size=70, epochs=2)
+                              for seed in (50, 51, 52)])
+
+    def test_both_square_branches_in_one_stack(self, monkeypatch):
+        # at threshold 1 some steps clip no run, so Adam reads g^2 from
+        # the clipping squares, and others clip some runs and not others
+        seen = clip_spy(monkeypatch)
+        assert_stack_matches([config(seed, clip_threshold=1.0, lr=1e-2,
+                                     alpha=0.5, epochs=4)
+                              for seed in (53, 54, 55)])
+        assert all(kept == (not any(over)) for over, kept in seen)
+        assert any(kept for _, kept in seen)
+        assert any(any(over) and not all(over) for over, _ in seen)
+
+    def test_border_run_both_square_branches(self, monkeypatch):
+        # H and K at powers 0..2, F at -1..2; 15 of the 20 steps clip
+        seen = clip_spy(monkeypatch)
+        cfg = config(56, clip_threshold=1.0, lr=1e-2, alpha=0.3, epochs=4)
+        schedule = EpsSchedule(eps0=0.5, decay=0.8)
+        rec = train_eps(cfg, schedule, d_max=2, f_min=-1, probe_eps=1e-3)
+        es, train_losses, val_losses, probes = perrun.train_eps(
+            cfg, schedule, 2, -1, 1e-3)
+        for got, want in zip(rec.eps_scheme.h_coeffs + rec.eps_scheme.k_coeffs
+                             + rec.eps_scheme.f_coeffs,
+                             es.h_coeffs + es.k_coeffs + es.f_coeffs):
+            assert bits(got) == bits(want)
+        assert bits(rec.train_losses) == bits(train_losses)
+        assert bits(rec.val_losses) == bits(val_losses)
+        assert bits(rec.probe_losses) == bits(probes)
+        assert {kept for _, kept in seen} == {True, False}
+
+    def test_infinite_threshold_keeps_a_nan_run_to_itself(self):
+        # at --clip inf the blown-up run's NaN norm scales its own
+        # gradient alone; the others pass unscaled, as they would alone
+        cfgs = [config(seed, clip_threshold=np.inf) for seed in (57, 58, 59)]
+        with np.errstate(all="ignore"):
+            outcomes = fit(cfgs, init_for(cfgs[0]), lambda *args: None,
+                           blown_up({1: 1}))
+            (alone,) = fit([cfgs[1]], init_for(cfgs[1]), lambda *args: None,
+                           blown_up({0: 1}))
+        assert isinstance(alone, TrainingDiverged)
+        assert isinstance(outcomes[1], TrainingDiverged)
+        assert outcomes[1].args == alone.args
+        assert outcomes[1].train_losses == alone.train_losses
+        assert outcomes[1].val_losses == alone.val_losses
+        for run in (0, 2):
+            arrays, train_losses, val_losses = outcomes[run]
+            scheme, ref_train, ref_val = perrun.train(cfgs[run])
+            for got, want in zip(arrays, (scheme.H, scheme.K, scheme.F)):
+                assert bits(got) == bits(want)
+            assert bits(train_losses) == bits(ref_train)
+            assert bits(val_losses) == bits(ref_val)

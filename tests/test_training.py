@@ -15,6 +15,7 @@ from bmpnet.training import (
     LengthMismatch,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     adam_step,
     adam_update,
     clip_gradients,
@@ -362,8 +363,78 @@ class TestClipping:
         assert np.isnan(global_norm(g)[-1])
         with np.errstate(invalid="ignore"):
             want = array_clip_gradients(g.copy(), 10.0)
-            assert clip_gradients(g, 10.0).tobytes() == want.tobytes()
+            assert clip_gradients(g.copy(), 10.0).tobytes() == want.tobytes()
+            # at an infinite threshold the NaN run alone turns NaN, and
+            # every run is clipped as the per-run loop clips it alone
+            got = clip_gradients(g.copy(), np.inf)
+            for run, alone in zip(got, g):
+                want_run = perrun.clip_gradients(tuple(alone), np.inf)
+                assert run.tobytes() == np.stack(want_run).tobytes()
         assert np.isnan(want[-1]).all()
+        assert np.isnan(got[-1]).all() and not np.isnan(got[:-1]).any()
+
+
+class TestWorkspace:
+    # a stack's step writes into its Workspace; each step function
+    # called without one makes its own, with the same bytes
+
+    @pytest.mark.parametrize("runs, n, r", [(1, 2, 7), (3, 3, 5)])
+    def test_step_bytes_with_and_without_a_workspace(self, runs, n, r):
+        rng = np.random.default_rng(76)
+        m = n * n
+        params = rng.normal(size=(runs, 3, m * r))
+        ref = params.copy()
+        ws, state = Workspace(params, 1.0), init_adam_params(ref)
+        grads, ref_grads = np.empty_like(params), np.empty_like(params)
+        factors, ref_factors, out = (
+            Factors.of_block(x.swapaxes(0, 1), n, r)
+            for x in (params, ref, grads))
+        clipped = []
+        # batches of 8 rows and short ones of 5, with small and large
+        # gradients, so some steps clip and others do not
+        for step, count in enumerate((8, 8, 5, 8, 5, 8, 5, 8)):
+            rows = rng.uniform(-1, 1, (3, runs, count, m)) \
+                * (1.0 if step % 3 else 1e-3)
+            tb = rows[2].copy()
+            sq, _ = grad_analytic(factors.HK, factors.F, rows[:2], tb,
+                                  (out.HK, out.F, tb),
+                                  ws.gradient(n, r, count))
+            ref_sq, (d_hk, d_f) = grad_analytic(
+                ref_factors.HK, ref_factors.F, rows[:2], rows[2])
+            assert sq.tobytes() == ref_sq.tobytes()
+            for i, d in enumerate((*d_hk, d_f)):
+                ref_grads[:, i] = d.reshape(runs, -1)
+            assert grads.tobytes() == ref_grads.tobytes()
+            clipped.append(tuple(global_norm(grads) > 1.0))
+            clip_gradients(grads, 1.0, ws)
+            clip_gradients(ref_grads, 1.0)
+            assert grads.tobytes() == ref_grads.tobytes()
+            adam_update(ws, params, grads, 1e-2)
+            adam_update(state, ref, ref_grads, 1e-2)
+            assert params.tobytes() == ref.tobytes()
+            assert ws.m.tobytes() == state.m.tobytes()
+            assert ws.v.tobytes() == state.v.tobytes()
+        assert any(map(any, clipped)) and not all(map(any, clipped))
+
+    def test_threshold_checked_when_built(self):
+        for threshold in (0.0, -1.0, np.nan):
+            with pytest.raises(ConfigError):
+                Workspace(np.ones((1, 3, 4)), threshold)
+
+    def test_squares_kept_only_when_no_run_clips(self):
+        # a clip that scales some run leaves no squares for Adam, so the
+        # update squares the clipped gradient itself
+        g = np.array([[[3.0, 4.0]], [[30.0, 40.0]]])
+        ws = Workspace(g, 10.0)
+        assert clip_gradients(g, 10.0, ws) is g and ws.squared is None
+        params, ref = np.zeros_like(g), np.zeros_like(g)
+        adam_update(ws, params, g, 1e-2)
+        adam_update(init_adam_params(ref), ref, g, 1e-2)
+        assert params.tobytes() == ref.tobytes()
+        small = np.array([[[3.0, 4.0]], [[0.3, 0.4]]])
+        clip_gradients(small, 10.0, ws)
+        assert ws.squared is small
+        assert ws.squares.tobytes() == (small * small).tobytes()
 
 
 def block(*arrays):
