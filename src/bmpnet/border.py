@@ -167,9 +167,13 @@ def coefficient_grads(grads, powers, index, out):
     """Chain rule from the factor gradients ``grads``, a block (3, ...,
     n^2 r) of dH, dK and dF flattened, back to the coefficient block
     ``out`` (..., A, n^2 r), which it returns: row i of ``out`` is its
-    eps^p times the gradient of factor ``index[i]``."""
-    return np.multiply(grads.take(index, axis=0).swapaxes(0, -2), powers,
-                       out=out)
+    eps^p times the gradient of factor ``index[i]``.  The gradients are
+    gathered into ``out`` and multiplied there in place by ``powers``,
+    the (A, 1) column of :func:`eps_powers` or that column repeated into
+    a block shaped as ``out``, which one contiguous product reads."""
+    # every index is in range, and "clip" writes without a buffer
+    grads.swapaxes(0, -2).take(index, -2, out, "clip")
+    return np.multiply(out, powers, out)
 
 
 @dataclass(kw_only=True)
@@ -236,15 +240,17 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
                          k_coeffs=list(arrays[n_h:2 * n_h]),
                          f_coeffs=list(arrays[2 * n_h:]), eps=eps)
 
-    # the powers of each epoch's eps, built once per epoch
-    powers = functools.cache(
-        lambda epoch: eps_powers(d_max, f_min, schedule.at(epoch)))
     index = stack_index(d_max, f_min)
-    # the factor block of the stack of one, rewritten by every view
     size = cfg.n * cfg.n * cfg.r
+    shape = (1, len(index), size)
+    # the powers of each epoch's eps as a block shaped as the stack's
+    # coefficients, built once per epoch
+    powers = functools.cache(lambda epoch: np.broadcast_to(
+        eps_powers(d_max, f_min, schedule.at(epoch)), shape).copy())
+    # the factor block of the stack of one, rewritten by every view
     block = np.empty((3, 1, size))
     factors = Factors.of_block(block, cfg.n, cfg.r)
-    write = _factor_writer((1, len(index), size), n_h, block)
+    write = _factor_writer(shape, n_h, block)
 
     def view(params, epoch):
         write(params, powers(epoch))

@@ -264,26 +264,36 @@ def global_norm(grads):
 
 class Workspace:
     """What one stack's step writes, allocated once for (R, A, P) blocks
-    shaped as ``params``: the Adam state (step count, moments, scratch,
-    the last hyperparameters with their 0-d constants, and the 0-d bias
-    corrections), the clipping squares with their per-array sums and
-    per-run scales, and the :class:`GradBuffers` of each batch size.  A
-    threshold, if given, is checked here, once.  ``squared`` is the
-    gradient block whose squares ``squares`` holds, set by a
+    shaped as ``params``.  Adam's moments m and v are the two rows of one
+    (2, R, A, P) block, and the gradient g and its squares the two rows of
+    a second, so each moment update is one call over both.  Next to them:
+    the step count, a (2, R, A, P) scratch block, the last
+    hyperparameters with their constants (beta1 and beta2 as the rows of
+    one full block, 1 - beta1 and 1 - beta2 as the rows of another, lr
+    and eps 0-d), the 0-d bias corrections, the clipping's per-array sums
+    and per-run 0-d scales, and the :class:`GradBuffers` of each batch
+    size.  A threshold, if given, is checked here, once.  ``squared`` is
+    the gradient block whose squares ``squares`` holds, set by a
     :func:`clip_gradients` that scaled no run, so the next
     :func:`adam_update` of that block reads g^2 there."""
 
     def __init__(self, params, threshold=None):
         if threshold is not None and not threshold > 0:
             raise ConfigError("clip threshold must be positive")
-        zeros = np.zeros_like(np.asarray(params, dtype=np.float64))
-        self.step, self.m, self.v = 0, zeros, zeros.copy()
-        self.s, self.q = np.empty_like(zeros), np.empty_like(zeros)
-        self.hyper, self.constants = None, ()
+        shape = (2,) + np.shape(params)
+        self.step, self.moments = 0, np.zeros(shape)
+        self.m, self.v = self.moments
+        self.gradients = np.empty(shape)
+        self.grads, self.squares = self.gradients
+        self.terms = np.empty(shape)
+        self.s, self.q = self.terms
+        self.hyper = None
+        self.decay, self.gain = np.empty(shape), np.empty(shape)
+        self.rate, self.floor = np.empty(()), np.empty(())
         self.fix1, self.fix2 = np.empty(()), np.empty(())
-        self.squares, self.squared = np.empty_like(zeros), None
-        self.sums = np.empty(zeros.shape[:-1])
-        self.scale = np.empty(zeros.shape[:-2] + (1, 1))
+        self.squared = None
+        self.sums = np.empty(shape[1:-1])
+        self.scales = [np.empty(()) for _ in range(shape[1])]
         self.grad = {}
 
     def gradient(self, n, r, count):
@@ -298,22 +308,22 @@ class Workspace:
 def clip_gradients(grads, threshold, ws=None):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
     of the given :func:`global_norm`; returns the block.  A run whose
-    norm is at most the threshold is scaled by exactly 1 (so at an
-    infinite threshold every finite or infinite norm passes), any other
-    by threshold / norm, so a NaN norm gives NaN to its own run alone.
-    The squares are written into the :class:`Workspace` ``ws``; a call
-    without one makes its own."""
+    norm is at most the threshold is left unwritten (so at an infinite
+    threshold every finite or infinite norm passes), any other is
+    multiplied by its own 0-d scale threshold / norm, so a NaN norm gives
+    NaN to its own run alone.  The squares are written into the
+    :class:`Workspace` ``ws``; a call without one makes its own."""
     if ws is None:
         ws = Workspace(grads, threshold)
     squares = _mul(grads, grads, ws.squares)
     norms = _run_norms(_sum(squares, -1, None, ws.sums))
-    if all(norm <= threshold for norm in norms):
-        ws.squared = grads
-        return grads
-    ws.squared = None
-    ws.scale.flat = [1.0 if norm <= threshold else threshold / norm
-                     for norm in norms]
-    _mul(grads, ws.scale, grads)
+    ws.squared = grads
+    for run, norm in enumerate(norms):
+        if not norm <= threshold:
+            scale, rows = ws.scales[run], grads[run]
+            scale[()] = threshold / norm
+            _mul(rows, scale, rows)
+            ws.squared = None
     return grads
 
 
@@ -327,30 +337,32 @@ def adam_update(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     (R, A, P) block, in place in ``params`` and the :class:`Workspace`
     ``state``, with the operations of m = beta1 m + (1 - beta1) g, v =
     beta2 v + (1 - beta2) g^2, params - (lr m / (1 - beta1^t)) /
-    (sqrt(v / (1 - beta2^t)) + eps).  beta1, 1 - beta1, beta2, 1 - beta2,
-    lr and eps enter as 0-d float64 arrays, kept in the state until the
-    hyperparameters change, and so do both bias corrections.  g^2 comes
-    from the squares of a :func:`clip_gradients` that left ``grads`` as
-    they were."""
+    (sqrt(v / (1 - beta2^t)) + eps).  m and v are updated together, as
+    the rows of one block, from g and g^2, the rows of another: gradients
+    other than the workspace's own row are copied into it first, and
+    g^2 is the squares of a :func:`clip_gradients` that left ``grads`` as
+    they were, or else squared here.  The constant blocks and 0-d
+    constants are kept in the state until the hyperparameters change,
+    and both bias corrections are 0-d."""
     state.step = t = state.step + 1
     if (lr, beta1, beta2, eps) != state.hyper:
         state.hyper = lr, beta1, beta2, eps
-        state.constants = tuple(
-            np.array(x, dtype=np.float64)
-            for x in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, lr, eps))
-    b1, c1, b2, c2, rate, floor = state.constants
-    m, v, s, q, fix1, fix2 = (state.m, state.v, state.s, state.q,
-                              state.fix1, state.fix2)
-    _add(_mul(m, b1, m), _mul(grads, c1, s), m)
-    squares = state.squares if state.squared is grads \
-        else _mul(grads, grads, s)
+        state.decay[0], state.decay[1] = beta1, beta2
+        state.gain[0], state.gain[1] = 1.0 - beta1, 1.0 - beta2
+        state.rate[()], state.floor[()] = lr, eps
+    g, moments, s, q, fix1, fix2 = (state.grads, state.moments, state.s,
+                                    state.q, state.fix1, state.fix2)
+    if grads is not g:
+        np.copyto(g, grads)
+    if state.squared is not grads:
+        _mul(g, g, state.squares)
     state.squared = None
-    _mul(squares, c2, s)
-    _add(_mul(v, b2, v), s, v)
+    _mul(moments, state.decay, moments)
+    _add(moments, _mul(state.gradients, state.gain, state.terms), moments)
     fix1[()], fix2[()] = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-    _div(m, fix1, s)
-    _sqrt(_div(v, fix2, q), q)
-    _div(_mul(s, rate, s), _add(q, floor, q), s)
+    _div(state.m, fix1, s)
+    _sqrt(_div(state.v, fix2, q), q)
+    _div(_mul(s, state.rate, s), _add(q, state.floor, q), s)
     _sub(params, s, params)
 
 
@@ -542,8 +554,9 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
         raise ShapeMismatch("every parameter array needs n^2 r entries")
     params = np.array([[np.ravel(a) for a in run] for run in first],
                       dtype=np.float64)
-    grads = np.empty_like(params)
     ws = Workspace(params, cfg.clip_threshold)
+    # the gradient block is the workspace's own row, which Adam reads
+    grads = ws.grads
 
     param_arrays = [params[:, i].reshape((len(params),) + np.shape(a))
                     for i, a in enumerate(first[0])]

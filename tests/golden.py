@@ -64,6 +64,10 @@ COMMANDS = [
     # never clips, so every Adam update reads g^2 from the clipping
     ("sweep-noclip", ["sweep", *TINY_SWEEP, "--ranks", "5,6", "--clip",
                       "inf", "--out", "{out}"]),
+    # stacks of two where some steps clip both runs, some one and some
+    # neither, so each run's own scale is pinned
+    ("sweep-clip", ["sweep", *TINY_SWEEP, "--ranks", "5,6", "--clip",
+                    "40", "--out", "{out}"]),
     ("verify-grid", ["verify", "--scheme", "{root}/train-n2/scheme.json",
                      "--round", "--grid", "-1/2,0,1/2", "--out", "{out}"]),
     # a grid whose midpoints 1/6 and -1/6 are not doubles

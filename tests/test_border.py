@@ -246,6 +246,37 @@ class TestCoefficientGrads:
         assert grads[6][0] == 0.5
 
 
+    @pytest.mark.parametrize("d_max, f_min", [(2, -2), (1, -1), (0, 0),
+                                              (3, -1)])
+    def test_power_block_bits_equal_the_column(self, d_max, f_min):
+        # train_eps passes each epoch's powers as a full block and gathers
+        # into the same coefficient block every step; the bytes must be
+        # those of the (A, 1) column times the gathered gradients, with
+        # +-0, +-inf and NaN among the gradients and eps moving per epoch
+        rng = np.random.default_rng(d_max - 3 * f_min)
+        index, size = stack_index(d_max, f_min), 12
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for runs in (1, 3):
+            out = np.empty((runs, len(index), size))
+            for eps in rng.uniform(1e-3, 1.0, size=6):
+                column = eps_powers(d_max, f_min, eps)
+                block = np.broadcast_to(column, out.shape).copy()
+                for _ in range(20):
+                    grads = rng.normal(size=(3, runs, size)) \
+                        * 10.0 ** rng.uniform(-5, 5, size=(3, runs, 1))
+                    mask = rng.random(grads.shape) < 0.2
+                    grads[mask] = rng.choice(special, size=mask.sum())
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        want = np.multiply(
+                            grads.take(index, axis=0).swapaxes(0, -2),
+                            column)
+                        assert coefficient_grads(grads, block, index,
+                                                 out) is out
+                        assert out.tobytes() == want.tobytes()
+                        coefficient_grads(grads, column, index, out)
+                        assert out.tobytes() == want.tobytes()
+
+
 class TestSchedule:
     def test_closed_form_trajectory(self):
         sched = EpsSchedule(eps0=0.5, decay=0.9, floor=1e-3)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from bmpnet import stats
 from bmpnet.stats import (
     DegenerateVariance,
     NonFiniteStatistic,
@@ -195,6 +196,37 @@ class TestFarTails:
             q = t_quantile(p, df)
             assert q < 0.0
             assert abs(float(mp_lower_tail(q, df)) / p - 1.0) <= 1e-12, p
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the tail evaluations of the quantiles that follow."""
+        real, calls = stats._lower_tail, [0]
+
+        def count(t, df):
+            calls[0] += 1
+            return real(t, df)
+        monkeypatch.setattr(stats, "_lower_tail", count)
+        return calls
+
+    @pytest.mark.parametrize("df, bound", [(1000.0, 1e-12), (1e6, 1e-10)])
+    def test_tiny_tail_at_large_df_in_few_evaluations(self, df, bound,
+                                                      monkeypatch):
+        # from t = 0 this took 694 Newton steps; the bound at df = 1e6 is
+        # the CDF's own accuracy there
+        calls = self.counting(monkeypatch)
+        for p in (1e-12, 1e-100, 1e-300):
+            calls[0] = 0
+            q = t_quantile(p, df)
+            assert calls[0] <= 20, p
+            assert abs(float(mp_lower_tail(q, df)) / p - 1.0) <= bound, p
+
+    def test_density_underflow_named_at_once(self, monkeypatch):
+        # at df = 100 the density underflows before the root of the
+        # smallest double; the steps from t = 0 found it after about 800
+        calls = self.counting(monkeypatch)
+        with pytest.raises(NonFiniteStatistic):
+            t_quantile(5e-324, 100.0)
+        assert calls[0] <= 20
 
     def test_quantile_out_of_range_is_named(self):
         # the Cauchy quantile of 5e-324 is -6e322; at df = 100 the density

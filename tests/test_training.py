@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from bmpnet import training
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, init_scheme
 from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
@@ -374,6 +375,60 @@ class TestClipping:
         assert np.isnan(got[-1]).all() and not np.isnan(got[:-1]).any()
 
 
+    @staticmethod
+    def five_runs():
+        """Five runs of three arrays: below the threshold 10, exactly at
+        it, above it, with a NaN norm (a NaN with a payload) and with an
+        infinite norm; the first two and the last hold -0.0 entries."""
+        rng = np.random.default_rng(93)
+        g = rng.normal(size=(5, 3, 4))
+        g[0] *= 0.1
+        g[0, :, 0] = -0.0
+        g[1] = -0.0
+        g[1, 0, 1], g[1, 1, 2] = 6.0, -8.0
+        g[2] *= 100.0
+        g[3, 2, 3] = np.array([0x7FF800000000BEEF], np.uint64).view(
+            np.float64)[0]
+        g[4, 0, 0], g[4, 1, 0] = -0.0, -np.inf
+        return g
+
+    @pytest.mark.parametrize("threshold", [10.0, np.inf])
+    def test_each_run_scaled_alone_and_passed_runs_unwritten(
+            self, threshold, monkeypatch):
+        # every run over the threshold is multiplied by its own 0-d
+        # scale; a run at or under it is never an output of a multiply
+        g = self.five_runs()
+        before, norms = g.copy(), global_norm(g)
+        assert norms[0] < 10.0 and norms[1] == 10.0 and norms[2] > 10.0
+        assert np.isnan(norms[3]) and norms[4] == np.inf
+        real, outs = training._mul, []
+
+        def spy(*args):
+            outs.extend(args[2:])
+            return real(*args)
+        monkeypatch.setattr(training, "_mul", spy)
+        with np.errstate(invalid="ignore"):
+            got = clip_gradients(g, threshold, Workspace(g, threshold))
+            want = array_clip_gradients(before.copy(), threshold)
+            alone = [array_clip_gradients(before[run:run + 1].copy(),
+                                          threshold) for run in range(5)]
+        assert got is g
+        # the reference scales the stack by threshold / max(norm,
+        # threshold), which at an infinite threshold is inf / inf = NaN
+        # for every run once one norm is NaN; each run alone it matches
+        if threshold == 10.0:
+            assert got.tobytes() == want.tobytes()
+        for run in range(5):
+            assert got[run].tobytes() == alone[run][0].tobytes()
+        passed = [run for run in range(5) if norms[run] <= threshold]
+        assert passed == ([0, 1] if threshold == 10.0 else [0, 1, 2, 4])
+        for run in passed:
+            assert not any(np.shares_memory(out, g[run]) for out in outs)
+            assert g[run].tobytes() == before[run].tobytes()
+        assert np.signbit(g[[0, 1, 4], 0, 0]).all()
+        assert g[3, 2, 3].tobytes() == before[3, 2, 3].tobytes()
+
+
 class TestWorkspace:
     # a stack's step writes into its Workspace; each step function
     # called without one makes its own, with the same bytes
@@ -527,6 +582,54 @@ class TestAdam:
             assert params.tobytes() == block(*ref).tobytes()
             assert state.m.tobytes() == block(*ref_state[1]).tobytes()
             assert state.v.tobytes() == block(*ref_state[2]).tobytes()
+
+
+    def test_stacked_moments_match_the_per_run_update(self):
+        # m and v are the two rows of one (2, R, A, P) block, g and g^2
+        # those of another; at R = 3 every run must follow the per-array
+        # update bit for bit, whether the gradients sit in the
+        # workspace's own row with the clipping's squares, come as a
+        # foreign array that is copied in, or are clipped in some runs,
+        # and when lr or beta1 change between updates
+        rng = np.random.default_rng(78)
+        refs = [(s.H, s.K, s.F) for s in (init_scheme(2, 7, seed, 1.0)
+                                          for seed in (20, 21, 22))]
+        states = [perrun.init_adam(ref) for ref in refs]
+        params = np.concatenate([block(*ref) for ref in refs])
+        ws = Workspace(params, 10.0)
+        assert ws.moments.shape == ws.gradients.shape == (2,) + params.shape
+        for row, pair in ((ws.m, ws.moments), (ws.v, ws.moments),
+                          (ws.grads, ws.gradients), (ws.squares, ws.gradients)):
+            assert row.base is pair
+        steps = [("own", 1e-3, 0.9), ("foreign", 1e-3, 0.9),
+                 ("clipped", 1e-3, 0.9), ("own", 5e-2, 0.9),
+                 ("foreign", 5e-2, 0.5), ("own", 5e-2, 0.5),
+                 ("clipped", 1e-3, 0.9)]
+        for how, lr, beta1 in steps:
+            # norms about 0.5 each, and 50 for run 1 of a clipped step
+            grads = [tuple(rng.normal(size=x.shape) * 0.05 for x in ref)
+                     for ref in refs]
+            if how == "clipped":
+                grads[1] = tuple(g * 100.0 for g in grads[1])
+            stacked = np.concatenate([block(*g) for g in grads])
+            if how == "foreign":
+                foreign = stacked.copy()
+                adam_update(ws, params, foreign, lr, beta1)
+                assert foreign.tobytes() == stacked.tobytes()
+                assert ws.grads.tobytes() == stacked.tobytes()
+            else:
+                ws.grads[...] = stacked
+                clip_gradients(ws.grads, 10.0, ws)
+                assert (ws.squared is ws.grads) == (how == "own")
+                adam_update(ws, params, ws.grads, lr, beta1)
+            for run in range(3):
+                g = perrun.clip_gradients(grads[run], 10.0)
+                refs[run], states[run] = perrun.adam_update(
+                    states[run], refs[run], g, lr, beta1)
+                assert params[run].tobytes() == block(*refs[run]).tobytes()
+                assert ws.m[run].tobytes() == block(*states[run][1]).tobytes()
+                assert ws.v[run].tobytes() == block(*states[run][2]).tobytes()
+        assert ws.step == len(steps)
 
 
 class TestSeedDerivation:
