@@ -8,6 +8,7 @@ equivalent pipeline phrased purely in tensor-network operations, kept as
 an independent cross-check of the calculus.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,23 @@ def reconstruct(scheme, n=None):
                _forget_view(scheme.K.T, [0], [m]),
                _forget_view(F_t.T, [1], [m])])
     return out.transpose(1, 2, 0)
+
+
+def residual_matrix(H, K, F, scale=1):
+    """D = KR(H, K) @ F_t - scale * T, the residual of the factors as an
+    (..., m^2, m) matrix in :func:`reconstruct`'s layout: KR is the
+    column-wise Khatri-Rao product, F_t has F's columns in T's transposed
+    layout, and ``scale`` is subtracted on T's n^3 support only.  D keeps
+    the factors' dtype (float64, int64 or object); leading run axes give
+    each run the same matrix products as alone."""
+    m, r = H.shape[-2:]
+    n = math.isqrt(m)
+    kr = (H[..., :, None, :] * K[..., None, :, :]).reshape(
+        H.shape[:-2] + (m * m, r))
+    d = kr @ F[..., np.arange(m).reshape(n, n).T.ravel()]
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    d[..., (i * n + j) * m + j * n + k, k * n + i] -= scale
+    return d
 
 
 def scheme_to_json(scheme):

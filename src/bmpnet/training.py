@@ -18,10 +18,11 @@ from functools import reduce
 
 import numpy as np
 
-from .scheme import BilinearScheme, init_scheme, scheme_to_json
+from .scheme import (
+    BilinearScheme, init_scheme, residual_matrix, scheme_to_json)
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .scheme import forward_fast_batch  # noqa: F401
-from .tensor import ShapeMismatch, matmul_tensor
+from .tensor import ShapeMismatch
 
 # the ufuncs of a training step, looked up once
 _add, _sub, _mul, _div, _sqrt, _matmul = (
@@ -219,7 +220,7 @@ def fourth_moment(a, b):
     return total / count
 
 
-def scorer(n, moment):
+def scorer(moment):
     """``score(scheme)``: the :func:`mse` of any scheme's factors H, K,
     F over the rows whose :func:`fourth_moment` is ``moment``, without
     the rows.  A row's error is x^T D, with D the residual of the scheme
@@ -227,22 +228,12 @@ def scorer(n, moment):
     the sum of D * (moment D), whatever the layout of the output index.
 
     The factors and ``moment`` may carry a leading run axis, and then the
-    score holds one value per run.  D is the Khatri-Rao product of H and
-    K, one row per pair of input indices, times F with its columns put in
-    T's transposed output layout, minus T; each run's products are the
-    same matrix products as alone, so a run scores bitwise the same in
-    any stack."""
-    m = n * n
-    target = matmul_tensor(n, n, n).reshape(m * m, m)
-    flip = np.arange(m).reshape(n, n).T.ravel()
-
+    score holds one value per run.  D is :func:`residual_matrix`, whose
+    runs are each the same matrix products as alone, so a run scores
+    bitwise the same in any stack."""
     def score(scheme):
-        h, k = scheme.H, scheme.K
-        runs = h.shape[:-2]
-        kr = (h[..., :, None, :] * k[..., None, :, :]).reshape(
-            runs + (m * m, -1))
-        d = kr @ scheme.F[..., flip] - target
-        val = np.add.reduce((d * (moment @ d)).reshape(runs + (-1,)),
+        d = residual_matrix(scheme.H, scheme.K, scheme.F)
+        val = np.add.reduce((d * (moment @ d)).reshape(d.shape[:-2] + (-1,)),
                             axis=-1)
         return float(val) if val.ndim == 0 else val
     return score
@@ -548,7 +539,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
 
     moments = np.stack([fourth_moment(*draw_operands(
         cfg.n, cfg.val_size, s["val"], cfg.low, cfg.high)) for s in streams])
-    scores = [scorer(cfg.n, moment) for moment in moments]
+    scores = [scorer(moment) for moment in moments]
     first = [init(s["init"]) for s in streams]
     if any(np.size(a) != cfg.n * cfg.n * cfg.r for run in first for a in run):
         raise ShapeMismatch("every parameter array needs n^2 r entries")
@@ -587,7 +578,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
-    live, score_live = list(runs), scorer(cfg.n, moments)
+    live, score_live = list(runs), scorer(moments)
 
     for epoch in range(cfg.epochs):
         if epoch == 0 or cfg.resample:
@@ -628,7 +619,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
             return failed
         if still != live:
             # diverged runs are left out, so scoring them raises no warnings
-            live, score_live = still, scorer(cfg.n, moments[still])
+            live, score_live = still, scorer(moments[still])
         vals = score_live(Factors(*(f[live] for f in factors)))
         for run, val in zip(live, vals):
             train_losses[run].append(float(train_loss[run]))

@@ -2,9 +2,9 @@
 tensor, snapping near-discrete factors to a rational grid, and the
 classical rank-7 scheme for 2x2 product as a pinned reference.
 
-Float residuals measure how close a trained scheme is; the object-array
-path runs the same comparison in exact rational arithmetic, where a zero
-residual is a proof rather than an impression.
+Every residual is the norm of :func:`bmpnet.scheme.residual_matrix`,
+as is training's validation loss.  Float residuals measure how close a
+trained scheme is; exact factors give a zero residual as a proof.
 """
 
 import math
@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scheme import BilinearScheme, reconstruct
+from .scheme import BilinearScheme, residual_matrix
+# imported only for perfbench/tracing.py, which wraps it in this module
+from .scheme import reconstruct  # noqa: F401
 from .tensor import (
     ShapeMismatch,
     _max_abs,
@@ -21,9 +23,10 @@ from .tensor import (
     fit_integers,
     frobenius_sq,
     is_exact,
-    matmul_tensor,
     scaled,
 )
+# imported only for perfbench/tracing.py, which wraps it in this module
+from .tensor import matmul_tensor  # noqa: F401
 
 # snapping grid for trained factors; entries of published schemes for
 # small n are drawn from exactly these values
@@ -59,40 +62,23 @@ class VerifyReport:
 
 
 def _residual_sq(scheme, n, factors=None):
-    """Squared Frobenius distance between the scheme's reconstruction and
-    the n x n matrix-product structure tensor: a Fraction in exact mode,
-    a float otherwise.  The target is 1 on n^3 entries and 0 elsewhere,
-    so only those entries are subtracted from.
-
-    An exact scheme is checked in scaled integers: with each factor
-    scaled to integers over the lcm of its denominators (``factors``,
-    the :func:`scaled` forms of H, K and F, if already at hand), and
-    ``denom`` the product of the three, D = KR(H, K) @ F_t - denom * T
-    is an (m^2, m) integer matrix (KR the column-wise Khatri-Rao
-    product, F_t the output factor in the target's layout, whose scaled
-    form is F's with its columns permuted), taken in int64 while
-    ``r * max|h| * max|k| * max|f| + denom`` stays below 2^62; the
-    residual is sum(D^2) / denom^2.  Floats go through
-    :func:`bmpnet.scheme.reconstruct`, and their sum is taken in C
-    order."""
+    """Squared Frobenius norm of the scheme's :func:`residual_matrix`: a
+    Fraction when every factor is exact, a float otherwise.  Exact
+    factors are scaled to integers over the lcm of their denominators
+    (``factors``, the :func:`scaled` forms of H, K and F, if at hand), D
+    is taken against denom * T, ``denom`` the product of the three, by
+    :func:`fit_integers` in int64 or Python ints, and the residual is
+    sum(D^2) / denom^2.  Other factors form D in their own dtype."""
     if scheme.n != n:
         raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
                             % (scheme.n, n))
-    target = np.nonzero(matmul_tensor(n, n, n))
-    if is_exact(scheme.H):
-        r, m = scheme.r, n * n
-        pairs = factors or _scaled_factors(scheme)
-        if all(p is not None for p in pairs):
-            denom = math.prod(p[1] for p in pairs)
-            f_t = pairs[2][0].reshape(r, n, n).transpose(0, 2, 1)
-            h, k, f = fit_integers([pairs[0][0], pairs[1][0],
-                                    f_t.reshape(r, m)], r, denom)
-            d = (h[:, None, :] * k[None, :, :]).reshape(m * m, r) @ f
-            d.reshape(m, m, m)[target] -= denom
-            return Fraction(frobenius_sq(d), denom * denom)
-    d = np.ascontiguousarray(reconstruct(scheme))
-    d[target] -= 1
-    return frobenius_sq(d)
+    pairs = factors or _scaled_factors(scheme)
+    if all(p is not None for p in pairs):
+        denom = math.prod(p[1] for p in pairs)
+        h, k, f = fit_integers([p[0] for p in pairs], scheme.r, denom)
+        return Fraction(frobenius_sq(residual_matrix(h, k, f, denom)),
+                        denom * denom)
+    return frobenius_sq(residual_matrix(scheme.H, scheme.K, scheme.F))
 
 
 def _scaled_factors(scheme):

@@ -51,7 +51,7 @@ COMMANDS = [
                    "--round", "--out", "{out}"]),
     ("verify-n3", ["verify", "--scheme", "{root}/train-n3/scheme.json",
                    "--round", "--out", "{out}"]),
-    # float verification, through the float bmp: exits 1, the residual
+    # float verification, a float residual matrix: exits 1, the residual
     # is above tol
     ("verify-float", ["verify", "--scheme", "{root}/train-n3/scheme.json",
                       "--out", "{out}"]),

@@ -121,7 +121,7 @@ def fit(cfg, init, step, epoch_end,
                           cfg.low, cfg.high)
     params, state = init(streams["init"])
     a_rows, b_rows, t_rows = train_set.flat()
-    score = scorer(cfg.n, fourth_moment(val_set.a, val_set.b))
+    score = scorer(fourth_moment(val_set.a, val_set.b))
 
     train_losses, val_losses = [], []
     for epoch in range(cfg.epochs):

@@ -16,6 +16,7 @@ from bmpnet.scheme import (
     init_scheme,
     padded_square_factors,
     reconstruct,
+    residual_matrix,
     scheme_from_json,
     scheme_to_json,
     to_float,
@@ -319,6 +320,78 @@ class TestReconstructMatchesSlotLoop:
         s = known_strassen()
         got, want = reconstruct(s), reconstruct_by_slots(s)
         assert all(g == w and type(g) is type(w)
+                   for g, w in zip(got.flat, want.flat))
+
+
+def dense_residual(s, dtype=np.float64):
+    """reconstruct(s) - T over all m^3 entries, as an (m^2, m) matrix."""
+    m = s.n * s.n
+    target = matmul_tensor(s.n, s.n, s.n).astype(dtype)
+    return (reconstruct(s) - target).reshape(m * m, m)
+
+
+class TestResidualMatrix:
+    """The Khatri-Rao residual against the BMP reference: entry for entry
+    on integers, to rounding on floats, and each run of a stack as
+    alone."""
+
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 7), (3, 23), (4, 49)])
+    def test_float_matches_reconstruct(self, n, r):
+        for scale in (1e-8, 1.0, 1e3):
+            s = init_scheme(n, r, n * r, scale)
+            got, want = residual_matrix(s.H, s.K, s.F), dense_residual(s)
+            assert got.shape == want.shape and got.dtype == np.float64
+            tol = 1e-15 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        zero = zero_scheme(n, r)
+        assert residual_matrix(zero.H, zero.K, zero.F).tobytes() \
+            == dense_residual(zero).tobytes()
+
+    @pytest.mark.parametrize("n, r", [(2, 7), (3, 23)])
+    def test_each_run_as_alone(self, n, r):
+        rng = np.random.default_rng(n + r)
+        m = n * n
+        H, K = rng.normal(size=(2, 3, m, r))
+        F = rng.normal(size=(3, r, m))
+        H[1, 0, :] = -0.0
+        got = residual_matrix(H, K, F)
+        assert got.shape == (3, m * m, m)
+        for run in range(3):
+            alone = residual_matrix(H[run].copy(), K[run].copy(),
+                                    F[run].copy())
+            assert got[run].tobytes() == alone.tobytes()
+
+    def test_int64_matches_reconstruct(self):
+        rng = np.random.default_rng(3)
+        n, r = 3, 23
+        m = n * n
+        s = BilinearScheme(n=n, r=r, H=rng.integers(-9, 10, (m, r)),
+                           K=rng.integers(-9, 10, (m, r)),
+                           F=rng.integers(-9, 10, (r, m)))
+        got = residual_matrix(s.H, s.K, s.F)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_residual(s, np.int64))
+        strassen = known_strassen()
+        ints = [np.array(f, dtype=np.int64)
+                for f in (strassen.H, strassen.K, strassen.F)]
+        assert not residual_matrix(*ints).any()
+
+    def test_python_ints_past_2_62(self):
+        rng = np.random.default_rng(4)
+        n, r, big = 2, 7, (1 << 62) + 1
+        m = n * n
+
+        def mat(shape):
+            return np.array([int(v) * big for v in
+                             rng.integers(-3, 4, shape).flat],
+                            dtype=object).reshape(shape)
+
+        s = BilinearScheme(n=n, r=r, H=mat((m, r)), K=mat((m, r)),
+                           F=mat((r, m)))
+        got = residual_matrix(s.H, s.K, s.F)
+        want = dense_residual(s, np.int64)
+        assert got.dtype == object and any(abs(g) > big for g in got.flat)
+        assert all(type(g) is int and g == w
                    for g, w in zip(got.flat, want.flat))
 
 

@@ -26,7 +26,7 @@ RANGES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)]
 
 def both(n, low, high, count=2000, seed=5):
     val = gen_dataset(n, count, seed, low, high)
-    return direct_scorer(val), scorer(n, fourth_moment(val.a, val.b))
+    return direct_scorer(val), scorer(fourth_moment(val.a, val.b))
 
 
 def val_set(cfg):
@@ -39,7 +39,7 @@ def val_set(cfg):
 def test_random_schemes(n, r, low, high):
     val = gen_dataset(n, 2000, 5, low, high)
     moment = fourth_moment(val.a, val.b)
-    direct, form = direct_scorer(val), scorer(n, moment)
+    direct, form = direct_scorer(val), scorer(moment)
     ref = reconstruct_scorer(n, moment)
     for seed in range(3):
         s = init_scheme(n, r, seed, 1.0)
@@ -71,7 +71,7 @@ def test_exact_strassen_scores_zero(low, high):
                                       .flat()[:2]) for seed in range(3)])
     s = strassen()
     stack = Factors(*(np.stack([x] * 3) for x in (s.H, s.K, s.F)))
-    assert bits(scorer(2, moments)(stack)) == bits(np.zeros(3))
+    assert bits(scorer(moments)(stack)) == bits(np.zeros(3))
     # the forward pass reads only the rounding of its targets, which
     # grows with the operands: 1.6e-30 on [-3, 1], just above the gate's
     # 1e-30 at a form of 0
@@ -113,10 +113,10 @@ def test_stack_scores_each_run_as_alone(r):
     block = signed_zeros(rng.standard_normal((runs, 3, 9 * r)), rng)
     stack = Factors(*(block[:, i].reshape((runs,) + shape) for i, shape
                       in enumerate(((9, r), (9, r), (r, 9)))))
-    got = scorer(n, moments)(stack)
+    got = scorer(moments)(stack)
     assert got.shape == (runs,)
     for run in range(runs):
-        alone = scorer(n, moments[run])(
+        alone = scorer(moments[run])(
             Factors(*(np.array(f[run]) for f in stack)))
         assert bits(got[run]) == bits(alone)
 
@@ -127,8 +127,8 @@ def test_blown_up_run_is_left_unscored(monkeypatch):
     # would fail the test; its training steps overflow with them off
     plain = training.scorer
 
-    def loud(n, moment):
-        score = plain(n, moment)
+    def loud(moment):
+        score = plain(moment)
 
         def wrapped(scheme):
             with np.errstate(all="warn"):
@@ -186,8 +186,8 @@ def test_border_run_val_and_probe_losses(monkeypatch):
     seen = []
     plain = training.scorer
 
-    def recording(n, moment):
-        score = plain(n, moment)
+    def recording(moment):
+        score = plain(moment)
 
         def wrapped(scheme):
             # the epoch's score has a run axis, the probe's has none
