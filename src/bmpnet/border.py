@@ -94,7 +94,8 @@ class EpsSchedule:
         return max(self.floor, self.eps0 * self.decay ** epoch)
 
 
-def init_eps_scheme(n, r, seed, alpha=1.0, d_max=2, f_min=-2, eps=0.02):
+def init_eps_scheme(n, r, seed, alpha=1.0, *, d_max, f_min,
+                    eps=EpsSchedule.eps0):
     """Draw all coefficient matrices N(0, alpha^2): the H stack in
     ascending power order, then the K stack, then the F stack.  With
     d_max = 0 and f_min = 0 the draws coincide with a plain scheme

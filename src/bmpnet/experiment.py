@@ -12,6 +12,7 @@ import json
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 from .stats import summarize, welch_one_tailed
 from .training import (
@@ -120,25 +121,31 @@ def per_rank_stats(records):
             for rank, bucket in rank_groups(records).items()}
 
 
-def adjacent_welch(records):
-    """One-tailed Welch comparisons of neighbouring ranks, higher rank
-    as group 1 (tested for having the smaller mean loss).  Pairs run
-    from the largest rank down."""
+def _welch_pairs(records, pick):
+    """One-tailed Welch comparisons ``(hi, lo, report)`` of the rank pairs
+    ``pick`` takes from the descending ranks, the higher rank as group 1
+    (tested for having the smaller mean loss)."""
     stats = per_rank_stats(records)
-    ranks = sorted(stats, reverse=True)
-    out = []
-    for hi, lo in zip(ranks, ranks[1:]):
-        out.append((hi, lo, welch_one_tailed(stats[hi], stats[lo])))
-    return out
+    return [(hi, lo, welch_one_tailed(stats[hi], stats[lo]))
+            for hi, lo in pick(sorted(stats, reverse=True))]
+
+
+def adjacent_welch(records):
+    """Welch comparisons of neighbouring ranks, from the largest rank
+    down (see :func:`_welch_pairs`)."""
+    return _welch_pairs(records, lambda ranks: zip(ranks, ranks[1:]))
 
 
 def top_vs_rest_welch(records):
     """Non-default variant: the largest rank against every other rank."""
-    stats = per_rank_stats(records)
-    ranks = sorted(stats, reverse=True)
-    top = ranks[0]
-    return [(top, lo, welch_one_tailed(stats[top], stats[lo]))
-            for lo in ranks[1:]]
+    return _welch_pairs(records,
+                        lambda ranks: zip(repeat(ranks[0]), ranks[1:]))
+
+
+def _pair_rows(pairs):
+    """welch.json rows of ``(hi, lo, report)`` comparisons."""
+    return [{"rank1": hi, "rank2": lo, **report.to_json()}
+            for hi, lo, report in pairs]
 
 
 def _mean_std(values):
@@ -197,15 +204,9 @@ def export(records, outdir, top_vs_rest=False):
     payload = {
         "per_rank": {str(rank): stats.to_json()
                      for rank, stats in per_rank_stats(records).items()},
-        "pairs": [
-            {"rank1": hi, "rank2": lo, **report.to_json()}
-            for hi, lo, report in adjacent_welch(records)
-        ],
+        "pairs": _pair_rows(adjacent_welch(records)),
     }
     if top_vs_rest:
-        payload["top_pairs"] = [
-            {"rank1": hi, "rank2": lo, **report.to_json()}
-            for hi, lo, report in top_vs_rest_welch(records)
-        ]
+        payload["top_pairs"] = _pair_rows(top_vs_rest_welch(records))
     write_json(outdir, "welch.json", payload)
     return ["curves.csv", "hist.csv", "welch.json"]

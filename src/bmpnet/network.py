@@ -86,7 +86,9 @@ def validate(net):
 
     Checks, in this sequence: node-id sanity, edge endpoints, acyclicity,
     the total order being a topological refinement, activation orders,
-    then activation axis extents.  Returns ``parent_positions(net)``.
+    then activation axis extents.  A valid order proves acyclicity, so
+    the graph is searched for a cycle only when the order fails.
+    Returns ``parent_positions(net)``.
     """
     ids = [node.id for node in net.nodes]
     if len(set(ids)) != len(ids):
@@ -102,32 +104,26 @@ def validate(net):
     if len(set(map(tuple, net.edges))) != len(net.edges):
         raise NetworkError("duplicate edges")
 
-    # Kahn's algorithm; leftovers mean a cycle
-    indeg = {nid: 0 for nid in ids}
-    for src, dst in net.edges:
-        if src == dst:
-            raise CycleDetected("self-loop at %r" % src)
-        indeg[dst] += 1
-    ready = [nid for nid in ids if indeg[nid] == 0]
-    seen = 0
-    while ready:
-        cur = ready.pop()
-        seen += 1
-        for src, dst in net.edges:
-            if src == cur:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    ready.append(dst)
-    if seen != len(ids):
-        raise CycleDetected("edge relation contains a cycle")
-
-    if sorted(net.order) != sorted(ids):
-        raise OrderNotTopological("order must list every node exactly once")
+    complete = sorted(net.order) == sorted(ids)
     pos = {nid: k for k, nid in enumerate(net.order)}
-    for src, dst in net.edges:
-        if pos[src] >= pos[dst]:
+    back = [(s, d) for s, d in net.edges if complete and pos[s] >= pos[d]]
+    if not complete or back:
+        from graphlib import CycleError, TopologicalSorter
+
+        sorter = TopologicalSorter()
+        for src, dst in net.edges:
+            sorter.add(dst, src)
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            cycle = " -> ".join(map(repr, exc.args[1]))
+            raise CycleDetected(
+                "edge relation contains the cycle %s" % cycle) from None
+        if not complete:
             raise OrderNotTopological(
-                "edge (%r, %r) runs against the order" % (src, dst))
+                "order must list every node exactly once")
+        raise OrderNotTopological(
+            "edge (%r, %r) runs against the order" % back[0])
 
     node_by_id = net.node_map()
     every = parent_positions(net)

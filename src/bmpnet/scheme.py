@@ -21,6 +21,7 @@ from .tensor import (
     float_array,
     matrix_from_json,
     matrix_to_json,
+    matmul_tensor,
     zeros_matching,
 )
 
@@ -163,8 +164,8 @@ def residual_matrix(H, K, F, scale=1):
     kr = (H[..., :, None, :] * K[..., None, :, :]).reshape(
         H.shape[:-2] + (m * m, r))
     d = kr @ F[..., np.arange(m).reshape(n, n).T.ravel()]
-    i, j, k = np.indices((n, n, n)).reshape(3, -1)
-    d[..., (i * n + j) * m + j * n + k, k * n + i] -= scale
+    rows, cols = np.nonzero(matmul_tensor(n, n, n).reshape(m * m, m))
+    d[..., rows, cols] -= scale
     return d
 
 

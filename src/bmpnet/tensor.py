@@ -224,6 +224,16 @@ def blow(t):
     return out
 
 
+def _check_slots(slots, order):
+    """Raise BadIndexSet unless the list ``slots`` holds distinct slots of
+    a tensor of order ``order``."""
+    if len(set(slots)) != len(slots):
+        raise BadIndexSet("duplicate slots: %s" % sorted(slots))
+    for s in slots:
+        if not 0 <= s < order:
+            raise BadIndexSet("slot %d out of range for order %d" % (s, order))
+
+
 def _inserted(t, slots, extents):
     """``t`` with slots of extent 1 inserted at the 0-based result
     positions ``slots``, and the shape :func:`forget` widens it to."""
@@ -232,12 +242,8 @@ def _inserted(t, slots, extents):
     extents = list(extents)
     if len(slots) != len(extents):
         raise BadIndexSet("need one extent per inserted slot")
-    if len(set(slots)) != len(slots):
-        raise BadIndexSet("duplicate slots: %s" % sorted(slots))
     d_out = t.ndim + len(slots)
-    for s in slots:
-        if not 0 <= s < d_out:
-            raise BadIndexSet("slot %d out of range for order %d" % (s, d_out))
+    _check_slots(slots, d_out)
     for e in extents:
         if e < 1:
             raise ShapeMismatch("slot extents must be positive")
@@ -277,11 +283,7 @@ def contraction(t, slots):
     """
     t = np.asarray(t)
     slots = list(slots)
-    if len(set(slots)) != len(slots):
-        raise BadIndexSet("duplicate slots: %s" % sorted(slots))
-    for s in slots:
-        if not 0 <= s < t.ndim:
-            raise BadIndexSet("slot %d out of range for order %d" % (s, t.ndim))
+    _check_slots(slots, t.ndim)
     if not slots:
         return t.copy()
     axes = tuple(sorted(slots))
@@ -307,12 +309,9 @@ def matmul_tensor(a, b, c, exact=False):
         if ext < 1:
             raise ShapeMismatch("matrix extents must be positive")
     shape = (a * b, b * c, c * a)
-    one = Fraction(1) if exact else 1.0
     out = zeros_matching(shape, exact_array([0]) if exact else np.zeros(1))
-    for i in range(a):
-        for j in range(b):
-            for k in range(c):
-                out[i * b + j, j * c + k, k * a + i] = one
+    i, j, k = np.indices((a, b, c)).reshape(3, -1)
+    out[i * b + j, j * c + k, k * a + i] = Fraction(1) if exact else 1.0
     return out
 
 

@@ -66,8 +66,33 @@ class TestValidate:
     def test_self_loop(self):
         net = chain(np.ones(2), np.ones((2, 2)), np.ones((2, 2)))
         net.edges.append(("n1", "n1"))
+        with pytest.raises(CycleDetected, match="'n1'"):
+            validate(net)
+
+    def test_cycle_reported_before_incomplete_order(self):
+        net = chain(np.ones(2), np.ones((2, 2)), np.ones((2, 2)))
+        net.edges.append(("n2", "n0"))
+        net.order = ["n0", "n1"]
         with pytest.raises(CycleDetected):
             validate(net)
+
+    def test_incomplete_order_without_edges(self):
+        net = chain(np.ones(2), np.ones((2, 2)), np.ones((2, 2)))
+        net.edges = []
+        net.order = ["n0", "n2"]
+        with pytest.raises(OrderNotTopological, match="exactly once"):
+            validate(net)
+
+    def test_order_listing_a_node_twice(self):
+        net = chain(np.ones(2), np.ones((2, 2)), np.ones((2, 2)))
+        net.order = ["n0", "n1", "n1", "n2"]
+        with pytest.raises(OrderNotTopological, match="exactly once"):
+            validate(net)
+
+    def test_forward_skip_edge_is_valid(self):
+        net = chain(np.ones(2), np.ones((2, 2)), np.ones((2, 2, 2)))
+        net.edges.append(("n0", "n2"))
+        assert validate(net) == [[], [0], [0, 1]]
 
     def test_cycle_reported_before_bad_order(self):
         # with both defects present the cycle is the primary diagnosis
