@@ -368,6 +368,9 @@ def _load_scheme(opts):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read scheme %s: %s" % (source, exc))
+    # a run record of train, sweep or train-eps holds its scheme as one key
+    if isinstance(payload, dict) and isinstance(payload.get("scheme"), dict):
+        payload = payload["scheme"]
     return scheme_from_json(payload, exact=opts["exact"])
 
 

@@ -63,15 +63,6 @@ def summarize(values):
 _EPS = 2.0 ** -52
 # keeps the Lentz recurrences off an exact zero
 _TINY = 1e-300
-# log of the t^2 / df past which the quantile of the t distribution's
-# power-law tail is within half a unit in the last place of the root
-_LOG_FAR = 52 * math.log(2.0)
-# below this lower tail a quantile starts from near its root: from t = 0
-# each Newton step shrinks the tail by about a factor e, so it would take
-# more than twenty of them
-_FAR_TAIL = 2.0 ** -32
-# the change of log |t| below which the steps on the log of the tail stop
-_NEAR = 2.0 ** -20
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 # B_2k / (2k (2k - 1)) of Stirling's series for log Gamma, k = 1..5;
 # from a = 20 on, the first omitted term is below 1e-17
@@ -159,64 +150,15 @@ def t_cdf(t, df):
     return tail if t < 0 else 1.0 - tail
 
 
-def _density_underflows(p, df):
-    return NonFiniteStatistic("the t density underflows on the way to the "
-                              "quantile (p=%r, df=%r)" % (p, df))
-
-
-def _near_root(tail, df, log_density, log_far):
-    """A |t| just short of the root of a lower tail below _FAR_TAIL, so
-    that the tail there lies a little above ``tail``, or None if the
-    density underflows before the root.  Newton steps solve
-    log P(T <= -|t|) = log tail in log |t|, in which the power-law tail
-    is a straight line and a normal tail a concave curve, so the steps
-    take few evaluations in both.  They start from the nearer of the
-    power law's quantile ``exp(log_far)``, which lies beyond the root,
-    and sqrt(2 log(1 / tail)), near a normal tail's quantile, and never
-    pass the power law's.  A step that lands past the root where the
-    tail or the density underflows is halved, in log |t|, back toward
-    the last point short of it."""
-    log_tail = math.log(tail)
-    u = min(log_far, 0.5 * math.log(-2.0 * log_tail))
-    short = None
-    for _ in range(100):
-        t = math.exp(u)
-        lower, density = _lower_tail(t, df), math.exp(log_density(t))
-        if lower > tail:
-            if density == 0.0:
-                return None
-            short = u
-        elif lower == 0.0 or density == 0.0:
-            if short is None:
-                return None
-            u = 0.5 * (short + u)
-            continue
-        # the tail's log falls by density |t| / lower per unit of log |t|
-        step = (math.log(lower) - log_tail) * lower / (density * t)
-        u = min(u + step, log_far)
-        if abs(step) <= _NEAR:
-            return math.exp(u - _NEAR)
-    raise ArithmeticError("t quantile did not converge (tail=%r, df=%r)"
-                          % (tail, df))
-
-
 def t_quantile(p, df):
     """Inverse of :func:`t_cdf` in its first argument.
 
     Newton steps with the t density solve for the lower tail from
     t = 0.  The CDF is convex for t < 0, so no step passes the root:
     the iterates fall monotonically onto it, and stop once rounding
-    leaves no step of more than a unit in the last place.  Below a tail
-    of 2^-32 they start instead from a point just short of the root,
-    found by :func:`_near_root`.
-
-    In the far tail the density is c |t|^-(df+1) with c = peak
-    df^((df+1)/2), so the tail is c |t|^-df / df.  That power law lies
-    above the tail, by a relative (df+1) df^2 / (2 (df+2) t^2), so its
-    quantile lies beyond the root by at most df / (2 t^2) relative.  Once
-    t^2/df passes 2^52 that is below half a unit in the last place, and
-    the power law's quantile is returned, rounded by its exp to within
-    about 1e-13 relative."""
+    leaves no step of more than a unit in the last place.  Where the
+    density underflows before the root, the quantile is out of reach
+    and :class:`NonFiniteStatistic` names it."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     _check_df(df)
@@ -225,27 +167,13 @@ def t_quantile(p, df):
     tail = min(p, 1.0 - p)
     a = 0.5 * df
     log_peak = -_log_gamma_drop(a) - 0.5 * math.log(math.pi * df)
-    log_far = (log_peak + (a - 0.5) * math.log(df) - math.log(tail)) / df
-    if 2.0 * log_far - math.log(df) > _LOG_FAR:
-        try:
-            t = math.exp(log_far)
-        except OverflowError:
-            raise NonFiniteStatistic("the quantile leaves the float range "
-                                     "(p=%r, df=%r)" % (p, df)) from None
-        return -t if p < 0.5 else t
-
-    def log_density(t):
-        return log_peak - (a + 0.5) * math.log1p(t * t / df)
     t = 0.0
-    if tail < _FAR_TAIL:
-        start = _near_root(tail, df, log_density, log_far)
-        if start is None:
-            raise _density_underflows(p, df)
-        t = -start
     for _ in range(1000):
-        density = math.exp(log_density(t))
+        density = math.exp(log_peak - (a + 0.5) * math.log1p(t * t / df))
         if density == 0.0:
-            raise _density_underflows(p, df)
+            raise NonFiniteStatistic("the t density underflows on the way "
+                                     "to the quantile (p=%r, df=%r)"
+                                     % (p, df))
         step = (_lower_tail(t, df) - tail) / density
         if not step > _EPS * -t:
             return t if p < 0.5 else -t

@@ -86,13 +86,6 @@ def _scaled_factors(scheme):
     return [scaled(f) for f in (scheme.H, scheme.K, scheme.F)]
 
 
-def residual(scheme, n):
-    """Frobenius distance between the scheme's reconstruction and the
-    n x n matrix-product structure tensor, as a float.  In exact mode the
-    squared distance is formed in rational arithmetic before the root."""
-    return math.sqrt(float(_residual_sq(scheme, n)))
-
-
 def residual_sq_exact(scheme, n):
     """Exact squared residual as a Fraction; zero iff the scheme is a
     true decomposition.  Requires an exact-mode scheme."""

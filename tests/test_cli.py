@@ -12,9 +12,10 @@ import pytest
 
 from bmpnet import border, cli
 from bmpnet.cli import _COMMANDS, _HELP, build_parser, main
-from bmpnet.scheme import BilinearScheme, scheme_to_json, to_float
+from bmpnet.scheme import (BilinearScheme, scheme_from_json, scheme_to_json,
+                           to_float)
 from bmpnet.training import TrainingDiverged
-from bmpnet.verify import known_strassen
+from bmpnet.verify import known_strassen, verify_scheme
 from clirun import run_module
 
 TINY_TRAIN = ["--n", "2", "--r", "7", "--epochs", "2", "--batch-size", "16",
@@ -313,9 +314,32 @@ class TestVerify:
         assert code == 2
         assert "scheme" in err
 
-    def test_run_file_is_usage_error_naming_the_key(self, capsys, tmp_path):
-        # a train run.json nests its scheme, so the top level has no "n"
-        run_cli(capsys, ["train"] + TINY_TRAIN + ["--out", str(tmp_path)])
+    def test_run_file_loads_its_scheme(self, capsys, tmp_path):
+        # train, sweep and train-eps records nest their scheme under one
+        # key; verify reads it and exits by its verdict
+        for command, args, name in (
+                ("train", TINY_TRAIN, "run.json"),
+                ("sweep", TINY_SWEEP, "runs/rank07_rep1.json"),
+                ("train-eps", TINY_TRAIN, "run_eps.json")):
+            out_dir = tmp_path / command
+            assert run_cli(capsys, [command] + args
+                           + ["--out", str(out_dir)])[0] == 0
+            record = json.loads((out_dir / name).read_text())
+            want = verify_scheme(scheme_from_json(record["scheme"]))
+            code, out, _ = run_cli(capsys, ["verify", "--scheme",
+                                            str(out_dir / name)])
+            assert code == (0 if want.residual <= 1e-8 else 1)
+            assert json.loads(out) == want.to_json()
+            code, _, _ = run_cli(capsys, ["verify", "--scheme",
+                                          str(out_dir / name), "--round"])
+            assert code in (0, 1)
+
+    def test_run_file_without_scheme_is_usage_error_naming_the_key(
+            self, capsys, tmp_path):
+        # a diverged train writes a partial run.json with no scheme
+        with np.errstate(all="ignore"):
+            run_cli(capsys, ["train"] + TINY_TRAIN
+                    + ["--alpha", "1e200", "--out", str(tmp_path)])
         code, _, err = run_cli(capsys, ["verify", "--scheme",
                                         str(tmp_path / "run.json")])
         assert code == 2

@@ -18,7 +18,6 @@ from bmpnet.verify import (
     exponent,
     known_strassen,
     normalize_slots,
-    residual,
     residual_sq_exact,
     round_scheme,
     slot_contribution_norms,
@@ -44,7 +43,7 @@ class TestKnownScheme:
 
     def test_float_copy_residual_tiny(self):
         s = to_float(known_strassen())
-        assert residual(s, 2) < 1e-12
+        assert verify_scheme(s).residual < 1e-12
 
     def test_multiplies_matrices(self):
         rng = np.random.default_rng(5)
@@ -76,12 +75,10 @@ class TestResidual:
         H[1, 2] += Fraction(1, 2)
         bad = BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F)
         sq = residual_sq_exact(bad, 2)
-        got = residual(to_float(bad), 2)
+        got = verify_scheme(to_float(bad)).residual
         np.testing.assert_allclose(got, float(sq) ** 0.5, rtol=1e-12)
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            residual(to_float(known_strassen()), 3)
         with pytest.raises(ShapeMismatch):
             residual_sq_exact(known_strassen(), 3)
 
