@@ -10,13 +10,8 @@ with a single product; the two routes agree exactly.
 
 import numpy as np
 
-from bmpnet.network import (
-    build_matmul_chain,
-    marginalize,
-    total_bmp,
-    total_direct,
-)
-from bmpnet.tensor import exact_array
+from bmpnet.network import build_matmul_chain, total_bmp, total_direct
+from bmpnet.tensor import contraction, exact_array
 
 a = exact_array([[1, 2], [3, 4]])
 b = exact_array([[5, 6], [7, 8]])
@@ -34,7 +29,7 @@ print("routes agree entrywise:",
       all(direct[idx] == product[idx] for idx in np.ndindex(direct.shape)))
 
 # summing out the middle (hidden) slot leaves exactly A @ B
-out = marginalize(product, {1})
+out = contraction(product, {1})
 print("\nmarginal over the hidden slot:")
 print(np.array2string(out.astype(object)))
 print("equals A @ B:", np.array_equal(out, a.dot(b)))

@@ -30,6 +30,12 @@ class EpsilonNonpositive(ValueError):
     """The vanishing parameter must stay strictly positive."""
 
 
+def _check_degrees(d_max, f_min):
+    """Raise ShapeMismatch unless 0 <= d_max and f_min <= d_max."""
+    if d_max < 0 or f_min > d_max:
+        raise ShapeMismatch("need 0 <= d_max and f_min <= d_max")
+
+
 @dataclass
 class EpsScheme:
     """Bilinear factors polynomial in eps.
@@ -53,8 +59,7 @@ class EpsScheme:
         if self.eps <= 0:
             raise EpsilonNonpositive("eps must be positive, got %r"
                                      % self.eps)
-        if self.d_max < 0 or self.f_min > self.d_max:
-            raise ShapeMismatch("need 0 <= d_max and f_min <= d_max")
+        _check_degrees(self.d_max, self.f_min)
         m = self.n * self.n
         if len(self.h_coeffs) != self.d_max + 1 \
                 or len(self.k_coeffs) != self.d_max + 1:
@@ -224,6 +229,7 @@ def train_eps(cfg, schedule=None, d_max=2, f_min=-2, probe_eps=1e-3,
     if not 0 < probe_eps < np.inf:
         raise EpsilonNonpositive("probe_eps must be positive and finite, "
                                  "got %r" % probe_eps)
+    _check_degrees(d_max, f_min)
     if schedule is None:
         schedule = EpsSchedule()
     started = time.perf_counter()

@@ -26,10 +26,10 @@ from .border import EpsSchedule, train_eps
 from .experiment import SweepConfig, adjacent_welch, export, per_rank_stats, \
     sweep, write_json
 from .network import strassen_stages, total_bmp, total_direct, \
-    build_matmul_chain, marginalize
+    build_matmul_chain
 from .scheme import scheme_from_json, scheme_to_json
 from .stats import SampleStats, welch_one_tailed
-from .tensor import exact_array
+from .tensor import contraction, exact_array
 from .training import TrainConfig, TrainingDiverged, train
 from .verify import known_strassen, exponent, normalize_slots, \
     round_scheme, verify_scheme
@@ -272,7 +272,7 @@ def _demo_classical():
     print("total tensor via lift + product, shape %s" % (product.shape,))
     agree = bool(np.all(direct == product))
     print("routes agree entrywise: %s" % agree)
-    out = marginalize(product, {1})
+    out = contraction(product, {1})
     print("after summing out the middle slot:")
     print(np.array2string(out.astype(object)))
     expected = a.dot(b)
@@ -378,6 +378,8 @@ def _cmd_verify(opts):
     grid = opts["grid"]
     if grid is not None and not opts["round"]:
         raise UsageError("--grid needs --round")
+    if not float(opts["tol"]) >= 0:
+        raise UsageError("--tol must be 0 or more, got %r" % opts["tol"])
     loaded = _load_scheme(opts)
     if opts["round"]:
         snap = {}

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import scheme as scheme_module
 from .tensor import (
     blow,
     bmp,
@@ -237,16 +238,11 @@ def hidden_positions(net):
     return [k for k, nid in enumerate(net.order) if node_by_id[nid].hidden]
 
 
-def marginalize(total, slots):
-    """Sum a total tensor over the given slots (hidden-state removal)."""
-    return contraction(total, slots)
-
-
 def observed_total(net):
     """Total tensor with every hidden node summed out; exact activations
     are summed out as scaled integers and rescaled once."""
     total, denom = _scaled_total(net)
-    observed = marginalize(total, hidden_positions(net))
+    observed = contraction(total, hidden_positions(net))
     return observed if denom is None else unscaled(observed, denom)
 
 
@@ -318,15 +314,13 @@ def strassen_stages(a_mat, b_mat, scheme):
     against nothing yet, i.e. the entrywise multiplications), 'output'
     (the full length-r product-stage result; coordinates past n^2 are 0).
     """
-    from .scheme import padded_square_factors
-
     n = scheme.n
     a_mat = np.asarray(a_mat)
     b_mat = np.asarray(b_mat)
     if a_mat.shape != (n, n) or b_mat.shape != (n, n):
         raise StateSizeMismatch("operands must be n x n matrices")
     r = scheme.r
-    H_sq, K_sq, F_sq = padded_square_factors(scheme)
+    H_sq, K_sq, F_sq = scheme_module.padded_square_factors(scheme)
 
     a_pad = zeros_matching((r,), a_mat)
     b_pad = zeros_matching((r,), b_mat)

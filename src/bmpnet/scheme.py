@@ -2,10 +2,10 @@
 
 A scheme holds three factor matrices H, K (both n^2 x r) and F (r x n^2).
 It computes ``vec(AB) = F^T ((H^T vec A) * (K^T vec B))`` where ``*`` is
-the entrywise product, so ``r`` counts the scalar multiplications.  Two
-forward routes are provided: the direct vectorised one above, and an
-equivalent pipeline phrased purely in tensor-network operations, kept as
-an independent cross-check of the calculus.
+the entrywise product, so ``r`` counts the scalar multiplications.  An
+equivalent route phrased purely in tensor-network operations,
+:func:`bmpnet.network.strassen_pipeline`, is kept as an independent
+cross-check of the calculus.
 """
 
 import math
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import strassen_pipeline
 from .tensor import (
     ShapeMismatch,
     _forget_view,
     bmp,
-    float_array,
     matrix_from_json,
     matrix_to_json,
     matmul_tensor,
@@ -112,19 +110,7 @@ def padded_square_factors(scheme):
     return H_sq, K_sq, F_sq
 
 
-def forward_bmp(scheme, a_mat, b_mat):
-    """vec(AB) via the tensor-network pipeline: the first n^2 coordinates
-    of :func:`bmpnet.network.strassen_pipeline`, whose padding
-    coordinates are identically zero.  Must agree with
-    :func:`forward_fast`.
-    """
-    n = scheme.n
-    if np.shape(a_mat) != (n, n) or np.shape(b_mat) != (n, n):
-        raise ShapeMismatch("operands must be n x n matrices")
-    return strassen_pipeline(a_mat, b_mat, scheme)[: n * n]
-
-
-def reconstruct(scheme, n=None):
+def reconstruct(scheme):
     """Order-3 tensor sum of the per-multiplication outer products.
 
     Equals the n x n matrix-product structure tensor exactly when the
@@ -137,11 +123,6 @@ def reconstruct(scheme, n=None):
     copy), so each factor is stored once; its output slots come out
     as (f, h, k), so that every term multiplies h, k, f in that order.
     """
-    if n is not None and n != scheme.n:
-        raise ShapeMismatch(
-            "requested size %d but the scheme multiplies %d x %d matrices"
-            % (n, scheme.n, scheme.n)
-        )
     n = scheme.n
     m = n * n
     F_t = scheme.F.reshape(scheme.r, n, n).transpose(0, 2, 1).reshape(
@@ -197,13 +178,3 @@ def scheme_from_json(obj, exact=False):
     return BilinearScheme(n=get("n", int), r=get("r", int), H=get("H", mat),
                           K=get("K", mat), F=get("F", mat))
 
-
-def to_float(scheme):
-    """float64 copy of a scheme."""
-    return BilinearScheme(
-        n=scheme.n,
-        r=scheme.r,
-        H=float_array(scheme.H),
-        K=float_array(scheme.K),
-        F=float_array(scheme.F),
-    )

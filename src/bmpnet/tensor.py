@@ -47,11 +47,6 @@ def exact_array(values):
     return out
 
 
-def float_array(values):
-    """Build a float64 ndarray, converting Fractions if present."""
-    return np.asarray(values).astype(np.float64)
-
-
 def is_exact(t):
     """True when ``t`` is an object array (exact rational mode)."""
     return np.asarray(t).dtype == object

@@ -64,23 +64,6 @@ def mix64(*parts):
     return x
 
 
-@dataclass
-class Dataset:
-    """Random operand pairs with their true products."""
-
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-    prod: np.ndarray
-
-    def flat(self):
-        """Row-major flattened views: (count, n^2) each for a, b, prod."""
-        m = self.n * self.n
-        count = self.a.shape[0]
-        return (self.a.reshape(count, m), self.b.reshape(count, m),
-                self.prod.reshape(count, m))
-
-
 def draw_operands(n, count, seed, low=-1.0, high=1.0):
     """Draw ``count`` operand pairs entrywise uniform on [low, high]:
     all of A first, then all of B, each (count, n, n)."""
@@ -94,7 +77,7 @@ def draw_operands(n, count, seed, low=-1.0, high=1.0):
 
 
 def gen_dataset(n, count, seed, low=-1.0, high=1.0):
-    """The operand pairs of :func:`draw_operands` with their products.
+    """(count, n^2) rows of A, B and AB, the pairs of :func:`draw_operands`.
 
     Targets come from the plain triple-loop product written out below,
     so they do not depend on any library multiplication routine.
@@ -105,7 +88,7 @@ def gen_dataset(n, count, seed, low=-1.0, high=1.0):
         for k in range(n):
             for j in range(n):
                 prod[:, i, k] += a[:, i, j] * b[:, j, k]
-    return Dataset(n=n, a=a, b=b, prod=prod)
+    return tuple(x.reshape(count, n * n) for x in (a, b, prod))
 
 
 def mse(pred_rows, target_rows):
@@ -247,12 +230,6 @@ def _run_norms(sums):
     return [math.sqrt(reduce(operator.add, run)) for run in sums.tolist()]
 
 
-def global_norm(grads):
-    """Euclidean norm of each run's gradient block (R, A, P): the squares
-    are summed per array, then over the A arrays in order."""
-    return np.array(_run_norms(_sum(grads * grads, -1)))
-
-
 class Workspace:
     """What one stack's step writes, allocated once for (R, A, P) blocks
     shaped as ``params``.  Adam's moments m and v are the two rows of one
@@ -298,7 +275,7 @@ class Workspace:
 
 def clip_gradients(grads, threshold, ws=None):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
-    of the given :func:`global_norm`; returns the block.  A run whose
+    of its :func:`_run_norms` norm; returns the block.  A run whose
     norm is at most the threshold is left unwritten (so at an infinite
     threshold every finite or infinite norm passes), any other is
     multiplied by its own 0-d scale threshold / norm, so a NaN norm gives
@@ -587,7 +564,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
             for run, s in enumerate(streams):
                 data[:, run * size:(run + 1) * size] = gen_dataset(
                     cfg.n, size, mix64(s["data"], epoch) if epoch
-                    else s["data"], cfg.low, cfg.high).flat()
+                    else s["data"], cfg.low, cfg.high)
         perm = offsets + np.stack([
             np.random.default_rng(shuffle_seed(c, epoch))
             .permutation(size) for c in cfgs])

@@ -107,13 +107,27 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(name, argv, root):
-    """Run one command into root/name; returns its masked stdout and
-    exit code."""
+def command_dir(name, root):
+    """root/name, made, with the command's config file written first."""
     out = root / name
     out.mkdir(parents=True, exist_ok=True)
     if name in CONFIGS:
         (out / "config.json").write_text(json.dumps(CONFIGS[name]))
+    return out
+
+
+def bare_scheme(name, out):
+    """After a train-n* command, its scheme alone as scheme.json: the
+    verify commands read a bare scheme, not a run record."""
+    if name.startswith("train-n"):
+        record = json.loads((out / "run.json").read_text())
+        (out / "scheme.json").write_text(json.dumps(record["scheme"]))
+
+
+def run(name, argv, root):
+    """Run one command into root/name; returns its masked stdout and
+    exit code."""
+    out = command_dir(name, root)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -121,10 +135,7 @@ def run(name, argv, root):
         else [sys.executable, "-m", "bmpnet",
               *(a.format(out=out, root=root) for a in argv)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    if name.startswith("train-n"):
-        # verify reads a bare scheme, not a run record
-        record = json.loads((out / "run.json").read_text())
-        (out / "scheme.json").write_text(json.dumps(record["scheme"]))
+    bare_scheme(name, out)
     return masked(done.stdout, root), done.returncode
 
 

@@ -1,4 +1,5 @@
-"""Random valid networks for property tests, and composed schemes.
+"""Random valid networks for property tests, composed schemes, and
+float copies of exact schemes.
 
 Node count, state sizes, edge density, hidden flags, and activation
 entries are all drawn from the supplied generator.  Activations are
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from bmpnet.network import Network, NodeSpec, parent_positions
-from bmpnet.scheme import BilinearScheme
+from bmpnet.scheme import BilinearScheme, scheme_from_json, scheme_to_json
 
 
 def random_exact(rng, shape):
@@ -21,6 +22,12 @@ def random_exact(rng, shape):
     for idx in np.ndindex(shape):
         out[idx] = Fraction(int(numer[idx]), int(denom[idx]))
     return out
+
+
+def float_scheme(scheme):
+    """A float64 copy of a scheme, read back from its JSON form: each
+    entry converts as ``float()`` converts it."""
+    return scheme_from_json(scheme_to_json(scheme))
 
 
 def random_network(rng, q_max=4, s_max=3):

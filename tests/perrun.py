@@ -115,21 +115,19 @@ def fit(cfg, init, step, epoch_end,
     """One run: returns the last context and both loss lists, or raises
     TrainingDiverged."""
     streams = run_streams(cfg)
-    train_set = gen_dataset(cfg.n, cfg.train_size, streams["data"],
-                            cfg.low, cfg.high)
-    val_set = gen_dataset(cfg.n, cfg.val_size, streams["val"],
-                          cfg.low, cfg.high)
+    a_rows, b_rows, t_rows = gen_dataset(
+        cfg.n, cfg.train_size, streams["data"], cfg.low, cfg.high)
+    va_rows, vb_rows, _ = gen_dataset(cfg.n, cfg.val_size, streams["val"],
+                                      cfg.low, cfg.high)
     params, state = init(streams["init"])
-    a_rows, b_rows, t_rows = train_set.flat()
-    score = scorer(fourth_moment(val_set.a, val_set.b))
+    score = scorer(fourth_moment(va_rows, vb_rows))
 
     train_losses, val_losses = [], []
     for epoch in range(cfg.epochs):
         if cfg.resample and epoch > 0:
-            fresh = gen_dataset(cfg.n, cfg.train_size,
-                                mix64(streams["data"], epoch),
-                                cfg.low, cfg.high)
-            a_rows, b_rows, t_rows = fresh.flat()
+            a_rows, b_rows, t_rows = gen_dataset(
+                cfg.n, cfg.train_size, mix64(streams["data"], epoch),
+                cfg.low, cfg.high)
         perm = np.random.default_rng(
             shuffle_seed(cfg, epoch)).permutation(cfg.train_size)
         sq_err_total = 0.0

@@ -25,7 +25,7 @@ from bmpnet.verify import DEFAULT_GRID
 def direct_scorer(val_set):
     """``score(scheme)``: the mean squared error of a forward pass over
     the validation rows, the scorer that ``training.scorer`` replaced."""
-    va_rows, vb_rows, vt_rows = val_set.flat()
+    va_rows, vb_rows, vt_rows = val_set
     return lambda scheme: mse(
         forward_fast_batch(scheme, va_rows, vb_rows), vt_rows)
 
@@ -261,8 +261,10 @@ def chunked_fourth_moment(a, b):
 
 
 def array_global_norm(grads):
-    """``training.global_norm`` as array reductions: each array's squares
-    summed, the A sums accumulated in order, one ``np.sqrt``."""
+    """The Euclidean norm of each run's gradient block (R, A, P) that
+    ``training.clip_gradients`` clips by, as array reductions: each
+    array's squares summed, the A sums accumulated in order, one
+    ``np.sqrt``."""
     squares = np.add.reduce(grads * grads, axis=-1)
     return np.sqrt(np.add.accumulate(squares, axis=-1)[:, -1])
 

@@ -97,8 +97,8 @@ def test_criterion_3_analytic_gradients():
         n = int(rng.integers(2, 4))
         r = int(rng.integers(n * n, n * n + 4))
         scheme = init_scheme(n, r, int(rng.integers(1 << 30)), 1.0)
-        data = gen_dataset(n, 8, int(rng.integers(1 << 30)))
-        a_rows, b_rows, t_rows = data.flat()
+        a_rows, b_rows, t_rows = gen_dataset(n, 8,
+                                             int(rng.integers(1 << 30)))
         _, (d_hk, d_f) = grad_analytic(
             np.stack((scheme.H, scheme.K)), scheme.F,
             np.stack((a_rows, b_rows)), t_rows)

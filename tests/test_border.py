@@ -5,6 +5,7 @@ whose limit is the three-party W tensor."""
 import numpy as np
 import pytest
 
+from bmpnet import border
 from bmpnet.border import (
     EpsScheme,
     EpsSchedule,
@@ -197,8 +198,7 @@ class TestCoefficientGrads:
         # by coordinate; the chain rule multiplies by eps^power
         rng = np.random.default_rng(2)
         es = small_eps_scheme(seed=5, d_max=1, f_min=-1, eps=0.3)
-        data = gen_dataset(2, 16, 44)
-        a_rows, b_rows, t_rows = data.flat()
+        a_rows, b_rows, t_rows = gen_dataset(2, 16, 44)
 
         def loss_of(stacks):
             probe = EpsScheme(n=2, r=4, d_max=1, f_min=-1,
@@ -308,6 +308,18 @@ class TestSchedule:
 
 
 class TestTrainEps:
+    @pytest.mark.parametrize("d_max, f_min", [(2, 5), (2, 4), (-1, -3)])
+    def test_bad_degree_bounds_rejected_before_training(
+            self, monkeypatch, d_max, f_min):
+        # f_min >= d_max + 2 once reached numpy's "repeats may not contain
+        # negative values" from stack_index
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+        monkeypatch.setattr(border, "fit", no_fit)
+        with pytest.raises(ShapeMismatch,
+                           match="need 0 <= d_max and f_min <= d_max"):
+            train_eps(tiny_config(), d_max=d_max, f_min=f_min)
+
     def test_reduces_to_plain_training(self):
         # degree-0 stacks and a constant schedule leave nothing for eps
         # to do; every recorded number must agree bitwise

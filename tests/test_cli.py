@@ -12,11 +12,11 @@ import pytest
 
 from bmpnet import border, cli
 from bmpnet.cli import _COMMANDS, _HELP, build_parser, main
-from bmpnet.scheme import (BilinearScheme, scheme_from_json, scheme_to_json,
-                           to_float)
+from bmpnet.scheme import BilinearScheme, scheme_from_json, scheme_to_json
 from bmpnet.training import TrainingDiverged
 from bmpnet.verify import known_strassen, verify_scheme
 from clirun import run_module
+from netgen import float_scheme
 
 TINY_TRAIN = ["--n", "2", "--r", "7", "--epochs", "2", "--batch-size", "16",
               "--train-size", "64", "--val-size", "32", "--seed", "0"]
@@ -249,7 +249,7 @@ class TestVerify:
 
     def test_float_file_within_tolerance(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
-        path.write_text(json.dumps(scheme_to_json(to_float(
+        path.write_text(json.dumps(scheme_to_json(float_scheme(
             known_strassen()))))
         code, out, _ = run_cli(capsys, ["verify", "--scheme", str(path),
                                         "--tol", "1e-8"])
@@ -257,7 +257,7 @@ class TestVerify:
         assert json.loads(out)["exact_zero"] is None
 
     def test_float_file_beyond_tolerance(self, capsys, tmp_path):
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         H = s.H.copy()
         H[0, 0] += 0.1
         bad = BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F)
@@ -277,7 +277,7 @@ class TestVerify:
 
     def test_round_recovers_noisy_scheme(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         noisy = BilinearScheme(
             n=2, r=7,
             H=s.H + rng.uniform(-0.15, 0.15, s.H.shape),
@@ -294,6 +294,29 @@ class TestVerify:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "rounded_scheme.json" in manifest["files"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+    def test_bad_tol_is_a_usage_error(self, capsys, monkeypatch, tol):
+        # found before verifying, not reported as a failed residual check
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verify ran")
+        monkeypatch.setattr(cli, "verify_scheme", no_verify)
+        code, out, err = run_cli(capsys, ["verify", "--scheme", "strassen",
+                                          "--tol", tol])
+        assert code == 2
+        assert err.startswith("error: --tol must be 0 or more")
+        assert out == ""
+
+    @pytest.mark.parametrize("tol, code", [("inf", 0), ("0", 1)])
+    def test_tol_inf_and_zero_stay_valid(self, capsys, tmp_path, tol, code):
+        s = float_scheme(known_strassen())
+        H = s.H.copy()
+        H[0, 0] += 0.1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scheme_to_json(
+            BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F))))
+        assert run_cli(capsys, ["verify", "--scheme", str(path), "--tol",
+                                tol])[0] == code
+
     def test_grid_without_round_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--scheme", "strassen",
                                           "--grid", "0,1"])
@@ -303,7 +326,7 @@ class TestVerify:
 
     def test_custom_grid(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
-        path.write_text(json.dumps(scheme_to_json(to_float(
+        path.write_text(json.dumps(scheme_to_json(float_scheme(
             known_strassen()))))
         code, _, _ = run_cli(capsys, ["verify", "--scheme", str(path),
                                       "--round", "--grid=-1,0,1,1/2,-1/2"])
@@ -346,7 +369,7 @@ class TestVerify:
         assert err.startswith("error: scheme key 'n'")
 
     def test_malformed_key_is_usage_error(self, capsys, tmp_path):
-        doc = scheme_to_json(to_float(known_strassen()))
+        doc = scheme_to_json(float_scheme(known_strassen()))
         doc["K"] = 5
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -356,7 +379,7 @@ class TestVerify:
 
     def test_non_finite_entry_is_usage_error(self, capsys, tmp_path):
         # a non-finite entry in a file is bad input, not divergence
-        doc = scheme_to_json(to_float(known_strassen()))
+        doc = scheme_to_json(float_scheme(known_strassen()))
         doc["H"][0][0] = float("inf")
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc))
@@ -432,6 +455,14 @@ class TestTrainEps:
         assert len(payload["eps_factors"]["f_coeffs"]) == 3
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "train-eps"
+
+    @pytest.mark.parametrize("flags", [["--fmin", "5"], ["--fmin", "4"],
+                                       ["--dmax", "-1", "--fmin", "-3"]])
+    def test_bad_degree_bounds_are_usage_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["train-eps"] + TINY_TRAIN + flags)
+        assert code == 2
+        assert err == "error: need 0 <= d_max and f_min <= d_max\n"
+        assert out == ""
 
     def test_flat_settings_match_plain_train(self, capsys, tmp_path):
         # degree 0 and decay 1: the extension must reproduce train's JSON

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netgen import random_exact, random_network
+from netgen import float_scheme, random_exact, random_network
 
 from bmpnet.network import (
     ActivationOrderMismatch,
@@ -19,7 +19,6 @@ from bmpnet.network import (
     build_matmul_chain,
     hidden_positions,
     lift,
-    marginalize,
     observed_total,
     parent_positions,
     strassen_pipeline,
@@ -28,7 +27,6 @@ from bmpnet.network import (
     total_direct,
     validate,
 )
-from bmpnet.scheme import to_float
 from bmpnet.tensor import blow, contraction, exact_array, forget
 from bmpnet.verify import known_strassen
 
@@ -257,18 +255,18 @@ class TestMarginalize:
         a = random_exact(rng, (2, 2))
         b = random_exact(rng, (2, 2))
         net = build_matmul_chain(a, b)
-        out = marginalize(total_bmp(net), {1})
+        out = contraction(total_bmp(net), {1})
         want = a.dot(b)
         for idx in np.ndindex((2, 2)):
             assert out[idx] == want[idx]
 
     def test_empty_slot_set_is_identity(self):
         t = np.arange(8.0).reshape(2, 2, 2)
-        np.testing.assert_array_equal(marginalize(t, set()), t)
+        np.testing.assert_array_equal(contraction(t, set()), t)
 
     def test_all_slots_total_sum(self):
         t = np.arange(8.0).reshape(2, 2, 2)
-        assert marginalize(t, {0, 1, 2}) == t.sum()
+        assert contraction(t, {0, 1, 2}) == t.sum()
 
     def test_observed_total_uses_hidden_flags(self):
         rng = np.random.default_rng(23)
@@ -276,7 +274,7 @@ class TestMarginalize:
                                  rng.normal(size=(2, 2)))
         assert hidden_positions(net) == [1]
         np.testing.assert_array_equal(
-            observed_total(net), marginalize(total_bmp(net), {1}))
+            observed_total(net), contraction(total_bmp(net), {1}))
 
 
 class TestClassical2x2:
@@ -350,7 +348,7 @@ class TestStrassenPipeline:
 
     def test_float_mode(self):
         rng = np.random.default_rng(29)
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         a = rng.uniform(-1, 1, (2, 2))
         b = rng.uniform(-1, 1, (2, 2))
         out = strassen_pipeline(a, b, s)

@@ -7,10 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bmpnet.network import StateSizeMismatch, strassen_pipeline
 from bmpnet.scheme import (
     BilinearScheme,
     RankTooSmall,
-    forward_bmp,
     forward_fast,
     forward_fast_batch,
     init_scheme,
@@ -19,11 +19,11 @@ from bmpnet.scheme import (
     residual_matrix,
     scheme_from_json,
     scheme_to_json,
-    to_float,
 )
 from bmpnet.tensor import (ShapeMismatch, exact_array, matmul_tensor,
                            zeros_matching)
 from bmpnet.verify import known_strassen
+from netgen import float_scheme
 
 
 def zero_scheme(n, r):
@@ -93,7 +93,7 @@ class TestForwardFast:
 
     def test_strassen_float(self):
         rng = np.random.default_rng(42)
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         a = rng.uniform(-1, 1, (2, 2))
         b = rng.uniform(-1, 1, (2, 2))
         out = forward_fast(s, a.reshape(4), b.reshape(4))
@@ -124,6 +124,12 @@ class TestForwardFast:
     def test_shape_error(self):
         with pytest.raises(ShapeMismatch):
             forward_fast(zero_scheme(2, 7), np.ones(3), np.ones(4))
+
+
+def forward_bmp(s, a, b):
+    """vec(AB) through the tensor-network route: the first n^2
+    coordinates of the padded pipeline output."""
+    return strassen_pipeline(a, b, s)[:s.n * s.n]
 
 
 class TestForwardBmp:
@@ -157,7 +163,7 @@ class TestForwardBmp:
             forward_bmp(zero_scheme(2, 3), np.eye(2), np.eye(2))
 
     def test_operand_shape_error(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(StateSizeMismatch):
             forward_bmp(zero_scheme(2, 7), np.eye(3), np.eye(2))
 
 
@@ -255,12 +261,6 @@ class TestReconstruct:
         np.testing.assert_allclose(
             reconstruct(sum_f),
             reconstruct(base) + reconstruct(with_other_f), atol=1e-12)
-
-    def test_size_argument_checked(self):
-        with pytest.raises(ShapeMismatch):
-            reconstruct(known_strassen(), 3)
-        out = reconstruct(known_strassen(), 2)
-        assert out.shape == (4, 4, 4)
 
 
 def reconstruct_by_slots(s):
@@ -468,7 +468,13 @@ class TestSchemeJson:
         assert all(back.F[idx] == s.F[idx] for idx in np.ndindex(s.F.shape))
 
     def test_exact_float_conversions(self):
+        # an exact scheme's file read without exact gives each entry as
+        # float() gives it, to the bit, 1/3 and -2/7 included
         s = known_strassen()
-        f = to_float(s)
+        H = s.H.copy()
+        H[0, 0], H[1, 0] = Fraction(1, 3), Fraction(-2, 7)
+        f = scheme_from_json(scheme_to_json(BilinearScheme(2, 7, H, s.K, s.F)))
         assert f.H.dtype == np.float64
-        assert all(f.H[idx] == s.H[idx] for idx in np.ndindex(s.H.shape))
+        want = np.array([float(v) for v in H.flat]).reshape(H.shape)
+        assert f.H.tobytes() == want.tobytes()
+        assert all(f.K[idx] == s.K[idx] for idx in np.ndindex(s.K.shape))

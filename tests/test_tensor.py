@@ -21,7 +21,6 @@ from bmpnet.tensor import (
     bmp,
     contraction,
     exact_array,
-    float_array,
     forget,
     frobenius_sq,
     is_exact,
@@ -463,19 +462,6 @@ class TestScalarModes:
         assert arr[0, 0] == Fraction(1, 2)
         assert arr[1, 0] == Fraction(1, 4)
         assert arr[1, 1] == Fraction(3)
-
-    def test_float_array_round_trip(self):
-        vals = np.array([0.5, -1.25, 3.0])
-        back = float_array(exact_array(vals))
-        np.testing.assert_array_equal(back, vals)
-        # an object array of ints, floats and Fractions converts each
-        # entry as float() does, to the bit
-        mixed = np.array([[3, 0.1], [Fraction(1, 3), Fraction(-2, 7)]],
-                         dtype=object)
-        back = float_array(mixed)
-        assert back.dtype == np.float64
-        want = np.array([float(v) for v in mixed.flat]).reshape(2, 2)
-        assert back.tobytes() == want.tobytes()
 
     def test_zeros_matching_follows_mode(self):
         z = zeros_matching((2, 2), exact_array([1]))

@@ -24,7 +24,6 @@ from bmpnet.training import (
     epoch_loss,
     fit,
     gen_dataset,
-    global_norm,
     grad_analytic,
     init_adam,
     init_adam_params,
@@ -60,39 +59,38 @@ class TestDataset:
     def test_same_seed_same_data(self):
         d1 = gen_dataset(3, 50, 123)
         d2 = gen_dataset(3, 50, 123)
-        assert np.array_equal(d1.a, d2.a)
-        assert np.array_equal(d1.b, d2.b)
-        assert np.array_equal(d1.prod, d2.prod)
+        for x1, x2 in zip(d1, d2):
+            assert np.array_equal(x1, x2)
 
     def test_different_seed_differs(self):
-        assert not np.array_equal(gen_dataset(2, 10, 1).a,
-                                  gen_dataset(2, 10, 2).a)
+        assert not np.array_equal(gen_dataset(2, 10, 1)[0],
+                                  gen_dataset(2, 10, 2)[0])
 
     def test_range_and_shapes(self):
-        d = gen_dataset(3, 10000, 7)
-        assert d.a.shape == (10000, 3, 3)
-        assert d.b.shape == (10000, 3, 3)
-        assert d.prod.shape == (10000, 3, 3)
-        for arr in (d.a, d.b):
+        a, b, prod = gen_dataset(3, 10000, 7)
+        assert a.shape == b.shape == prod.shape == (10000, 9)
+        for arr in (a, b):
             assert arr.min() >= -1.0
             assert arr.max() <= 1.0
 
     def test_custom_range(self):
-        d = gen_dataset(2, 200, 3, low=0.5, high=0.75)
-        assert d.a.min() >= 0.5
-        assert d.a.max() <= 0.75
+        a, _, _ = gen_dataset(2, 200, 3, low=0.5, high=0.75)
+        assert a.min() >= 0.5
+        assert a.max() <= 0.75
 
     def test_targets_match_recomputed_products(self):
-        d = gen_dataset(3, 100, 11)
-        want = np.matmul(d.a, d.b)
-        assert np.max(np.abs(d.prod - want)) <= 1e-15
+        a, b, prod = gen_dataset(3, 100, 11)
+        want = np.matmul(a.reshape(100, 3, 3), b.reshape(100, 3, 3))
+        assert np.max(np.abs(prod - want.reshape(100, 9))) <= 1e-15
 
     def test_flat_layout(self):
-        d = gen_dataset(2, 5, 13)
-        a_rows, b_rows, t_rows = d.flat()
-        assert a_rows.shape == (5, 4)
-        np.testing.assert_array_equal(a_rows[2], d.a[2].reshape(4))
-        np.testing.assert_array_equal(t_rows[4], d.prod[4].reshape(4))
+        # rows are the row-major flattenings of draw_operands' matrices
+        a_rows, b_rows, t_rows = gen_dataset(2, 5, 13)
+        a, b = draw_operands(2, 5, 13)
+        np.testing.assert_array_equal(a_rows, a.reshape(5, 4))
+        np.testing.assert_array_equal(b_rows, b.reshape(5, 4))
+        np.testing.assert_allclose(t_rows[4], (a[4] @ b[4]).reshape(4),
+                                   rtol=0, atol=1e-15)
 
 
 class TestMse:
@@ -275,9 +273,9 @@ class TestClipping:
 
     def test_rescales_to_threshold(self):
         g = np.full((1, 1, 16), 5.0)
-        assert global_norm(g) == 20.0
+        assert array_global_norm(g) == 20.0
         out = clip_gradients(g, 10.0)
-        assert abs(global_norm(out) - 10.0) <= 1e-12
+        assert abs(array_global_norm(out) - 10.0) <= 1e-12
 
     def test_zero_gradient_safe(self):
         g = np.zeros((1, 2, 9))
@@ -288,8 +286,8 @@ class TestClipping:
         rng = np.random.default_rng(65)
         for _ in range(20):
             g = rng.normal(size=(1, 3, 9)) * rng.uniform(0, 10)
-            before = global_norm(g)
-            after = global_norm(clip_gradients(g, 10.0))
+            before = array_global_norm(g)
+            after = array_global_norm(clip_gradients(g, 10.0))
             assert after <= before + 1e-12
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
@@ -300,16 +298,16 @@ class TestClipping:
     def test_norm_is_global_not_per_matrix(self):
         # each part has norm 8 < 10, but jointly ~11.3 > 10
         g = np.full((1, 2, 16), 2.0)
-        assert global_norm(g) == pytest.approx(128 ** 0.5)
+        assert array_global_norm(g) == pytest.approx(128 ** 0.5)
         out = clip_gradients(g, 10.0)
-        assert global_norm(out) == pytest.approx(10.0)
+        assert array_global_norm(out) == pytest.approx(10.0)
 
     def test_norm_and_clip_are_per_run(self):
         # run 0 has norm 5 and passes untouched; run 1 has norm 20 and is
         # scaled onto the ball, with the same factor in every array
         g = np.array([[[3.0, 0.0], [4.0, 0.0]],
                       [[12.0, 0.0], [16.0, 0.0]]])
-        np.testing.assert_array_equal(global_norm(g), [5.0, 20.0])
+        np.testing.assert_array_equal(array_global_norm(g), [5.0, 20.0])
         out = clip_gradients(g, 10.0)
         np.testing.assert_array_equal(out, [[[3.0, 0.0], [4.0, 0.0]],
                                             [[6.0, 0.0], [8.0, 0.0]]])
@@ -347,12 +345,11 @@ class TestClipping:
         # --clip inf never clips, not even a run of infinite norm
         g = self.edge_stack(np.inf)
         squares = (g[0] * g[0]).sum(axis=-1)
-        norms = global_norm(g)
+        norms = array_global_norm(g)
         assert norms[0] > 1e5 and norms[1] < 10.0 and norms[2] == 10.0
         assert norms[3] == 0.0 and norms[4] == np.inf
         for other in (math.fsum(squares), squares[::-1].cumsum()[-1]):
             assert math.sqrt(other) != norms[0]
-        assert norms.tobytes() == array_global_norm(g).tobytes()
         # inf times the scale 0 is NaN, as in a diverging step
         with np.errstate(invalid="ignore"):
             want = array_clip_gradients(g.copy(), threshold)
@@ -361,7 +358,7 @@ class TestClipping:
 
     def test_nan_norm_clips(self):
         g = self.edge_stack(np.nan)[1:]
-        assert np.isnan(global_norm(g)[-1])
+        assert np.isnan(array_global_norm(g)[-1])
         with np.errstate(invalid="ignore"):
             want = array_clip_gradients(g.copy(), 10.0)
             assert clip_gradients(g.copy(), 10.0).tobytes() == want.tobytes()
@@ -398,7 +395,7 @@ class TestClipping:
         # every run over the threshold is multiplied by its own 0-d
         # scale; a run at or under it is never an output of a multiply
         g = self.five_runs()
-        before, norms = g.copy(), global_norm(g)
+        before, norms = g.copy(), array_global_norm(g)
         assert norms[0] < 10.0 and norms[1] == 10.0 and norms[2] > 10.0
         assert np.isnan(norms[3]) and norms[4] == np.inf
         real, outs = training._mul, []
@@ -460,7 +457,7 @@ class TestWorkspace:
             for i, d in enumerate((*d_hk, d_f)):
                 ref_grads[:, i] = d.reshape(runs, -1)
             assert grads.tobytes() == ref_grads.tobytes()
-            clipped.append(tuple(global_norm(grads) > 1.0))
+            clipped.append(tuple(array_global_norm(grads) > 1.0))
             clip_gradients(grads, 1.0, ws)
             clip_gradients(ref_grads, 1.0)
             assert grads.tobytes() == ref_grads.tobytes()
@@ -686,9 +683,8 @@ class TestTrain:
         cfg = tiny_config(train_size=64, batch_size=64, epochs=1)
         rec = train(cfg)
         streams = run_streams(cfg)
-        data = gen_dataset(cfg.n, cfg.train_size, streams["data"])
+        a, b, t = gen_dataset(cfg.n, cfg.train_size, streams["data"])
         s0 = init_scheme(cfg.n, cfg.r, streams["init"], cfg.alpha)
-        a, b, t = data.flat()
         want = mse(forward_fast_batch(s0, a, b), t)
         assert rec.train_losses[0] == pytest.approx(want, rel=1e-12)
 

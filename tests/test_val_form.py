@@ -11,11 +11,11 @@ import pytest
 from bmpnet import training
 from bmpnet.border import EpsSchedule, train_eps
 from bmpnet.scheme import BilinearScheme, init_scheme
-from bmpnet.tensor import float_array
 from bmpnet.training import (
     Factors, TrainConfig, TrainingDiverged, draw_operands, fit, fourth_moment,
     gen_dataset, run_streams, scorer, train)
 from bmpnet.verify import known_strassen
+from netgen import float_scheme
 from perrun import bits
 from reference import (
     chunked_fourth_moment, direct_scorer, reconstruct_scorer, within_gate)
@@ -26,7 +26,7 @@ RANGES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0)]
 
 def both(n, low, high, count=2000, seed=5):
     val = gen_dataset(n, count, seed, low, high)
-    return direct_scorer(val), scorer(fourth_moment(val.a, val.b))
+    return direct_scorer(val), scorer(fourth_moment(*val[:2]))
 
 
 def val_set(cfg):
@@ -38,7 +38,7 @@ def val_set(cfg):
 @pytest.mark.parametrize("n, r", [(2, 7), (3, 19), (3, 23)])
 def test_random_schemes(n, r, low, high):
     val = gen_dataset(n, 2000, 5, low, high)
-    moment = fourth_moment(val.a, val.b)
+    moment = fourth_moment(*val[:2])
     direct, form = direct_scorer(val), scorer(moment)
     ref = reconstruct_scorer(n, moment)
     for seed in range(3):
@@ -59,16 +59,15 @@ def test_trained_schemes(n, r, low, high):
 
 
 def strassen():
-    s = known_strassen()
-    return BilinearScheme(2, 7, *(float_array(x) for x in (s.H, s.K, s.F)))
+    return float_scheme(known_strassen())
 
 
 @pytest.mark.parametrize("low, high", RANGES)
 def test_exact_strassen_scores_zero(low, high):
     direct, form = both(2, low, high)
     assert bits(form(strassen())) == bits(0.0)
-    moments = np.stack([fourth_moment(*gen_dataset(2, 100, seed, low, high)
-                                      .flat()[:2]) for seed in range(3)])
+    moments = np.stack([fourth_moment(*gen_dataset(2, 100, seed, low, high)[:2])
+                        for seed in range(3)])
     s = strassen()
     stack = Factors(*(np.stack([x] * 3) for x in (s.H, s.K, s.F)))
     assert bits(scorer(moments)(stack)) == bits(np.zeros(3))
@@ -108,7 +107,7 @@ def signed_zeros(x, rng):
 def test_stack_scores_each_run_as_alone(r):
     # the factors are views of a parameter block, as in training
     n, runs, rng = 3, 3, np.random.default_rng(r)
-    moments = np.stack([fourth_moment(*gen_dataset(n, 500, seed).flat()[:2])
+    moments = np.stack([fourth_moment(*gen_dataset(n, 500, seed)[:2])
                         for seed in range(runs)])
     block = signed_zeros(rng.standard_normal((runs, 3, 9 * r)), rng)
     stack = Factors(*(block[:, i].reshape((runs,) + shape) for i, shape
@@ -162,10 +161,9 @@ def test_factors_slice_scores_as_its_scheme():
 @pytest.mark.parametrize("count", [1, 1024, 2500])
 def test_fourth_moment_is_the_mean_over_all_rows(count):
     # rows are summed in chunks of 1,024; the last one may be short
-    val = gen_dataset(2, count, 8, 0.0, 2.0)
-    a, b, _ = val.flat()
+    a, b, _ = gen_dataset(2, count, 8, 0.0, 2.0)
     x = (a[:, :, None] * b[:, None, :]).reshape(count, 16)
-    np.testing.assert_allclose(fourth_moment(val.a, val.b), x.T @ x / count,
+    np.testing.assert_allclose(fourth_moment(a, b), x.T @ x / count,
                                rtol=1e-13)
 
 

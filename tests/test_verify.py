@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmpnet.scheme import BilinearScheme, forward_fast, reconstruct, to_float
+from bmpnet.scheme import BilinearScheme, forward_fast, reconstruct
 from bmpnet.tensor import ShapeMismatch, matmul_tensor
 from bmpnet.training import TrainConfig, train
 from bmpnet.verify import (
@@ -23,7 +23,7 @@ from bmpnet.verify import (
     slot_contribution_norms,
     verify_scheme,
 )
-from netgen import kron_scheme
+from netgen import float_scheme, kron_scheme
 from reference import bisection_snapper, residual_sq, snap
 
 
@@ -42,12 +42,12 @@ class TestKnownScheme:
             assert got[idx] == want[idx]
 
     def test_float_copy_residual_tiny(self):
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         assert verify_scheme(s).residual < 1e-12
 
     def test_multiplies_matrices(self):
         rng = np.random.default_rng(5)
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         for _ in range(20):
             a = rng.standard_normal(4)
             b = rng.standard_normal(4)
@@ -75,7 +75,7 @@ class TestResidual:
         H[1, 2] += Fraction(1, 2)
         bad = BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F)
         sq = residual_sq_exact(bad, 2)
-        got = verify_scheme(to_float(bad)).residual
+        got = verify_scheme(float_scheme(bad)).residual
         np.testing.assert_allclose(got, float(sq) ** 0.5, rtol=1e-12)
 
     def test_size_mismatch_rejected(self):
@@ -84,7 +84,7 @@ class TestResidual:
 
     def test_exact_residual_needs_exact_scheme(self):
         with pytest.raises(ShapeMismatch):
-            residual_sq_exact(to_float(known_strassen()), 2)
+            residual_sq_exact(float_scheme(known_strassen()), 2)
 
 
 class TestResidualOnSupport:
@@ -125,7 +125,7 @@ class TestResidualOnSupport:
         self.close_float(_residual_sq(s, 2), residual_sq(s))
 
     def test_signed_zero_and_nan_entries(self):
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         s.H[s.H == 0] = -0.0
         s.F[0, 0] = -0.0
         self.close_float(_residual_sq(s, 2), residual_sq(s))
@@ -209,7 +209,7 @@ class TestSlotNorms:
         np.testing.assert_allclose(norms[0], 2.0 * np.sqrt(2.0), rtol=1e-12)
 
     def test_zero_slot_reported_as_zero(self):
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         H = s.H.copy()
         H[:, 3] = 0.0
         wasted = BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F)
@@ -240,7 +240,7 @@ class TestVerifyReport:
         assert "exact" in rep.note
 
     def test_float_scheme_report(self):
-        rep = verify_scheme(to_float(known_strassen()))
+        rep = verify_scheme(float_scheme(known_strassen()))
         assert rep.exact_zero is None
         assert rep.residual < 1e-12
         assert "float" in rep.note
@@ -298,7 +298,7 @@ class TestSnap:
     def test_noisy_reference_snaps_back(self):
         rng = np.random.default_rng(3)
         base = known_strassen()
-        noisy = to_float(base)
+        noisy = float_scheme(base)
         s = BilinearScheme(
             n=2, r=7,
             H=noisy.H + rng.uniform(-0.2, 0.2, noisy.H.shape),
@@ -350,7 +350,7 @@ class TestNormalizeSlots:
                                        rtol=1e-12)
 
     def test_zero_column_left_alone(self):
-        s = to_float(known_strassen())
+        s = float_scheme(known_strassen())
         H = s.H.copy()
         H[:, 2] = 0.0
         z = BilinearScheme(n=2, r=7, H=H, K=s.K, F=s.F)
@@ -360,7 +360,7 @@ class TestNormalizeSlots:
     def test_normalize_then_snap_recovers_scaled_reference(self):
         # per-slot rescaling hides the grid until the gauge is fixed
         rng = np.random.default_rng(9)
-        base = to_float(known_strassen())
+        base = float_scheme(known_strassen())
         H, K, F = base.H.copy(), base.K.copy(), base.F.copy()
         for t in range(7):
             lam = rng.uniform(0.5, 3.0)

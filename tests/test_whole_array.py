@@ -12,7 +12,7 @@ import pytest
 
 from bmpnet import verify
 from bmpnet.network import Network, NodeSpec, parent_positions, total_direct
-from bmpnet.scheme import BilinearScheme, to_float
+from bmpnet.scheme import BilinearScheme
 from bmpnet.tensor import scaled
 from bmpnet.verify import (
     DEFAULT_GRID,
@@ -21,7 +21,7 @@ from bmpnet.verify import (
     round_scheme,
     slot_contribution_norms,
 )
-from netgen import kron_scheme, random_exact, random_network
+from netgen import float_scheme, kron_scheme, random_exact, random_network
 from reference import normalize_each, round_each, slot_norms_each, \
     total_each
 
@@ -115,7 +115,7 @@ class TestRound:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises_as_before(self, bad):
         for which in ("H", "K", "F"):
-            s = to_float(known_strassen())
+            s = float_scheme(known_strassen())
             getattr(s, which)[1, 2] = bad
             with pytest.raises(Exception) as want:
                 round_each(s)
@@ -137,7 +137,7 @@ def pinned_schemes():
     s2 = known_strassen()
     third = round_each(packed(
         [0.3, -0.4, 0.7, 0.1, -1.0, 0.66, 0.2, 0.0, 0.34]), THIRDS)
-    return [s2, to_float(s2), kron_scheme(s2, s2), third]
+    return [s2, float_scheme(s2), kron_scheme(s2, s2), third]
 
 
 class TestSlotNorms:
