@@ -306,6 +306,45 @@ def product_stage(s1, s2, f_sq):
     return observed_total(net)
 
 
+def _padded(t, r):
+    """``t`` zero-padded to extent r along every axis, in its own scalar
+    mode (see :func:`zeros_matching`)."""
+    out = zeros_matching((r,) * t.ndim, t)
+    out[tuple(map(slice, t.shape))] = t
+    return out
+
+
+def _staged(a_mat, b_mat, scheme):
+    """``(a_pad, b_pad, s1, s2, out, denoms)`` of a scheme run as staged
+    networks on n x n operands.  When any input is exact and all scale to
+    integers, the scheme's own H, K and F and the flattened operands are
+    scaled once and the stages run on their zero-padded integers, with
+    ``denoms`` the denominators of s1, s2 and out; otherwise they run on
+    the padded inputs as they are, and ``denoms`` is None."""
+    n = scheme.n
+    m, r = n * n, scheme.r
+    a_mat, b_mat = np.asarray(a_mat), np.asarray(b_mat)
+    if a_mat.shape != (n, n) or b_mat.shape != (n, n):
+        raise StateSizeMismatch("operands must be n x n matrices")
+    if r < m:
+        raise scheme_module.RankTooSmall(
+            "need r >= n^2 to pad, got r=%d < %d" % (r, m))
+    a_vec, b_vec = a_mat.reshape(m), b_mat.reshape(m)
+    a_pad, b_pad = _padded(a_vec, r), _padded(b_vec, r)
+    parts = (scheme.H, a_vec, scheme.K, b_vec, scheme.F)
+    pairs = [scaled(p) for p in parts]
+    if any(map(is_exact, parts)) and all(p is not None for p in pairs):
+        h, a, k, b, f = (_padded(p[0], r) for p in pairs)
+        d1 = pairs[0][1] * pairs[1][1]
+        d2 = pairs[2][1] * pairs[3][1]
+        denoms = d1, d2, d1 * d2 * pairs[4][1]
+    else:
+        h, k, f = scheme_module.padded_square_factors(scheme)
+        a, b, denoms = a_pad, b_pad, None
+    s1, s2 = combination_stage(h, a), combination_stage(k, b)
+    return a_pad, b_pad, s1, s2, product_stage(s1, s2, f), denoms
+
+
 def strassen_stages(a_mat, b_mat, scheme):
     """Run a bilinear scheme as staged networks, returning intermediates.
 
@@ -314,36 +353,9 @@ def strassen_stages(a_mat, b_mat, scheme):
     against nothing yet, i.e. the entrywise multiplications), 'output'
     (the full length-r product-stage result; coordinates past n^2 are 0).
     """
-    n = scheme.n
-    a_mat = np.asarray(a_mat)
-    b_mat = np.asarray(b_mat)
-    if a_mat.shape != (n, n) or b_mat.shape != (n, n):
-        raise StateSizeMismatch("operands must be n x n matrices")
-    r = scheme.r
-    H_sq, K_sq, F_sq = scheme_module.padded_square_factors(scheme)
-
-    a_pad = zeros_matching((r,), a_mat)
-    b_pad = zeros_matching((r,), b_mat)
-    a_pad[: n * n] = a_mat.reshape(n * n)
-    b_pad[: n * n] = b_mat.reshape(n * n)
-
-    def stages(h, a, k, b, f):
-        s1 = combination_stage(h, a)
-        s2 = combination_stage(k, b)
-        return s1, s2, product_stage(s1, s2, f)
-
-    parts = (H_sq, a_pad, K_sq, b_pad, F_sq)
-    pairs = [scaled(p) for p in parts]
-    if any(map(is_exact, parts)) and all(p is not None for p in pairs):
-        # each factor and operand is converted once; the stages run on
-        # integers, and only their results become Fractions
-        s1, s2, out = stages(*(p[0] for p in pairs))
-        d1 = pairs[0][1] * pairs[1][1]
-        d2 = pairs[2][1] * pairs[3][1]
-        s1, s2, out = (unscaled(s1, d1), unscaled(s2, d2),
-                       unscaled(out, d1 * d2 * pairs[4][1]))
-    else:
-        s1, s2, out = stages(*parts)
+    a_pad, b_pad, s1, s2, out, denoms = _staged(a_mat, b_mat, scheme)
+    if denoms is not None:
+        s1, s2, out = map(unscaled, (s1, s2, out), denoms)
     return {
         "a_pad": a_pad,
         "b_pad": b_pad,
@@ -357,4 +369,5 @@ def strassen_stages(a_mat, b_mat, scheme):
 def strassen_pipeline(a_mat, b_mat, scheme):
     """The padded output vector computed end to end through the staged
     networks: its first n^2 coordinates are vec(AB), the rest are 0."""
-    return strassen_stages(a_mat, b_mat, scheme)["output"]
+    *_, out, denoms = _staged(a_mat, b_mat, scheme)
+    return out if denoms is None else unscaled(out, denoms[2])

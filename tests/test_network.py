@@ -27,6 +27,7 @@ from bmpnet.network import (
     total_direct,
     validate,
 )
+from bmpnet.scheme import BilinearScheme, RankTooSmall
 from bmpnet.tensor import blow, contraction, exact_array, forget
 from bmpnet.verify import known_strassen
 
@@ -307,7 +308,68 @@ class TestClassical2x2:
         assert out[1, 1] == a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
 
 
+def strassen_with_zero_slot():
+    """Strassen at rank 8: an all-zero eighth slot, so that the pipeline
+    pads the operands by 4 entries and the factors by 4 rows or columns."""
+    s = known_strassen()
+    zero = exact_array(np.zeros((4, 1)))
+    return BilinearScheme(n=2, r=8, H=np.hstack([s.H, zero]),
+                          K=np.hstack([s.K, zero]), F=np.vstack([s.F, zero.T]))
+
+
+def float_strassen():
+    return float_scheme(known_strassen())
+
+
+def fractions(rng):
+    return random_exact(rng, (2, 2))
+
+
+def floats(rng):
+    return rng.uniform(-1, 1, (2, 2))
+
+
+# name: (scheme, operand maker, whether the output is Fractions); the
+# last two mix an exact input with a float one, so they run on floats
+PIPELINE_CASES = {
+    "exact": (known_strassen, fractions, True),
+    "int64 operands": (known_strassen,
+                       lambda rng: rng.integers(-5, 6, (2, 2)), True),
+    "float": (float_strassen, floats, False),
+    "zero slot": (strassen_with_zero_slot, fractions, True),
+    "exact scheme, float operands": (known_strassen, floats, False),
+    "float scheme, Fraction operands": (float_strassen, fractions, False),
+}
+
+
 class TestStrassenPipeline:
+    @pytest.mark.parametrize("case", PIPELINE_CASES)
+    def test_pipeline_is_the_stages_output(self, case):
+        make_scheme, operand, exact = PIPELINE_CASES[case]
+        s = make_scheme()
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            a, b = operand(rng), operand(rng)
+            out = strassen_pipeline(a, b, s)
+            want = strassen_stages(a, b, s)["output"]
+            assert out.dtype == want.dtype and out.shape == (s.r,)
+            assert list(map(type, out)) == list(map(type, want))
+            assert list(out) == list(want)
+            assert {type(v) is Fraction for v in out} == {exact}
+            np.testing.assert_allclose(
+                np.asarray(out[:4], dtype=float),
+                np.asarray(a.dot(b), dtype=float).reshape(4), atol=1e-12)
+            assert all(v == 0 for v in out[4:])
+
+    @pytest.mark.parametrize("entry", [strassen_pipeline, strassen_stages])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_rank_too_small(self, entry, exact):
+        mode = exact_array if exact else np.asarray
+        s = BilinearScheme(n=2, r=3, H=mode(np.zeros((4, 3))),
+                           K=mode(np.zeros((4, 3))), F=mode(np.zeros((3, 4))))
+        with pytest.raises(RankTooSmall):
+            entry(mode(np.eye(2)), mode(np.eye(2)), s)
+
     def test_identity_inputs(self):
         s = known_strassen()
         out = strassen_pipeline(exact_array(np.eye(2)),
