@@ -17,9 +17,11 @@ import numpy as np
 
 from . import scheme as scheme_module
 from .tensor import (
+    _product,
     blow,
     bmp,
     contraction,
+    fit_integers,
     forget,
     is_exact,
     scaled,
@@ -199,13 +201,17 @@ def total_direct(net):
     return out
 
 
-def _scaled_total(net):
+def _scaled_total(net, hidden=()):
     """``(total, denom)``: the total tensor as one Bhattacharya-Mesner
-    product of lifted factors, times ``denom``.  Exact activations are
-    converted to scaled integers once, before lifting, so the lifts, the
-    product and any contraction of the result run on integers, and
-    ``denom`` is the product of their denominators; it is None when the
-    activations are taken as they are (floats, say).
+    product of lifted factors, the order positions ``hidden`` summed out,
+    times ``denom``.  When every activation scales to integers, each is
+    scaled once, and one bound, ``l * E * prod(max |a_k|)`` (``l`` the
+    largest node extent, ``E`` the product of the hidden extents), covers
+    every partial sum of the product and of the hidden sum; ``denom`` is
+    the product of the denominators, None if no activation is exact.
+    Other activations (floats, say) go through :func:`bmp` and
+    :func:`contraction` as they are, with ``denom`` None.  The total is a
+    fresh array.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
@@ -213,15 +219,24 @@ def _scaled_total(net):
     """
     parents = validate(net)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
-    denom = None
     pairs = [scaled(a) for a in acts]
-    if any(map(is_exact, acts)) and all(p is not None for p in pairs):
-        acts = [p[0] for p in pairs]
-        denom = math.prod(p[1] for p in pairs)
-    lifted = [lift(net, k, acts[k], parents[k]) for k in range(len(acts))]
-    if len(lifted) == 1:
-        return lifted[0], denom
-    return bmp(lifted[-1:] + lifted[:-1]), denom
+    if not all(p is not None for p in pairs):
+        lifted = [lift(net, k, a, parents[k]) for k, a in enumerate(acts)]
+        total = lifted[0] if len(lifted) == 1 else bmp(
+            lifted[-1:] + lifted[:-1])
+        return contraction(total, hidden), None
+    extents = [a.shape[-1] for a in acts]  # node k's, as validated
+    fit = fit_integers([p[0] for p in pairs], max(extents) * math.prod(
+        extents[k] for k in hidden))
+    # lifted before any widening, so blow's zeros stay ints
+    lifted = [lift(net, k, p[0], parents[k]).astype(f.dtype, copy=False)
+              for k, (p, f) in enumerate(zip(pairs, fit))]
+    total = lifted[0].copy() if len(lifted) == 1 else _product(
+        lifted[-1:] + lifted[:-1])
+    if hidden:
+        total = np.asarray(total.sum(axis=tuple(hidden)))
+    exact = any(map(is_exact, acts))
+    return total, math.prod(p[1] for p in pairs) if exact else None
 
 
 def total_bmp(net):
@@ -241,9 +256,8 @@ def hidden_positions(net):
 def observed_total(net):
     """Total tensor with every hidden node summed out; exact activations
     are summed out as scaled integers and rescaled once."""
-    total, denom = _scaled_total(net)
-    observed = contraction(total, hidden_positions(net))
-    return observed if denom is None else unscaled(observed, denom)
+    total, denom = _scaled_total(net, hidden_positions(net))
+    return total if denom is None else unscaled(total, denom)
 
 
 def build_matmul_chain(a_mat, b_mat):

@@ -151,6 +151,15 @@ def _accumulate(factors, l, out):
     return out
 
 
+def _product(ints):
+    """The product :func:`bmp` defines, of integer factors that
+    :func:`fit_integers` made ready: one ``einsum``, exact in any order,
+    with the shared label d in slot k of factor k."""
+    d = len(ints)
+    return np.einsum(*(x for k, f in enumerate(ints) for x in (
+        f, [*range(k), d, *range(k + 1, d)])), [*range(d)])
+
+
 def bmp(factors):
     """Bhattacharya-Mesner product of ``d`` tensors of order ``d``.
 
@@ -194,10 +203,7 @@ def bmp(factors):
 
     pairs = [scaled(f) for f in factors]
     if all(p is not None for p in pairs):
-        ints = fit_integers([p[0] for p in pairs], l)
-        # exact in any order: one einsum, the shared label d in slot k of f_k
-        out = np.einsum(*(x for k, f in enumerate(ints) for x in (
-            f, [*range(k), d, *range(k + 1, d)])), [*range(d)])
+        out = _product(fit_integers([p[0] for p in pairs], l))
         if not any(map(is_exact, factors)):
             return out
         return unscaled(out, math.prod(p[1] for p in pairs))

@@ -240,6 +240,19 @@ class TestTwoRoutesAgree:
         assert out[0] == Fraction(1, 2)
         assert out[1] == Fraction(1, 3)
 
+    @pytest.mark.parametrize("v", [np.array([0.5, 2.0]), np.array([1, 3]),
+                                   exact_array(["1/2", "3"])])
+    def test_single_node_total_is_a_fresh_array(self, v):
+        # writing into the total leaves the network as it was
+        net = Network(nodes=[NodeSpec("x", 2)], edges=[], order=["x"],
+                      activations={"x": v})
+        want = v.copy()
+        for out in (total_bmp(net), total_direct(net)):
+            assert not np.shares_memory(out, v)
+            assert out.dtype == v.dtype
+            out[...] = 7
+            assert np.array_equal(net.activations["x"], want)
+
     def test_classical_chain(self):
         rng = np.random.default_rng(21)
         net = build_matmul_chain(random_exact(rng, (2, 2)),

@@ -18,9 +18,10 @@ import pytest
 from netgen import kron_scheme, random_exact, random_network
 from reference import masked_bmp, masked_total, residual_sq
 
-from bmpnet import tensor
-from bmpnet.network import hidden_positions, observed_total, \
-    strassen_pipeline, strassen_stages, total_bmp, total_direct
+from bmpnet import network, tensor
+from bmpnet.network import Network, NodeSpec, build_matmul_chain, \
+    hidden_positions, observed_total, strassen_pipeline, strassen_stages, \
+    total_bmp, total_direct
 from bmpnet.scheme import BilinearScheme, forward_fast
 from bmpnet.tensor import blow, bmp, contraction, fit_integers, \
     frobenius_sq, scaled, unscaled, zeros_matching
@@ -208,6 +209,26 @@ class TestBound:
                                           for f in factors]))
             assert not got.size or not got.any()
 
+    def test_one_bound_covers_the_hidden_sum(self):
+        # a and b hidden, both feeding o, every entry 2^20: the product's
+        # l * prod(max |a_k|) = 3 * 2^60 fits int64, but summing the nine
+        # hidden states gives 9 * 2^60 > 2^63
+        big = 1 << 20
+        net = Network(
+            nodes=[NodeSpec("a", 3, hidden=True),
+                   NodeSpec("b", 3, hidden=True), NodeSpec("o", 3)],
+            edges=[("a", "o"), ("b", "o")], order=["a", "b", "o"],
+            activations={"a": np.full(3, big), "b": np.full(3, big),
+                         "o": np.full((3, 3, 3), big)})
+        got = observed_total(net)
+        assert got.dtype == object and got.shape == (3,)
+        assert all(type(v) is int and v == 9 << 60 for v in got.flat)
+        net.activations["o"] = net.activations["o"].astype(object) \
+            * Fraction(1, 3)
+        got = observed_total(net)
+        assert all_fractions(got)
+        assert all(v == Fraction(3 << 60) for v in got.flat)
+
     def test_integer_results_never_wrap(self):
         a = np.array([[1 << 40]])
         assert bmp([a, a])[0, 0] == 1 << 80
@@ -271,6 +292,35 @@ class TestAgainstFractions:
                 initial=Fraction(0)))
             assert all_fractions(observed)
         assert took(routes, kind)
+
+    def test_network_totals_convert_each_activation_once(self, kind,
+                                                        routes, monkeypatch):
+        # the integer route scales each activation once and leaves bmp
+        # and contraction to the float route
+        calls = {"scaled": 0, "bmp": 0, "contraction": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(network, name, counted)
+
+        for name in calls:
+            spy(name, getattr(network, name))
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            net = random_network(rng)
+            for nid, act in net.activations.items():
+                net.activations[nid] = KINDS[kind](rng, act.shape)
+            for total in (total_bmp, observed_total):
+                calls.update(scaled=0, bmp=0, contraction=0)
+                total(net)
+                assert calls == {"scaled": len(net.order), "bmp": 0,
+                                 "contraction": 0}
+        assert took(routes, kind)
+        calls.update(bmp=0, contraction=0)
+        observed_total(build_matmul_chain(np.eye(2), np.ones((2, 2))))
+        assert calls["bmp"] == 1 and calls["contraction"] == 1
 
     def test_strassen_pipeline(self, kind):
         rng = np.random.default_rng(6)
