@@ -201,17 +201,15 @@ def total_direct(net):
     return out
 
 
-def _scaled_total(net, hidden=()):
-    """``(total, denom)``: the total tensor as one Bhattacharya-Mesner
-    product of lifted factors, the order positions ``hidden`` summed out,
-    times ``denom``.  When every activation scales to integers, each is
-    scaled once, and one bound, ``l * E * prod(max |a_k|)`` (``l`` the
-    largest node extent, ``E`` the product of the hidden extents), covers
-    every partial sum of the product and of the hidden sum; ``denom`` is
-    the product of the denominators, None if no activation is exact.
-    Other activations (floats, say) go through :func:`bmp` and
-    :func:`contraction` as they are, with ``denom`` None.  The total is a
-    fresh array.
+def _total(net, hidden=()):
+    """The total tensor as one Bhattacharya-Mesner product of lifted
+    factors, with the order positions ``hidden`` (ascending) summed out;
+    a fresh array.  When every activation scales to integers, each is
+    scaled once, one bound, ``l * E * prod(max |a_k|)`` (``l`` the largest
+    node extent, ``E`` the product of the hidden extents), covers every
+    partial sum of the product and of the hidden sum, and the result
+    becomes Fractions once if any activation is exact.  Other activations
+    (floats, say) are lifted and multiplied by :func:`bmp` as they are.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
@@ -220,31 +218,29 @@ def _scaled_total(net, hidden=()):
     parents = validate(net)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
     pairs = [scaled(a) for a in acts]
-    if not all(p is not None for p in pairs):
+    ints = all(p is not None for p in pairs)
+    if ints:
+        extents = [a.shape[-1] for a in acts]  # node k's, as validated
+        fit = fit_integers([p[0] for p in pairs], max(extents) * math.prod(
+            extents[k] for k in hidden))
+        # lifted before any widening, so blow's zeros stay ints
+        lifted = [lift(net, k, p[0], parents[k]).astype(f.dtype, copy=False)
+                  for k, (p, f) in enumerate(zip(pairs, fit))]
+    else:
         lifted = [lift(net, k, a, parents[k]) for k, a in enumerate(acts)]
-        total = lifted[0] if len(lifted) == 1 else bmp(
-            lifted[-1:] + lifted[:-1])
-        return contraction(total, hidden), None
-    extents = [a.shape[-1] for a in acts]  # node k's, as validated
-    fit = fit_integers([p[0] for p in pairs], max(extents) * math.prod(
-        extents[k] for k in hidden))
-    # lifted before any widening, so blow's zeros stay ints
-    lifted = [lift(net, k, p[0], parents[k]).astype(f.dtype, copy=False)
-              for k, (p, f) in enumerate(zip(pairs, fit))]
-    total = lifted[0].copy() if len(lifted) == 1 else _product(
-        lifted[-1:] + lifted[:-1])
+    total = lifted[0].copy() if len(lifted) == 1 else (
+        _product if ints else bmp)(lifted[-1:] + lifted[:-1])
     if hidden:
         total = np.asarray(total.sum(axis=tuple(hidden)))
-    exact = any(map(is_exact, acts))
-    return total, math.prod(p[1] for p in pairs) if exact else None
+    if ints and any(map(is_exact, acts)):
+        return unscaled(total, math.prod(p[1] for p in pairs))
+    return total
 
 
 def total_bmp(net):
     """Total tensor as one Bhattacharya-Mesner product of lifted factors
-    (see :func:`_scaled_total`); Fractions when the activations are
-    exact."""
-    total, denom = _scaled_total(net)
-    return total if denom is None else unscaled(total, denom)
+    (see :func:`_total`); Fractions when the activations are exact."""
+    return _total(net)
 
 
 def hidden_positions(net):
@@ -256,8 +252,7 @@ def hidden_positions(net):
 def observed_total(net):
     """Total tensor with every hidden node summed out; exact activations
     are summed out as scaled integers and rescaled once."""
-    total, denom = _scaled_total(net, hidden_positions(net))
-    return total if denom is None else unscaled(total, denom)
+    return _total(net, hidden_positions(net))
 
 
 def build_matmul_chain(a_mat, b_mat):
@@ -286,38 +281,19 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def combination_stage(coeff_sq, vec_pad):
-    """Two-node network applying a padded square coefficient matrix to a
-    padded operand vector; contracting the source slot of its total
-    tensor returns ``coeff_sq^T vec_pad``."""
-    r = vec_pad.shape[0]
+def _stage(ids, acts):
+    """Total of the star network whose nodes ``ids`` carry ``acts``:
+    every node but the last is hidden and a parent of the last, and the
+    total is summed over those parents' positions."""
+    last = ids[-1]
     net = Network(
-        nodes=[NodeSpec("src", r, hidden=True), NodeSpec("mix", r)],
-        edges=[("src", "mix")],
-        order=["src", "mix"],
-        activations={"src": vec_pad, "mix": coeff_sq},
+        nodes=[NodeSpec(nid, a.shape[-1], hidden=nid != last)
+               for nid, a in zip(ids, acts)],
+        edges=[(nid, last) for nid in ids[:-1]],
+        order=list(ids),
+        activations=dict(zip(ids, acts)),
     )
-    return observed_total(net)
-
-
-def product_stage(s1, s2, f_sq):
-    """Two combination vectors feed one output node whose activation
-    couples them diagonally through F: entry [s, t, j] is F[s, j] when
-    s == t, else 0.  Summing the total tensor over both parent slots
-    yields the scheme output vector."""
-    r = s1.shape[0]
-    coupler = np.transpose(blow(f_sq), (0, 2, 1))
-    net = Network(
-        nodes=[
-            NodeSpec("lin_a", r, hidden=True),
-            NodeSpec("lin_b", r, hidden=True),
-            NodeSpec("out", r),
-        ],
-        edges=[("lin_a", "out"), ("lin_b", "out")],
-        order=["lin_a", "lin_b", "out"],
-        activations={"lin_a": s1, "lin_b": s2, "out": coupler},
-    )
-    return observed_total(net)
+    return _total(net, range(len(ids) - 1))
 
 
 def _padded(t, r):
@@ -329,12 +305,15 @@ def _padded(t, r):
 
 
 def _staged(a_mat, b_mat, scheme):
-    """``(a_pad, b_pad, s1, s2, out, denoms)`` of a scheme run as staged
-    networks on n x n operands.  When any input is exact and all scale to
-    integers, the scheme's own H, K and F and the flattened operands are
-    scaled once and the stages run on their zero-padded integers, with
-    ``denoms`` the denominators of s1, s2 and out; otherwise they run on
-    the padded inputs as they are, and ``denoms`` is None."""
+    """``(s1, s2, out, denoms)`` of a scheme run as staged networks on
+    n x n operands, each part (H, vec A, K, vec B, F) zero-padded to r
+    along every axis.  Two combination stages give s1 = H^T a and s2 =
+    K^T b; the product stage's output node couples them diagonally
+    through F: its entry [s, t, j] is F[s, j] when s == t, else 0.  When
+    any part is exact and all scale to integers, the stages run on each
+    part's scaled integers, with ``denoms`` the denominators of s1, s2
+    and out; otherwise they run on the parts as they are, and ``denoms``
+    is None."""
     n = scheme.n
     m, r = n * n, scheme.r
     a_mat, b_mat = np.asarray(a_mat), np.asarray(b_mat)
@@ -343,20 +322,18 @@ def _staged(a_mat, b_mat, scheme):
     if r < m:
         raise scheme_module.RankTooSmall(
             "need r >= n^2 to pad, got r=%d < %d" % (r, m))
-    a_vec, b_vec = a_mat.reshape(m), b_mat.reshape(m)
-    a_pad, b_pad = _padded(a_vec, r), _padded(b_vec, r)
-    parts = (scheme.H, a_vec, scheme.K, b_vec, scheme.F)
+    parts = (scheme.H, a_mat.reshape(m), scheme.K, b_mat.reshape(m), scheme.F)
     pairs = [scaled(p) for p in parts]
+    denoms = None
     if any(map(is_exact, parts)) and all(p is not None for p in pairs):
-        h, a, k, b, f = (_padded(p[0], r) for p in pairs)
-        d1 = pairs[0][1] * pairs[1][1]
-        d2 = pairs[2][1] * pairs[3][1]
-        denoms = d1, d2, d1 * d2 * pairs[4][1]
-    else:
-        h, k, f = scheme_module.padded_square_factors(scheme)
-        a, b, denoms = a_pad, b_pad, None
-    s1, s2 = combination_stage(h, a), combination_stage(k, b)
-    return a_pad, b_pad, s1, s2, product_stage(s1, s2, f), denoms
+        parts, (dh, da, dk, db, df) = zip(*pairs)
+        denoms = dh * da, dk * db, dh * da * dk * db * df
+    h, a, k, b, f = (_padded(p, r) for p in parts)
+    s1 = _stage(("src", "mix"), (a, h))
+    s2 = _stage(("src", "mix"), (b, k))
+    out = _stage(("lin_a", "lin_b", "out"),
+                 (s1, s2, np.transpose(blow(f), (0, 2, 1))))
+    return s1, s2, out, denoms
 
 
 def strassen_stages(a_mat, b_mat, scheme):
@@ -367,12 +344,12 @@ def strassen_stages(a_mat, b_mat, scheme):
     against nothing yet, i.e. the entrywise multiplications), 'output'
     (the full length-r product-stage result; coordinates past n^2 are 0).
     """
-    a_pad, b_pad, s1, s2, out, denoms = _staged(a_mat, b_mat, scheme)
+    s1, s2, out, denoms = _staged(a_mat, b_mat, scheme)
     if denoms is not None:
         s1, s2, out = map(unscaled, (s1, s2, out), denoms)
     return {
-        "a_pad": a_pad,
-        "b_pad": b_pad,
+        "a_pad": _padded(np.ravel(a_mat), scheme.r),
+        "b_pad": _padded(np.ravel(b_mat), scheme.r),
         "s1": s1,
         "s2": s2,
         "products": s1 * s2,

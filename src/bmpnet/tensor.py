@@ -54,12 +54,13 @@ def is_exact(t):
 
 def zeros_matching(shape, like):
     """Zero tensor of the given shape in the scalar mode of ``like``:
-    Fraction zeros for an object array, zeros of its own dtype for an
-    integer array, float64 zeros otherwise."""
+    for an object array, int zeros if its first entry is a Python int
+    (scaled integers past int64), else Fraction zeros; zeros of its own
+    dtype for an integer array, float64 zeros otherwise."""
     like = np.asarray(like)
     if like.dtype == object:
         out = np.empty(shape, dtype=object)
-        out[...] = Fraction(0)
+        out[...] = 0 if type(next(like.flat, None)) is int else Fraction(0)
         return out
     if like.dtype.kind == "i":
         return np.zeros(shape, dtype=like.dtype)

@@ -290,6 +290,19 @@ class TestMarginalize:
         np.testing.assert_array_equal(
             observed_total(net), contraction(total_bmp(net), {1}))
 
+    def test_float_observed_total_is_the_contracted_total(self):
+        # float totals are multiplied by bmp and summed by the same call
+        # contraction makes, so the bits agree
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            net = random_network(rng)
+            for nid, act in net.activations.items():
+                net.activations[nid] = rng.standard_normal(act.shape)
+            got = observed_total(net)
+            want = contraction(total_bmp(net), hidden_positions(net))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestClassical2x2:
     def test_identity(self):
@@ -429,6 +442,19 @@ class TestStrassenPipeline:
         out = strassen_pipeline(a, b, s)
         np.testing.assert_allclose(out[:4], (a @ b).reshape(4), atol=1e-12)
         np.testing.assert_allclose(out[4:], 0, atol=1e-12)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_float_stages_pad_the_operands(self, nested):
+        rng = np.random.default_rng(31)
+        s = float_scheme(known_strassen())
+        a, b = rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, (2, 2))
+        stages = strassen_stages(*((a.tolist(), b.tolist()) if nested
+                                   else (a, b)), s)
+        for key, op in (("a_pad", a), ("b_pad", b)):
+            want = np.zeros(7)
+            want[:4] = op.reshape(4)
+            assert stages[key].dtype == np.float64
+            assert stages[key].tobytes() == want.tobytes()
 
 
 class TestMassBookkeeping:

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netgen import kron_scheme, random_exact, random_network
+from netgen import float_scheme, kron_scheme, random_exact, \
+    random_network
 from reference import masked_bmp, masked_total, residual_sq
 
 from bmpnet import network, tensor
@@ -126,6 +127,22 @@ class TestScaled:
         t = np.arange(6).reshape(2, 3)
         ints, denom = scaled(t)
         assert ints is t and denom == 1
+
+    def test_python_int_lifts_and_pads_fill_int_zeros(self):
+        # past 2^62 the scaled integers are Python ints in an object
+        # array; Fraction zeros there would make the einsum mix types
+        rng = np.random.default_rng(10)
+        net = Network(nodes=[NodeSpec("a", 2), NodeSpec("b", 3)],
+                      edges=[("a", "b")], order=["a", "b"],
+                      activations={"a": tensor.exact_array([(1 << 62) + 1,
+                                                            "1/2"]),
+                                   "b": small_exact(rng, (2, 3))})
+        ints = scaled(net.activations["a"])[0]
+        assert ints.dtype == object
+        for t in (network.lift(net, 0, ints), network._padded(ints, 4)):
+            assert {type(v) for v in t.flat} == {int}
+        got = total_bmp(net)
+        assert all_fractions(got) and equal(got, total_direct(net))
 
     def test_floats_have_no_scaled_form(self):
         assert scaled(np.ones(3)) is None
@@ -295,18 +312,22 @@ class TestAgainstFractions:
 
     def test_network_totals_convert_each_activation_once(self, kind,
                                                         routes, monkeypatch):
-        # the integer route scales each activation once and leaves bmp
-        # and contraction to the float route
-        calls = {"scaled": 0, "bmp": 0, "contraction": 0}
+        # the integer route scales each activation once and leaves bmp to
+        # the float route; no route calls contraction, and no pipeline
+        # pads through the scheme module
+        calls = {"scaled": 0, "bmp": 0, "contraction": 0, "padded": 0}
 
-        def spy(name, fn):
+        def spy(name, owner, attr):
+            fn = getattr(owner, attr)
+
             def counted(*args):
                 calls[name] += 1
                 return fn(*args)
-            monkeypatch.setattr(network, name, counted)
+            monkeypatch.setattr(owner, attr, counted)
 
-        for name in calls:
-            spy(name, getattr(network, name))
+        for name in ("scaled", "bmp", "contraction"):
+            spy(name, network, name)
+        spy("padded", network.scheme_module, "padded_square_factors")
         rng = np.random.default_rng(9)
         for _ in range(10):
             net = random_network(rng)
@@ -316,11 +337,20 @@ class TestAgainstFractions:
                 calls.update(scaled=0, bmp=0, contraction=0)
                 total(net)
                 assert calls == {"scaled": len(net.order), "bmp": 0,
-                                 "contraction": 0}
+                                 "contraction": 0, "padded": 0}
         assert took(routes, kind)
         calls.update(bmp=0, contraction=0)
         observed_total(build_matmul_chain(np.eye(2), np.ones((2, 2))))
-        assert calls["bmp"] == 1 and calls["contraction"] == 1
+        assert calls["bmp"] == 1 and calls["contraction"] == 0
+        make = KINDS[kind]
+        exact = BilinearScheme(n=2, r=7, H=make(rng, (4, 7)),
+                               K=make(rng, (4, 7)), F=make(rng, (7, 4)))
+        for s, a, b in ((exact, make(rng, (2, 2)), make(rng, (2, 2))),
+                        (exact, np.eye(2), np.ones((2, 2))),
+                        (float_scheme(exact), np.eye(2), np.ones((2, 2)))):
+            strassen_stages(a, b, s)
+            strassen_pipeline(a, b, s)
+        assert calls["padded"] == 0 and calls["contraction"] == 0
 
     def test_strassen_pipeline(self, kind):
         rng = np.random.default_rng(6)
