@@ -17,6 +17,7 @@ import numpy as np
 
 from . import scheme as scheme_module
 from .tensor import (
+    _padded,
     _product,
     blow,
     bmp,
@@ -201,15 +202,17 @@ def total_direct(net):
     return out
 
 
-def _total(net, hidden=()):
+def _total(net, hidden=(), unscale=True):
     """The total tensor as one Bhattacharya-Mesner product of lifted
     factors, with the order positions ``hidden`` (ascending) summed out;
     a fresh array.  When every activation scales to integers, each is
     scaled once, one bound, ``l * E * prod(max |a_k|)`` (``l`` the largest
     node extent, ``E`` the product of the hidden extents), covers every
     partial sum of the product and of the hidden sum, and the result
-    becomes Fractions once if any activation is exact.  Other activations
-    (floats, say) are lifted and multiplied by :func:`bmp` as they are.
+    becomes Fractions once if any activation is exact, unless
+    ``unscale`` is false: then it stays the integers over the product of
+    the denominators.  Other activations (floats, say) are lifted and
+    multiplied by :func:`bmp` as they are.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
@@ -232,7 +235,7 @@ def _total(net, hidden=()):
         _product if ints else bmp)(lifted[-1:] + lifted[:-1])
     if hidden:
         total = np.asarray(total.sum(axis=tuple(hidden)))
-    if ints and any(map(is_exact, acts)):
+    if unscale and ints and any(map(is_exact, acts)):
         return unscaled(total, math.prod(p[1] for p in pairs))
     return total
 
@@ -281,10 +284,11 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def _stage(ids, acts):
+def _stage(ids, acts, unscale):
     """Total of the star network whose nodes ``ids`` carry ``acts``:
     every node but the last is hidden and a parent of the last, and the
-    total is summed over those parents' positions."""
+    total is summed over those parents' positions (``unscale`` as for
+    :func:`_total`)."""
     last = ids[-1]
     net = Network(
         nodes=[NodeSpec(nid, a.shape[-1], hidden=nid != last)
@@ -293,15 +297,7 @@ def _stage(ids, acts):
         order=list(ids),
         activations=dict(zip(ids, acts)),
     )
-    return _total(net, range(len(ids) - 1))
-
-
-def _padded(t, r):
-    """``t`` zero-padded to extent r along every axis, in its own scalar
-    mode (see :func:`zeros_matching`)."""
-    out = zeros_matching((r,) * t.ndim, t)
-    out[tuple(map(slice, t.shape))] = t
-    return out
+    return _total(net, range(len(ids) - 1), unscale)
 
 
 def _staged(a_mat, b_mat, scheme):
@@ -311,9 +307,10 @@ def _staged(a_mat, b_mat, scheme):
     K^T b; the product stage's output node couples them diagonally
     through F: its entry [s, t, j] is F[s, j] when s == t, else 0.  When
     any part is exact and all scale to integers, the stages run on each
-    part's scaled integers, with ``denoms`` the denominators of s1, s2
-    and out; otherwise they run on the parts as they are, and ``denoms``
-    is None."""
+    part's scaled integers and give integers, Python ints past 2^62
+    included, which no stage turns into Fractions, with ``denoms`` the
+    denominators of s1, s2 and out; otherwise they run on the parts as
+    they are, and ``denoms`` is None."""
     n = scheme.n
     m, r = n * n, scheme.r
     a_mat, b_mat = np.asarray(a_mat), np.asarray(b_mat)
@@ -329,10 +326,11 @@ def _staged(a_mat, b_mat, scheme):
         parts, (dh, da, dk, db, df) = zip(*pairs)
         denoms = dh * da, dk * db, dh * da * dk * db * df
     h, a, k, b, f = (_padded(p, r) for p in parts)
-    s1 = _stage(("src", "mix"), (a, h))
-    s2 = _stage(("src", "mix"), (b, k))
+    unscale = denoms is None
+    s1 = _stage(("src", "mix"), (a, h), unscale)
+    s2 = _stage(("src", "mix"), (b, k), unscale)
     out = _stage(("lin_a", "lin_b", "out"),
-                 (s1, s2, np.transpose(blow(f), (0, 2, 1))))
+                 (s1, s2, np.transpose(blow(f), (0, 2, 1))), unscale)
     return s1, s2, out, denoms
 
 

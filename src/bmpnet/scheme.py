@@ -16,11 +16,11 @@ import numpy as np
 from .tensor import (
     ShapeMismatch,
     _forget_view,
+    _padded,
     bmp,
     matrix_from_json,
     matrix_to_json,
     matmul_tensor,
-    zeros_matching,
 )
 
 
@@ -101,13 +101,7 @@ def padded_square_factors(scheme):
     r = scheme.r
     if r < m:
         raise RankTooSmall("need r >= n^2 to pad, got r=%d < %d" % (r, m))
-    H_sq = zeros_matching((r, r), scheme.H)
-    K_sq = zeros_matching((r, r), scheme.K)
-    F_sq = zeros_matching((r, r), scheme.F)
-    H_sq[:m, :] = scheme.H
-    K_sq[:m, :] = scheme.K
-    F_sq[:, :m] = scheme.F
-    return H_sq, K_sq, F_sq
+    return tuple(_padded(x, r) for x in (scheme.H, scheme.K, scheme.F))
 
 
 def reconstruct(scheme):

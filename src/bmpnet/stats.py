@@ -142,8 +142,6 @@ def t_cdf(t, df):
     function; exact 0.5 at t = 0 by construction."""
     _check_df(df)
     t = float(t)
-    if t == 0.0:
-        return 0.5
     if math.isnan(t):
         return t
     tail = _lower_tail(t, df)

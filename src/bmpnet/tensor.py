@@ -67,6 +67,14 @@ def zeros_matching(shape, like):
     return np.zeros(shape, dtype=np.float64)
 
 
+def _padded(t, r):
+    """``t`` zero-padded to extent r along every axis, in its own scalar
+    mode (see :func:`zeros_matching`)."""
+    out = zeros_matching((r,) * t.ndim, t)
+    out[tuple(map(slice, t.shape))] = t
+    return out
+
+
 # int64 carries a computation only while a bound on the magnitude of
 # every partial result, computed in Python ints, stays below this
 _INT64_BOUND = 1 << 62

@@ -128,17 +128,16 @@ class GradBuffers:
         self.f = self.f_t = None
 
 
-def grad_analytic(hk, f, ab_rows, target_rows, out=None, ws=None):
+def grad_analytic(hk, f, ab_rows, target_rows, out, ws):
     """The squared errors of one batch's forward pass and the closed-form
     gradients of their :func:`mse` loss, as ``(sq_err, (dHK, dF))``.
     ``hk`` holds H and K as one (2, ..., n^2, r) array and ``ab_rows``
     the operand rows A and B as one (2, ..., count, n^2) array; F, the
-    target rows and both of them may carry a leading run axis.  ``out``,
-    if given, holds three arrays: two shaped as ``hk`` and F for the
+    target rows and both of them may carry a leading run axis.  ``out``
+    holds the three arrays written: two shaped as ``hk`` and F for the
     gradients, and one shaped as the target rows for the squared errors,
     which may be the target rows themselves.  ``ws``, the
-    :class:`GradBuffers` of the batch size, holds every temporary; a
-    call without it makes its own.
+    :class:`GradBuffers` of the batch size, holds every temporary.
 
     With U = A H, W = B K, M = U * W, V = M F and E = 2 (V - T) / count:
     the squared errors are (V - T)^2, their sum over the last two axes
@@ -146,11 +145,7 @@ def grad_analytic(hk, f, ab_rows, target_rows, out=None, ws=None):
     dH = A^T (G * W) and dK = B^T (G * U).  U and W are one batched
     product, and so are dH and dK.
     """
-    if ws is None:
-        ws = GradBuffers(np.broadcast_shapes(
-            hk.shape[1:-2], ab_rows.shape[1:-2], f.shape[:-2]),
-            ab_rows.shape[-2], f.shape[-1], f.shape[-2])
-    d_hk, d_f, sq_err = (None,) * 3 if out is None else out
+    d_hk, d_f, sq_err = out
     if f is not ws.f:
         ws.f, ws.f_t = f, f.mT
     _matmul(ab_rows, hk, ws.uw)
@@ -273,16 +268,14 @@ class Workspace:
         return self.grad[count]
 
 
-def clip_gradients(grads, threshold, ws=None):
+def clip_gradients(grads, threshold, ws):
     """Rescale each run's gradient block (R, A, P) in place onto the ball
     of its :func:`_run_norms` norm; returns the block.  A run whose
     norm is at most the threshold is left unwritten (so at an infinite
     threshold every finite or infinite norm passes), any other is
     multiplied by its own 0-d scale threshold / norm, so a NaN norm gives
     NaN to its own run alone.  The squares are written into the
-    :class:`Workspace` ``ws``; a call without one makes its own."""
-    if ws is None:
-        ws = Workspace(grads, threshold)
+    :class:`Workspace` ``ws``, made for ``grads``."""
     squares = _mul(grads, grads, ws.squares)
     norms = _run_norms(_sum(squares, -1, None, ws.sums))
     ws.squared = grads
@@ -498,11 +491,12 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     later step reads.  Per epoch, after the updates, a run's train loss
     is the exact sample mean of its batch losses, summed from those
     squared errors (:func:`epoch_loss`), and one call of the stack's
-    :func:`scorer`, built again only when a run drops out, scores every
-    run still going; then ``epoch_end(run, epoch, arrays,
-    train_loss, val_loss, score)`` runs, with views of the run's
-    parameter arrays and ``score(scheme)``, any scheme's val loss on the
-    run's validation set (a :func:`scorer`).
+    :func:`scorer` scores every run, as each run scores bitwise the same
+    in any stack; a diverged run's score is never read.  Then
+    ``epoch_end(run, epoch, arrays, train_loss, val_loss, score)`` runs
+    for every run still going, with views of the run's parameter arrays
+    and ``score(scheme)``, any scheme's val loss on the run's validation
+    set (a :func:`scorer`).
 
     Returns, per run, its parameter arrays and both loss lists, or the
     :class:`TrainingDiverged` it raised: a non-finite epoch mean (as any
@@ -555,7 +549,7 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
     train_losses = [[] for _ in runs]
     val_losses = [[] for _ in runs]
     failed = [None for _ in runs]
-    live, score_live = list(runs), scorer(moments)
+    score_stack = scorer(moments)
 
     for epoch in range(cfg.epochs):
         if epoch == 0 or cfg.resample:
@@ -591,16 +585,15 @@ def fit(cfgs, init, epoch_end, view=None, pull=None):
                 curves = (train_losses[run], val_losses[run])
                 failed[run] = TrainingDiverged(epoch, *(
                     c[-1] if c else None for c in curves), curves)
-        still = [run for run in live if failed[run] is None]
-        if not still:
+        live = [run for run in runs if failed[run] is None]
+        if not live:
             return failed
-        if still != live:
-            # diverged runs are left out, so scoring them raises no warnings
-            live, score_live = still, scorer(moments[still])
-        vals = score_live(Factors(*(f[live] for f in factors)))
-        for run, val in zip(live, vals):
+        # a diverged run's factors overflow quietly; its score is not read
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = score_stack(factors)
+        for run in live:
             train_losses[run].append(float(train_loss[run]))
-            val_losses[run].append(float(val))
+            val_losses[run].append(float(vals[run]))
             epoch_end(run, epoch, [a[run] for a in param_arrays],
                       train_losses[run][-1], val_losses[run][-1],
                       scores[run])

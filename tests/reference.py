@@ -6,8 +6,9 @@ and gauge fixing slot by slot, the total tensor one joint state at a
 time, the residual over every entry of the target tensor, the product
 summed one shared index at a time, exact products, totals and
 residuals taken in Fraction arithmetic, the validation moment from a
-fresh product per chunk, and clipping norms from array reductions.
-Tests hold the package to them; nothing here is used by the package."""
+fresh product per chunk, and clipping norms from array reductions; and
+one batch's gradients with fresh buffers.  Tests hold the package to
+them; nothing here is used by the package."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -18,7 +19,7 @@ from bmpnet.network import lift, parent_positions
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
 from bmpnet.tensor import _forget_view, frobenius_sq, is_exact, \
     matmul_tensor, zeros_matching
-from bmpnet.training import mse
+from bmpnet.training import GradBuffers, grad_analytic, mse
 from bmpnet.verify import DEFAULT_GRID
 
 
@@ -75,6 +76,19 @@ def grad_fd(scheme, a_rows, b_rows, target_rows, h=1e-6):
             g[idx] = (up - down) / (2.0 * h)
         grads.append(g)
     return tuple(grads)
+
+
+def fresh_grads(hk, f, ab_rows, target_rows):
+    """``training.grad_analytic`` of one batch with the buffers ``fit``
+    passes, made fresh for this call: arrays shaped as ``hk``, F and the
+    target rows for its outputs (the squared errors not over the
+    targets), and the :class:`GradBuffers` of the batch."""
+    runs = np.broadcast_shapes(hk.shape[1:-2], ab_rows.shape[1:-2],
+                               f.shape[:-2])
+    out = (np.empty(hk.shape[:1] + runs + hk.shape[-2:]),
+           np.empty(runs + f.shape[-2:]), np.empty_like(target_rows))
+    return grad_analytic(hk, f, ab_rows, target_rows, out, GradBuffers(
+        runs, ab_rows.shape[-2], f.shape[-1], f.shape[-2]))
 
 
 def snap(x, grid):

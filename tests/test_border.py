@@ -27,13 +27,13 @@ from bmpnet.training import (
     ConfigError,
     TrainConfig,
     gen_dataset,
-    grad_analytic,
     init_scheme,
     mse,
     train,
 )
 import perrun
 from perrun import bits
+from reference import fresh_grads
 
 
 def triad(scheme):
@@ -209,7 +209,7 @@ class TestCoefficientGrads:
 
         stacks = [m.copy() for m in es.h_coeffs + es.k_coeffs + es.f_coeffs]
         scheme = evaluate(es)
-        _, (d_hk, d_f) = grad_analytic(
+        _, (d_hk, d_f) = fresh_grads(
             np.stack((scheme.H, scheme.K)), scheme.F,
             np.stack((a_rows, b_rows)), t_rows)
         grads = coefficient_grads(

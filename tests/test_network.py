@@ -8,6 +8,7 @@ import pytest
 
 from netgen import float_scheme, random_exact, random_network
 
+from bmpnet import network
 from bmpnet.network import (
     ActivationOrderMismatch,
     CycleDetected,
@@ -442,6 +443,25 @@ class TestStrassenPipeline:
         out = strassen_pipeline(a, b, s)
         np.testing.assert_allclose(out[:4], (a @ b).reshape(4), atol=1e-12)
         np.testing.assert_allclose(out[4:], 0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [np.asarray, exact_array])
+    def test_wide_operand_converts_to_fractions_once(self, monkeypatch,
+                                                     mode):
+        # an operand past 2^62 makes the stages' integers Python ints;
+        # no stage turns them into Fractions, so the pipeline converts
+        # its output once, whether A is int64 or Fractions
+        real, calls = network.unscaled, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(network, "unscaled", spy)
+        a, b = [[(1 << 62) + 1, 1], [2, 3]], [[5, 6], [7, 8]]
+        out = strassen_pipeline(mode(a), mode(b), known_strassen())
+        assert len(calls) == 1
+        want = exact_array(a).dot(exact_array(b)).reshape(4)
+        assert list(out) == list(want) + [0, 0, 0]
+        assert {type(v) for v in out} == {Fraction}
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_float_stages_pad_the_operands(self, nested):

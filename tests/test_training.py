@@ -13,6 +13,7 @@ from bmpnet.tensor import ShapeMismatch
 from bmpnet.training import (
     ConfigError,
     Factors,
+    GradBuffers,
     LengthMismatch,
     TrainConfig,
     TrainingDiverged,
@@ -35,16 +36,22 @@ from bmpnet.training import (
 )
 import perrun
 from reference import (
-    array_clip_gradients, array_global_norm, direct_scorer, grad_fd,
-    within_gate)
+    array_clip_gradients, array_global_norm, direct_scorer, fresh_grads,
+    grad_fd, within_gate)
 
 
 def grads_of(s, a, b, t):
     """(squared errors, (dH, dK, dF)) of one run's batch through the
     stacked signature: H and K as one array, A and B as one."""
-    sq, (d_hk, d_f) = grad_analytic(np.stack((s.H, s.K)), s.F,
-                                    np.stack((a, b)), t)
+    sq, (d_hk, d_f) = fresh_grads(np.stack((s.H, s.K)), s.F,
+                                  np.stack((a, b)), t)
     return sq, (*d_hk, d_f)
+
+
+def clip(g, threshold):
+    """``clip_gradients`` of ``g`` with the :class:`Workspace` ``fit``
+    passes, made for ``g`` and the threshold."""
+    return clip_gradients(g, threshold, Workspace(g, threshold))
 
 
 def tiny_config(**kw):
@@ -161,7 +168,8 @@ class TestGradients:
             stack = Factors(s.H[None], s.K[None], s.F[None])
             out = [np.empty_like(stack.HK), np.empty_like(stack.F), t[None]]
             got, (d_hk, d_f) = grad_analytic(
-                stack.HK, stack.F, np.stack((a, b))[:, None], t[None], out)
+                stack.HK, stack.F, np.stack((a, b))[:, None], t[None], out,
+                GradBuffers((1,), len(a), n * n, s.r))
             assert got is out[2] and np.shares_memory(got, t)
             assert got.tobytes() == sq.tobytes()
             assert d_hk is out[0] and d_f is out[1]
@@ -186,7 +194,8 @@ class TestGradients:
             batch = rows[:, :, start:start + 4].copy()
             tb = batch[2]
             sq, _ = grad_analytic(factors.HK, factors.F, batch[:2], tb,
-                                  (out.HK, out.F, tb))
+                                  (out.HK, out.F, tb),
+                                  GradBuffers((3,), tb.shape[-2], m, r))
             for run in range(3):
                 s = BilinearScheme(n, r, *(np.array(f[run])
                                            for f in factors))
@@ -267,19 +276,19 @@ class TestClipping:
     def test_below_threshold_untouched(self):
         g = np.array([[[3.0, 4.0]]])
         before = g.copy()
-        out = clip_gradients(g, 10.0)
+        out = clip(g, 10.0)
         assert out is g
         assert g.tobytes() == before.tobytes()
 
     def test_rescales_to_threshold(self):
         g = np.full((1, 1, 16), 5.0)
         assert array_global_norm(g) == 20.0
-        out = clip_gradients(g, 10.0)
+        out = clip(g, 10.0)
         assert abs(array_global_norm(out) - 10.0) <= 1e-12
 
     def test_zero_gradient_safe(self):
         g = np.zeros((1, 2, 9))
-        out = clip_gradients(g, 10.0)
+        out = clip(g, 10.0)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_never_increases_norm(self):
@@ -287,19 +296,19 @@ class TestClipping:
         for _ in range(20):
             g = rng.normal(size=(1, 3, 9)) * rng.uniform(0, 10)
             before = array_global_norm(g)
-            after = array_global_norm(clip_gradients(g, 10.0))
+            after = array_global_norm(clip(g, 10.0))
             assert after <= before + 1e-12
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
     def test_rejects_threshold_not_above_zero(self, threshold):
         with pytest.raises(ConfigError):
-            clip_gradients(np.ones((1, 1, 2)), threshold)
+            clip(np.ones((1, 1, 2)), threshold)
 
     def test_norm_is_global_not_per_matrix(self):
         # each part has norm 8 < 10, but jointly ~11.3 > 10
         g = np.full((1, 2, 16), 2.0)
         assert array_global_norm(g) == pytest.approx(128 ** 0.5)
-        out = clip_gradients(g, 10.0)
+        out = clip(g, 10.0)
         assert array_global_norm(out) == pytest.approx(10.0)
 
     def test_norm_and_clip_are_per_run(self):
@@ -308,7 +317,7 @@ class TestClipping:
         g = np.array([[[3.0, 0.0], [4.0, 0.0]],
                       [[12.0, 0.0], [16.0, 0.0]]])
         np.testing.assert_array_equal(array_global_norm(g), [5.0, 20.0])
-        out = clip_gradients(g, 10.0)
+        out = clip(g, 10.0)
         np.testing.assert_array_equal(out, [[[3.0, 0.0], [4.0, 0.0]],
                                             [[6.0, 0.0], [8.0, 0.0]]])
 
@@ -322,7 +331,7 @@ class TestClipping:
         per_array = (g * g).sum(axis=-1)
         assert per_array[0].sum() != np.cumsum(per_array[0])[-1]
         want = perrun.clip_gradients(tuple(g[0]), 1.0)
-        got = clip_gradients(g, 1.0)
+        got = clip(g, 1.0)
         assert got.tobytes() == np.stack(want)[None].tobytes()
 
     @staticmethod
@@ -353,7 +362,7 @@ class TestClipping:
         # inf times the scale 0 is NaN, as in a diverging step
         with np.errstate(invalid="ignore"):
             want = array_clip_gradients(g.copy(), threshold)
-            assert clip_gradients(g, threshold).tobytes() == want.tobytes()
+            assert clip(g, threshold).tobytes() == want.tobytes()
         assert np.isnan(want).any() == (threshold == 10.0)
 
     def test_nan_norm_clips(self):
@@ -361,10 +370,10 @@ class TestClipping:
         assert np.isnan(array_global_norm(g)[-1])
         with np.errstate(invalid="ignore"):
             want = array_clip_gradients(g.copy(), 10.0)
-            assert clip_gradients(g.copy(), 10.0).tobytes() == want.tobytes()
+            assert clip(g.copy(), 10.0).tobytes() == want.tobytes()
             # at an infinite threshold the NaN run alone turns NaN, and
             # every run is clipped as the per-run loop clips it alone
-            got = clip_gradients(g.copy(), np.inf)
+            got = clip(g.copy(), np.inf)
             for run, alone in zip(got, g):
                 want_run = perrun.clip_gradients(tuple(alone), np.inf)
                 assert run.tobytes() == np.stack(want_run).tobytes()
@@ -427,8 +436,8 @@ class TestClipping:
 
 
 class TestWorkspace:
-    # a stack's step writes into its Workspace; each step function
-    # called without one makes its own, with the same bytes
+    # a stack's step writes into its Workspace, made once; buffers made
+    # fresh for each call give the same bytes
 
     @pytest.mark.parametrize("runs, n, r", [(1, 2, 7), (3, 3, 5)])
     def test_step_bytes_with_and_without_a_workspace(self, runs, n, r):
@@ -451,7 +460,7 @@ class TestWorkspace:
             sq, _ = grad_analytic(factors.HK, factors.F, rows[:2], tb,
                                   (out.HK, out.F, tb),
                                   ws.gradient(n, r, count))
-            ref_sq, (d_hk, d_f) = grad_analytic(
+            ref_sq, (d_hk, d_f) = fresh_grads(
                 ref_factors.HK, ref_factors.F, rows[:2], rows[2])
             assert sq.tobytes() == ref_sq.tobytes()
             for i, d in enumerate((*d_hk, d_f)):
@@ -459,7 +468,7 @@ class TestWorkspace:
             assert grads.tobytes() == ref_grads.tobytes()
             clipped.append(tuple(array_global_norm(grads) > 1.0))
             clip_gradients(grads, 1.0, ws)
-            clip_gradients(ref_grads, 1.0)
+            clip(ref_grads, 1.0)
             assert grads.tobytes() == ref_grads.tobytes()
             adam_update(ws, params, grads, 1e-2)
             adam_update(state, ref, ref_grads, 1e-2)
