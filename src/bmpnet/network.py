@@ -188,9 +188,10 @@ def total_direct(net):
     node_by_id = net.node_map()
     sizes = tuple(node_by_id[nid].states for nid in net.order)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
-    ref = next((a for a in acts if is_exact(a)), acts[0])
-    out = zeros_matching(sizes, ref)
-    if is_exact(out):
+    if all(a.dtype.kind in "iu" for a in acts):
+        # a product of q entries, widened past 2^62 instead of wrapping
+        acts = fit_integers(acts, 1)
+    if any(map(is_exact, acts)):
         # numpy scalars in objects, as a per-entry product multiplies them
         acts = [a if is_exact(a) else np.fromiter(a.flat, object, a.size)
                 .reshape(a.shape) for a in acts]
@@ -198,8 +199,8 @@ def total_direct(net):
     views = [a.reshape([s if k == j or k in parents[j] else 1
                         for k, s in enumerate(sizes)])
              for j, a in enumerate(acts)]
-    out[...] = math.prod(views[1:], start=views[0])
-    return out
+    # in the dtype of the product, so that no float is cast to an integer
+    return math.prod(views[1:], start=views[0].copy())
 
 
 def _total(net, hidden=(), unscale=True):
@@ -284,11 +285,11 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def _stage(ids, acts, unscale):
+def _stage(ids, acts):
     """Total of the star network whose nodes ``ids`` carry ``acts``:
     every node but the last is hidden and a parent of the last, and the
-    total is summed over those parents' positions (``unscale`` as for
-    :func:`_total`)."""
+    total is summed over those parents' positions; integers stay
+    integers (:func:`_total` with ``unscale`` false)."""
     last = ids[-1]
     net = Network(
         nodes=[NodeSpec(nid, a.shape[-1], hidden=nid != last)
@@ -297,7 +298,7 @@ def _stage(ids, acts, unscale):
         order=list(ids),
         activations=dict(zip(ids, acts)),
     )
-    return _total(net, range(len(ids) - 1), unscale)
+    return _total(net, range(len(ids) - 1), False)
 
 
 def _staged(a_mat, b_mat, scheme):
@@ -306,11 +307,10 @@ def _staged(a_mat, b_mat, scheme):
     along every axis.  Two combination stages give s1 = H^T a and s2 =
     K^T b; the product stage's output node couples them diagonally
     through F: its entry [s, t, j] is F[s, j] when s == t, else 0.  When
-    any part is exact and all scale to integers, the stages run on each
-    part's scaled integers and give integers, Python ints past 2^62
-    included, which no stage turns into Fractions, with ``denoms`` the
-    denominators of s1, s2 and out; otherwise they run on the parts as
-    they are, and ``denoms`` is None."""
+    every part is an integer or exact array, the stages run on the parts'
+    scaled integers and give integers (Python ints past 2^62), with
+    ``denoms`` the denominators of s1, s2 and out if a part is exact,
+    else None; otherwise on the parts as float64, with ``denoms`` None."""
     n = scheme.n
     m, r = n * n, scheme.r
     a_mat, b_mat = np.asarray(a_mat), np.asarray(b_mat)
@@ -322,15 +322,17 @@ def _staged(a_mat, b_mat, scheme):
     parts = (scheme.H, a_mat.reshape(m), scheme.K, b_mat.reshape(m), scheme.F)
     pairs = [scaled(p) for p in parts]
     denoms = None
-    if any(map(is_exact, parts)) and all(p is not None for p in pairs):
+    if any(p is None for p in pairs):
+        # a stage of exact parts would return integers never rescaled
+        parts = [p.astype(np.float64, copy=False) for p in parts]
+    elif any(map(is_exact, parts)):
         parts, (dh, da, dk, db, df) = zip(*pairs)
         denoms = dh * da, dk * db, dh * da * dk * db * df
     h, a, k, b, f = (_padded(p, r) for p in parts)
-    unscale = denoms is None
-    s1 = _stage(("src", "mix"), (a, h), unscale)
-    s2 = _stage(("src", "mix"), (b, k), unscale)
+    s1 = _stage(("src", "mix"), (a, h))
+    s2 = _stage(("src", "mix"), (b, k))
     out = _stage(("lin_a", "lin_b", "out"),
-                 (s1, s2, np.transpose(blow(f), (0, 2, 1))), unscale)
+                 (s1, s2, np.transpose(blow(f), (0, 2, 1))))
     return s1, s2, out, denoms
 
 
@@ -345,12 +347,15 @@ def strassen_stages(a_mat, b_mat, scheme):
     s1, s2, out, denoms = _staged(a_mat, b_mat, scheme)
     if denoms is not None:
         s1, s2, out = map(unscaled, (s1, s2, out), denoms)
+    # int64 products widen past 2^62 instead of wrapping
+    products = (np.multiply(*fit_integers([s1, s2], 1))
+                if s1.dtype == np.int64 else s1 * s2)
     return {
         "a_pad": _padded(np.ravel(a_mat), scheme.r),
         "b_pad": _padded(np.ravel(b_mat), scheme.r),
         "s1": s1,
         "s2": s2,
-        "products": s1 * s2,
+        "products": products,
         "output": out,
     }
 

@@ -8,8 +8,8 @@ integers: each exact tensor is converted once to integers over a common
 denominator (:func:`scaled`), the arithmetic runs in int64 while a bound
 computed in Python ints allows it and in Python ints past it
 (:func:`fit_integers`), and the result becomes Fractions once
-(:func:`unscaled`).  Integer arrays stay integers.  Slots (axes) are
-0-based throughout.
+(:func:`unscaled`).  Integer arrays, signed or unsigned, stay integers.
+Slots (axes) are 0-based throughout.
 """
 
 import math
@@ -62,7 +62,7 @@ def zeros_matching(shape, like):
         out = np.empty(shape, dtype=object)
         out[...] = 0 if type(next(like.flat, None)) is int else Fraction(0)
         return out
-    if like.dtype.kind == "i":
+    if like.dtype.kind in "iu":
         return np.zeros(shape, dtype=like.dtype)
     return np.zeros(shape, dtype=np.float64)
 
@@ -95,11 +95,11 @@ def scaled(t):
     denominators.  ``ints`` is int64 when every entry is below 2^62 in
     magnitude, else an object array of Python ints.  Each stored entry is
     read once, and a broadcast view gives a broadcast view.  An integer
-    array is its own scaled form, over 1.  None for any other array
-    (float, or an object array holding floats, whose zeros must still
-    meet NaN and inf)."""
+    array, signed or unsigned, is its own scaled form, over 1.  None for
+    any other array (float, or an object array holding floats, whose
+    zeros must still meet NaN and inf)."""
     t = np.asarray(t)
-    if t.dtype.kind == "i":
+    if t.dtype.kind in "iu":
         return t, 1
     if t.dtype != object:
         return None

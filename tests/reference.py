@@ -166,7 +166,8 @@ def total_each(net):
     sizes = tuple(node_by_id[nid].states for nid in net.order)
     parents = [parent_positions(net, nid) for nid in net.order]
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
-    ref = next((a for a in acts if is_exact(a)), acts[0])
+    # exact before float before integer, so that no entry is truncated
+    ref = max(acts, key=lambda a: (is_exact(a), a.dtype.kind not in "iu"))
     out = zeros_matching(sizes, ref)
     for idx in np.ndindex(sizes):
         val = None

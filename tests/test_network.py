@@ -254,6 +254,16 @@ class TestTwoRoutesAgree:
             out[...] = 7
             assert np.array_equal(net.activations["x"], want)
 
+    def test_integer_activations_with_a_float_one(self):
+        # the rows node's ones are int64: the direct route must not
+        # truncate the float products into them
+        net = build_matmul_chain(np.array([[1, 2], [3, 4]]),
+                                 np.array([[0.5, 0.25], [1.0, 1.0]]))
+        direct, via_product = total_direct(net), total_bmp(net)
+        assert direct.dtype == via_product.dtype == np.float64
+        assert direct.tobytes() == via_product.tobytes()
+        assert direct[0, 0, 0] == 0.5
+
     def test_classical_chain(self):
         rng = np.random.default_rng(21)
         net = build_matmul_chain(random_exact(rng, (2, 2)),
@@ -346,6 +356,12 @@ def strassen_with_zero_slot():
 
 def float_strassen():
     return float_scheme(known_strassen())
+
+
+def int64_strassen():
+    s = known_strassen()
+    return BilinearScheme(n=2, r=7, H=s.H.astype(np.int64),
+                          K=s.K.astype(np.int64), F=s.F.astype(np.int64))
 
 
 def fractions(rng):
@@ -462,6 +478,58 @@ class TestStrassenPipeline:
         want = exact_array(a).dot(exact_array(b)).reshape(4)
         assert list(out) == list(want) + [0, 0, 0]
         assert {type(v) for v in out} == {Fraction}
+
+    @pytest.mark.parametrize("top", [3, 1 << 61])
+    def test_int64_scheme_stays_integers(self, top):
+        # integers never become Fractions: int64 while the stages fit,
+        # Python ints in every array once they pass 2^62
+        s = int64_strassen()
+        a = np.array([[top, 1], [2, 3]])
+        stages = strassen_stages(a, a, s)
+        ints = a.astype(object)
+        s1 = s.H.T.astype(object).dot(ints.reshape(4))
+        s2 = s.K.T.astype(object).dot(ints.reshape(4))
+        want = {"s1": s1, "s2": s2, "products": s1 * s2,
+                "output": list(ints.dot(ints).reshape(4)) + [0, 0, 0]}
+        for key, values in want.items():
+            got = stages[key]
+            assert list(got) == list(values)
+            if top == 3:
+                assert got.dtype == np.int64
+            else:
+                assert {type(v) for v in got} == {int}
+        out = strassen_pipeline(a, a, s)
+        assert out.dtype == stages["output"].dtype
+        assert list(out) == want["output"]
+
+    def test_int64_products_never_wrap(self):
+        # s1 and s2 fit int64, their entrywise products do not
+        s = int64_strassen()
+        a = np.full((2, 2), 1 << 40)
+        stages = strassen_stages(a, a, s)
+        assert stages["s1"].dtype == stages["s2"].dtype == np.int64
+        assert list(stages["products"]) == [
+            int(x) * int(y) for x, y in zip(stages["s1"], stages["s2"])]
+        assert stages["products"][0] == 1 << 82
+
+    def test_exact_scheme_with_one_float_operand_runs_on_floats(self):
+        # a float part makes every part a double, so no stage is left
+        # holding scaled integers
+        rng = np.random.default_rng(32)
+        s = known_strassen()
+        for _ in range(3):
+            a, b = fractions(rng), floats(rng)
+            for x, y in ((a, b), (b, a)):
+                stages = strassen_stages(x, y, s)
+                out = strassen_pipeline(x, y, s)
+                assert out.dtype == np.float64
+                assert out.tobytes() == stages["output"].tobytes()
+                for key in ("s1", "s2", "products"):
+                    assert stages[key].dtype == np.float64
+                np.testing.assert_allclose(
+                    out[:4], np.asarray(x.dot(y), dtype=float).reshape(4),
+                    atol=1e-12)
+                assert not out[4:].any()
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_float_stages_pad_the_operands(self, nested):

@@ -257,6 +257,35 @@ class TestBound:
         assert frobenius_sq(np.array([1 << 40, 3])) == (1 << 80) + 9
         assert type(frobenius_sq(np.array([1, 2]))) is int
 
+    def test_unsigned_integers_are_integers(self):
+        # unsigned arrays take the integer route: no uint8 product wraps
+        twenty = np.full((2, 2), 20, np.uint8)
+        got = bmp([twenty, twenty])
+        assert got.dtype == np.int64 and (got == 800).all()
+        for u in (np.full((2, 3), 200, np.uint8),
+                  np.array([[1 << 40, 7]], np.uint64)):
+            wide = u.astype(np.int64)
+            for op in (lambda t: contraction(t, [0]),
+                       lambda t: contraction(t, [0, 1])):
+                got, want = op(u), op(wide)
+                assert got.dtype == want.dtype and equal(got, want)
+            got, want = frobenius_sq(u), frobenius_sq(wide)
+            assert type(got) is type(want) is int and got == want
+        assert zeros_matching((2,), twenty).dtype == np.uint8
+
+    def test_network_routes_never_wrap(self):
+        # the direct route bounds its product of q entries as the
+        # product route does
+        big = np.array([[1 << 40, 1], [1, 1]])
+        net = build_matmul_chain(big, big)
+        direct = total_direct(net)
+        assert equal(direct, total_bmp(net))
+        assert direct[0, 0, 0] == 1 << 80
+        twenty = np.full((2, 2), 20, np.uint8)
+        net = build_matmul_chain(twenty, twenty)
+        for total in (total_direct(net), total_bmp(net)):
+            assert total.dtype == np.int64 and (total == 400).all()
+
 
 @pytest.mark.parametrize("kind", KINDS)
 class TestAgainstFractions:
