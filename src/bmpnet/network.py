@@ -188,9 +188,11 @@ def total_direct(net):
     node_by_id = net.node_map()
     sizes = tuple(node_by_id[nid].states for nid in net.order)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
-    if all(a.dtype.kind in "iu" for a in acts):
-        # a product of q entries, widened past 2^62 instead of wrapping
-        acts = fit_integers(acts, 1)
+    ints = [k for k, a in enumerate(acts) if a.dtype.kind in "iu"]
+    if ints:
+        # their product, widened past 2^62 instead of wrapping
+        for k, a in zip(ints, fit_integers([acts[k] for k in ints], 1)):
+            acts[k] = a
     if any(map(is_exact, acts)):
         # numpy scalars in objects, as a per-entry product multiplies them
         acts = [a if is_exact(a) else np.fromiter(a.flat, object, a.size)

@@ -115,7 +115,7 @@ def reconstruct(scheme):
     Bhattacharya-Mesner product of the three factors, each lifted to
     order 3 as a broadcast view (:func:`bmpnet.tensor.forget` without its
     copy), so each factor is stored once; its output slots come out
-    as (f, h, k), so that every term multiplies h, k, f in that order.
+    as (f, h, k).
     """
     n = scheme.n
     m = n * n

@@ -148,24 +148,13 @@ def fit_integers(arrays, terms, plus=0):
             for a in arrays]
 
 
-def _accumulate(factors, l, out):
-    """Add the product's terms to ``out`` one shared index ``h`` at a
-    time, each term the left-to-right product of the factors' slices at
-    ``h``."""
-    for h in range(l):
-        term = factors[0][h:h + 1]
-        for k, f in enumerate(factors[1:], 1):
-            term = term * f[(slice(None),) * k + (slice(h, h + 1),)]
-        out = out + term
-    return out
-
-
-def _product(ints):
-    """The product :func:`bmp` defines, of integer factors that
-    :func:`fit_integers` made ready: one ``einsum``, exact in any order,
-    with the shared label d in slot k of factor k."""
-    d = len(ints)
-    return np.einsum(*(x for k, f in enumerate(ints) for x in (
+def _product(factors):
+    """The product :func:`bmp` defines, as one ``einsum`` with the shared
+    label d in slot k of factor k: of integer factors that
+    :func:`fit_integers` made ready, exact in any order, or of factors
+    cast to one float (or object) dtype."""
+    d = len(factors)
+    return np.einsum(*(x for k, f in enumerate(factors) for x in (
         f, [*range(k), d, *range(k + 1, d)])), [*range(d)])
 
 
@@ -179,13 +168,13 @@ def bmp(factors):
     that index with ``i_k`` replaced by ``h``.
 
     Requires at least two factors (the order-1 case is degenerate).
+    Every scalar mode is multiplied by one ``einsum`` (:func:`_product`).
     Exact factors (ints and Fractions) are multiplied as scaled integers
-    (:func:`scaled`) by one ``einsum``, in int64 while ``l * prod(max
-    |f_k|)`` allows it and in Python ints past it, and the result is
-    rescaled once to Fractions; integer arrays give an integer result.
-    Floats are summed one ``h`` at a time in increasing order, ``out =
-    out + term``, each term the left-to-right product of the factors'
-    slices at ``h``.
+    (:func:`scaled`), in int64 while ``l * prod(max |f_k|)`` allows it
+    and in Python ints past it, and the result is rescaled once to
+    Fractions; integer arrays give an integer result.  Other factors are
+    first cast to ``np.result_type(np.float64, *factors)``, so integers
+    meet floats as floats, and object arrays holding floats stay object.
     """
     d = len(factors)
     if d < 2:
@@ -200,15 +189,12 @@ def bmp(factors):
         raise ShapeMismatch("shared extents disagree: %s"
                             % sorted(shared))
     l = shared.pop()
-    out_shape = []
     for j in range(d):
         sizes = {f.shape[j] for k, f in enumerate(factors) if k != j}
         if len(sizes) != 1:
             raise ShapeMismatch(
                 "slot %d extents disagree across factors: %s"
                 % (j, sorted(sizes)))
-        out_shape.append(sizes.pop())
-    out_shape = tuple(out_shape)
 
     pairs = [scaled(f) for f in factors]
     if all(p is not None for p in pairs):
@@ -216,8 +202,8 @@ def bmp(factors):
         if not any(map(is_exact, factors)):
             return out
         return unscaled(out, math.prod(p[1] for p in pairs))
-    ref = next((f for f in factors if is_exact(f)), factors[0])
-    return _accumulate(factors, l, zeros_matching(out_shape, ref))
+    dtype = np.result_type(np.float64, *factors)
+    return _product([f.astype(dtype, copy=False) for f in factors])
 
 
 def blow(t):

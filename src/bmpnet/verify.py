@@ -22,7 +22,6 @@ from .tensor import (
     exact_array,
     fit_integers,
     frobenius_sq,
-    is_exact,
     scaled,
 )
 # imported only for perfbench/tracing.py, which wraps it in this module
@@ -88,10 +87,11 @@ def _scaled_factors(scheme):
 
 def residual_sq_exact(scheme, n):
     """Exact squared residual as a Fraction; zero iff the scheme is a
-    true decomposition.  Requires an exact-mode scheme."""
-    if not is_exact(scheme.H):
-        raise ShapeMismatch("exact residual needs an exact-mode scheme")
-    return _residual_sq(scheme, n)
+    true decomposition.  Requires every factor to be integer or exact."""
+    factors = _scaled_factors(scheme)
+    if None in factors:
+        raise ShapeMismatch("exact residual needs integer or exact factors")
+    return _residual_sq(scheme, n, factors)
 
 
 def slot_contribution_norms(scheme, factors=None):
@@ -118,11 +118,11 @@ def slot_contribution_norms(scheme, factors=None):
 
 
 def verify_scheme(scheme):
-    """Full report: float residual always, exact verdict when the scheme
-    carries rational entries.  Each factor is scaled to integers once,
-    for the residual and the slot norms both."""
-    exact = is_exact(scheme.H)
+    """Full report: float residual always, exact verdict when every
+    factor is integer or exact, as the residual then is.  Each factor is
+    scaled to integers once, for the residual and the slot norms both."""
     factors = _scaled_factors(scheme)
+    exact = None not in factors
     sq = _residual_sq(scheme, scheme.n, factors)
     return VerifyReport(
         n=scheme.n,

@@ -5,7 +5,8 @@ by a minimum over all of it and by bisection entry by entry, slot norms
 and gauge fixing slot by slot, the total tensor one joint state at a
 time, the residual over every entry of the target tensor, the product
 summed one shared index at a time, exact products, totals and
-residuals taken in Fraction arithmetic, the validation moment from a
+residuals taken in Fraction arithmetic, a rounding bound for float
+sums taken in another order, the validation moment from a
 fresh product per chunk, and clipping norms from array reductions; and
 one batch's gradients with fresh buffers.  Tests hold the package to
 them; nothing here is used by the package."""
@@ -245,8 +246,8 @@ def slot_loop_bmp(factors):
     """Bhattacharya-Mesner product summed one shared index at a time:
     ``out = out + term`` for h = 0, 1, ..., each term the left-to-right
     product of the factors' slices at h.  The float reference for
-    ``tensor.bmp``, which must match it bit for bit.  Factors are
-    assumed well formed."""
+    ``tensor.bmp``, which must match it to rounding (see
+    :func:`assert_rounding_close`).  Factors are assumed well formed."""
     d = len(factors)
     factors = [np.asarray(f) for f in factors]
     l = factors[0].shape[0]
@@ -259,6 +260,21 @@ def slot_loop_bmp(factors):
             term = piece if term is None else term * piece
         out = out + term
     return out
+
+
+def assert_rounding_close(got, want, magnitude, terms):
+    """``got`` against the float reference ``want``, the same sum of
+    products taken in another order: NaN and +-inf where ``want`` has
+    them, and every finite entry within ``terms * 2**-52`` times
+    ``magnitude``, the same sum taken on the factors' absolute values
+    (``terms`` counts its shared extent and its factors)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    finite = np.isfinite(want)
+    assert (np.isnan(got) == np.isnan(want)).all()
+    assert (got[np.isinf(want)] == want[np.isinf(want)]).all()
+    assert (np.abs(got - want)[finite]
+            <= terms * 2.0 ** -52 * magnitude[finite]).all()
 
 
 def chunked_fourth_moment(a, b):

@@ -68,34 +68,32 @@ def equal(got, want):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Record the dtype of what each route of ``bmp`` multiplies:
-    ``einsum`` (integers, int64 or Python ints) and ``accumulate`` (the
-    ordered sum of floats, one shared index at a time)."""
-    seen = {"einsum": [], "accumulate": []}
-    einsum, accumulate = np.einsum, tensor._accumulate
+    """Record what each ``einsum`` multiplies, one entry per operand: its
+    dtype, or "other" for an object array holding anything but Python
+    ints (Fractions or floats)."""
+    seen = []
+    einsum = np.einsum
 
     def spy_einsum(*args, **kwargs):
-        seen["einsum"].append(args[0].dtype)
+        for f in args[:-1:2]:
+            ints = f.dtype != object or all(type(v) is int for v in f.flat)
+            seen.append(f.dtype if ints else "other")
         return einsum(*args, **kwargs)
 
-    def spy_accumulate(factors, l, out):
-        seen["accumulate"].append(out.dtype)
-        return accumulate(factors, l, out)
-
     monkeypatch.setattr(np, "einsum", spy_einsum)
-    monkeypatch.setattr(tensor, "_accumulate", spy_accumulate)
     return seen
 
 
 def took(routes, kind):
-    """Whether every product of a fixture kind took one einsum: in int64
-    for the small kind, and for the big kind in Python ints at least
+    """Whether every product of a fixture kind multiplied integers only:
+    int64 for the small kind, and for the big kind Python ints at least
     once (a product of mostly zeros can still fit int64)."""
-    if routes["accumulate"] or not routes["einsum"]:
+    kinds = set(routes)
+    if not kinds <= {np.dtype(np.int64), np.dtype(object)} or not kinds:
         return False
     if kind == "small":
-        return set(routes["einsum"]) == {np.dtype(np.int64)}
-    return np.dtype(object) in routes["einsum"]
+        return kinds == {np.dtype(np.int64)}
+    return np.dtype(object) in kinds
 
 
 def test_fixtures_take_both_routes():
@@ -194,8 +192,7 @@ class TestBound:
             factors.append(f)
         got = bmp(factors)
         assert got.dtype == np.int64
-        assert routes["einsum"] == [np.dtype(np.int64)]
-        assert not routes["accumulate"]
+        assert set(routes) == {np.dtype(np.int64)}
         assert equal(got, masked_bmp([f.astype(object) for f in factors]))
         full = [np.full(f.shape, m) for f, m in zip(factors, top)]
         assert bmp(full)[0, 0, 0] == 3 * math.prod(top)
@@ -203,7 +200,7 @@ class TestBound:
         full[1] = full[1] + 1
         wide = bmp(full)
         assert wide.dtype == object
-        assert routes["einsum"][-1] == np.dtype(object)
+        assert routes[-1] == np.dtype(object)
         assert wide[0, 0, 0] == 3 * 715827883 * (1 << 31) >= 1 << 62
 
     @pytest.mark.parametrize("extents, l", [((2, 0, 3), 2), ((2, 1, 3), 0),
@@ -285,6 +282,24 @@ class TestBound:
         net = build_matmul_chain(twenty, twenty)
         for total in (total_direct(net), total_bmp(net)):
             assert total.dtype == np.int64 and (total == 400).all()
+
+    def test_mixed_networks_never_wrap(self):
+        # int64 activations of 2^40 beside Fractions or floats, with no
+        # edges, in either order: both routes give the products of the
+        # entries as Python numbers
+        x = np.array([1 << 40, 1])
+        for z in (np.array([Fraction(1), Fraction(1, 2)], dtype=object),
+                  np.array([1.0, 0.5])):
+            acts = {"x": x, "y": x, "z": z}
+            for order in ("xyz", "xzy"):
+                net = Network(nodes=[NodeSpec(k, 2) for k in order],
+                              order=list(order), activations=acts)
+                a, b, c = (acts[k].tolist() for k in order)
+                want = np.array([i * j * k for i in a for j in b
+                                 for k in c], dtype=object)
+                assert max(want) == 1 << 80
+                assert equal(total_direct(net), want.reshape(2, 2, 2))
+                assert equal(total_bmp(net), want.reshape(2, 2, 2))
 
 
 @pytest.mark.parametrize("kind", KINDS)

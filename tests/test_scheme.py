@@ -24,6 +24,7 @@ from bmpnet.tensor import (ShapeMismatch, exact_array, matmul_tensor,
                            zeros_matching)
 from bmpnet.verify import known_strassen
 from netgen import float_scheme
+from reference import assert_rounding_close
 
 
 def zero_scheme(n, r):
@@ -276,8 +277,9 @@ def reconstruct_by_slots(s):
 
 
 class TestReconstructMatchesSlotLoop:
-    """The single product of lifted factors adds the same terms in the
-    same order as the per-slot loop, so results agree bit for bit."""
+    """The single product of lifted factors adds the same terms as the
+    per-slot loop: exact results agree exactly, floats to rounding, and
+    bit for bit where every sum is exact."""
 
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (2, 7), (3, 23)])
     def test_float_bitwise_with_nan_inf_and_negative_zero(self, n, r):
@@ -292,8 +294,15 @@ class TestReconstructMatchesSlotLoop:
         s.F[0, m - 1] = -np.inf
         s.H[:, r // 2] = -0.0
         s.F[r - 1, 0] = -0.0
+        size = SimpleNamespace(n=n, r=r, H=np.abs(s.H), K=np.abs(s.K),
+                               F=np.abs(s.F))
         with np.errstate(invalid="ignore"):
-            got, want = reconstruct(s), reconstruct_by_slots(s)
+            assert_rounding_close(reconstruct(s), reconstruct_by_slots(s),
+                                  reconstruct_by_slots(size), r + 3)
+        ints = SimpleNamespace(n=n, r=r, **{
+            k: rng.integers(-9, 10, size=getattr(s, k).shape).astype(
+                np.float64) for k in "HKF"})
+        got, want = reconstruct(ints), reconstruct_by_slots(ints)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 

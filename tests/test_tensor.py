@@ -4,11 +4,12 @@ The product kernel is checked against ``naive_bmp`` below, an
 independent implementation that walks every output index and shared
 value with plain Python loops.  It is deliberately slow and obvious;
 any disagreement points at the vectorised kernel.  Float products are
-also held, bit for bit, to ``reference.slot_loop_bmp``, which sums one
-shared index at a time.
+also held to ``reference.slot_loop_bmp``, which sums one shared index
+at a time: to rounding, and bit for bit where every sum is exact.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from bmpnet.tensor import (
     scalar_to_json,
     zeros_matching,
 )
-from reference import slot_loop_bmp
+from reference import assert_rounding_close, slot_loop_bmp
 
 
 def naive_bmp(factors):
@@ -121,6 +122,21 @@ class TestBmp:
                         assert got[idx] == want[idx]
                         assert type(got[idx]) is Fraction
 
+    def test_integers_meet_floats_as_floats(self):
+        """Integer factors beside a float one are cast to float64 before
+        they multiply, so 2^40 * 2^40 does not wrap in int64, in any
+        factor order; float32 and bool give float64, and an object array
+        holding floats stays object."""
+        big = np.full((1, 1, 1), 1 << 40, dtype=np.int64)
+        ones = np.ones((1, 1, 1))
+        for factors in permutations([big, big, ones]):
+            got = bmp(list(factors))
+            assert got.dtype == np.float64 and got[0, 0, 0] == 2.0 ** 80
+        assert bmp([np.ones((2, 2), np.float32),
+                    np.ones((2, 2), bool)]).dtype == np.float64
+        held = np.array([[0.5, Fraction(1, 3)]], dtype=object)
+        assert bmp([held, held.T.copy()]).dtype == object
+
     def test_zero_times_nan_stays_nan(self):
         """A zero factor does not hide a NaN, in float arrays or in
         object arrays that hold floats beside Fractions."""
@@ -131,52 +147,56 @@ class TestBmp:
         assert np.isnan(float(bmp([exact_zero, nan.astype(object)])[0, 0]))
 
     def test_float_bitwise_equals_slot_loop(self):
-        """The float product adds in the same order as one index at a
-        time: same bytes, -0.0, NaN and inf entries included, and a sum
-        of zeros is +0.0."""
-        rng = np.random.default_rng(13)
-        for _ in range(150):
+        """The float product equals the sum taken one index at a time to
+        rounding, NaN and inf entries included, and integer-valued
+        floats, whose sums are exact in any order, byte for byte."""
+        def random_factors(draw, l_max):
             d = int(rng.integers(2, 5))
             extents = [int(e) for e in rng.integers(1, 5, size=d)]
-            l = int(rng.integers(1, 60))
+            l = int(rng.integers(1, l_max))
             factors = []
             for k in range(d):
                 shape = list(extents)
                 shape[k] = l
-                f = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
-                f[rng.random(size=f.shape) < 0.3] = 0.0
-                f[rng.random(size=f.shape) < 0.2] = -0.0
-                factors.append(f)
+                factors.append(draw(shape))
+            return factors, l + d
+
+        def close(factors, terms):
             want = slot_loop_bmp(factors)
-            got = bmp(factors)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        negative_zeros = [np.full((3, 2), -0.0), np.ones((2, 3))]
-        assert bmp(negative_zeros).tobytes() == np.zeros((2, 2)).tobytes()
+            magnitude = slot_loop_bmp([np.abs(f) for f in factors])
+            assert_rounding_close(bmp(factors), want, magnitude, terms)
+
+        rng = np.random.default_rng(13)
+
+        def normal(shape):
+            f = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+            f[rng.random(size=f.shape) < 0.3] = 0.0
+            f[rng.random(size=f.shape) < 0.2] = -0.0
+            return f
+
+        def integral(shape):
+            return rng.integers(-9, 10, size=shape).astype(np.float64)
+
+        for _ in range(150):
+            close(*random_factors(normal, 60))
+            factors, _ = random_factors(integral, 60)
+            assert bmp(factors).tobytes() == slot_loop_bmp(factors).tobytes()
         # one NaN or +-inf entry per factor among magnitudes 1e-300 to
-        # 1e300 that overflow and underflow: the same bytes still, down
-        # to the sign bit of every NaN
+        # 1e300 that overflow and underflow
         rng = np.random.default_rng(17)
         specials = (np.nan, -np.nan, np.inf, -np.inf)
+
+        def extreme(shape):
+            f = rng.normal(size=shape) * 10.0 ** rng.integers(
+                -300, 301, size=shape)
+            f[rng.random(size=f.shape) < 0.2] = 0.0
+            f.flat[rng.integers(f.size)] = specials[
+                rng.integers(len(specials))]
+            return f
+
         with np.errstate(all="ignore"):
             for _ in range(300):
-                d = int(rng.integers(2, 5))
-                extents = [int(e) for e in rng.integers(1, 5, size=d)]
-                l = int(rng.integers(1, 40))
-                factors = []
-                for k in range(d):
-                    shape = list(extents)
-                    shape[k] = l
-                    f = rng.normal(size=shape) * 10.0 ** rng.integers(
-                        -300, 301, size=shape)
-                    f[rng.random(size=f.shape) < 0.2] = 0.0
-                    f.flat[rng.integers(f.size)] = specials[
-                        rng.integers(len(specials))]
-                    factors.append(f)
-                want = slot_loop_bmp(factors)
-                got = bmp(factors)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                close(*random_factors(extreme, 40))
 
     def test_float_single_entry_long_sum(self):
         """An output of size 1 summed over many h stays the sequential

@@ -117,7 +117,7 @@ class TestResidualOnSupport:
         got = _residual_sq(s, 2)
         assert got == residual_sq(s) == 16 and type(got) is Fraction
         report = verify_scheme(s)
-        assert report.residual == 4.0 and report.exact_zero is None
+        assert report.residual == 4.0 and report.exact_zero is False
 
     def test_trained_scheme(self):
         s = train(TrainConfig(n=2, r=7, epochs=2, batch_size=16,
@@ -244,6 +244,26 @@ class TestVerifyReport:
         assert rep.exact_zero is None
         assert rep.residual < 1e-12
         assert "float" in rep.note
+
+    def test_int64_scheme_is_certified(self):
+        # checked in exact integers, so the verdict is exact
+        s = known_strassen()
+        ints = BilinearScheme(2, 7, *(np.array(f, dtype=np.int64)
+                                      for f in (s.H, s.K, s.F)))
+        rep = verify_scheme(ints)
+        assert rep.exact_zero is True and "exact" in rep.note
+        assert residual_sq_exact(ints, 2) == 0
+
+    def test_mixed_scheme_has_no_exact_verdict(self):
+        # exact H with float K and F is checked in floats: no certificate
+        s = known_strassen()
+        floats = float_scheme(s)
+        mixed = BilinearScheme(2, 7, s.H, floats.K, floats.F)
+        rep = verify_scheme(mixed)
+        assert rep.exact_zero is None and "float" in rep.note
+        assert rep.residual == 0.0
+        with pytest.raises(ShapeMismatch):
+            residual_sq_exact(mixed, 2)
 
     def test_json_payload(self):
         d = verify_scheme(known_strassen()).to_json()
