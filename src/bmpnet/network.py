@@ -19,16 +19,17 @@ from . import scheme as scheme_module
 from .tensor import (
     _padded,
     _product,
+    _widened,
     blow,
     bmp,
-    contraction,
     fit_integers,
-    forget,
     is_exact,
     scaled,
     unscaled,
     zeros_matching,
 )
+# imported only for perfbench/tracing.py, which wraps them in this module
+from .tensor import contraction, forget  # noqa: F401
 
 
 class NetworkError(ValueError):
@@ -160,21 +161,32 @@ def lift(net, i, t=None, parents=None):
     blow unless this is the final node, then insert free slots for the
     remaining later nodes.
     """
-    q = len(net.order)
     node_by_id = net.node_map()
     sizes = [node_by_id[nid].states for nid in net.order]
     nid = net.order[i]
     t = np.asarray(net.activations[nid] if t is None else t)
+    return _lift(t, i, set(parent_positions(net, nid) if parents is None
+                           else parents), sizes)
 
-    parents = set(parent_positions(net, nid) if parents is None else parents)
-    gaps = [j for j in range(i) if j not in parents]
-    if gaps:
-        t = forget(t, gaps, [sizes[j] for j in gaps])
-    if i != q - 1:
-        t = blow(t)
-    tail = list(range(i + 2, q))
-    if tail:
-        t = forget(t, tail, [sizes[j] for j in tail])
+
+def _lift(t, i, parents, sizes):
+    """:func:`lift` of ``t`` at order-position ``i`` with the parent
+    positions ``parents``, in a network of node extents ``sizes``: ``t``
+    on slots 0..i, extent 1 at each skipped predecessor, widened by one
+    broadcast copy; ``blow`` unless ``i`` is last; then the later slots
+    widened by one broadcast copy.  Every free slot is written by copy,
+    never by a product, so NaN and inf meet no zero."""
+    q = len(sizes)
+    if len(parents) < i:
+        t = _widened(t.reshape([sizes[j] if j in parents else 1
+                                for j in range(i)] + [sizes[i]]),
+                     sizes[:i + 1])
+    if i == q - 1:
+        return t
+    t = blow(t)
+    if i + 2 < q:
+        t = _widened(t.reshape(t.shape + (1,) * (q - i - 2)),
+                     t.shape + tuple(sizes[i + 2:]))
     return t
 
 
@@ -188,6 +200,11 @@ def total_direct(net):
     node_by_id = net.node_map()
     sizes = tuple(node_by_id[nid].states for nid in net.order)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    if not any(map(is_exact, acts)) and any(
+            a.dtype.kind not in "iu" for a in acts):
+        # integers meet floats as floats, in the dtype bmp casts to
+        dtype = np.result_type(np.float64, *acts)
+        acts = [a.astype(dtype, copy=False) for a in acts]
     ints = [k for k, a in enumerate(acts) if a.dtype.kind in "iu"]
     if ints:
         # their product, widened past 2^62 instead of wrapping
@@ -206,34 +223,42 @@ def total_direct(net):
 
 
 def _total(net, hidden=(), unscale=True):
-    """The total tensor as one Bhattacharya-Mesner product of lifted
-    factors, with the order positions ``hidden`` (ascending) summed out;
-    a fresh array.  When every activation scales to integers, each is
-    scaled once, one bound, ``l * E * prod(max |a_k|)`` (``l`` the largest
-    node extent, ``E`` the product of the hidden extents), covers every
-    partial sum of the product and of the hidden sum, and the result
-    becomes Fractions once if any activation is exact, unless
-    ``unscale`` is false: then it stays the integers over the product of
-    the denominators.  Other activations (floats, say) are lifted and
-    multiplied by :func:`bmp` as they are.
+    """:func:`_product_total` of a caller's network, once it validates."""
+    parents = validate(net)
+    return _product_total([np.asarray(net.activations[nid])
+                           for nid in net.order], parents, hidden, unscale)
+
+
+def _product_total(acts, parents, hidden=(), unscale=True):
+    """The total tensor of a valid network, given as its activations
+    ``acts`` in order and their parent positions ``parents``, as one
+    Bhattacharya-Mesner product of lifted factors, with the order
+    positions ``hidden`` (ascending) summed out; a fresh array.  When
+    every activation scales to integers, each is scaled once, one bound,
+    ``l * E * prod(max |a_k|)`` (``l`` the largest node extent, ``E`` the
+    product of the hidden extents), covers every partial sum of the
+    product and of the hidden sum, and the result becomes Fractions once
+    if any activation is exact, unless ``unscale`` is false: then it
+    stays the integers over the product of the denominators.  Other
+    activations (floats, say) are lifted and multiplied by :func:`bmp` as
+    they are.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
     nothing to multiply and the lift itself is the total tensor.
     """
-    parents = validate(net)
-    acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    sizes = [a.shape[-1] for a in acts]  # node k's extent
     pairs = [scaled(a) for a in acts]
     ints = all(p is not None for p in pairs)
     if ints:
-        extents = [a.shape[-1] for a in acts]  # node k's, as validated
-        fit = fit_integers([p[0] for p in pairs], max(extents) * math.prod(
-            extents[k] for k in hidden))
+        fit = fit_integers([p[0] for p in pairs], max(sizes) * math.prod(
+            sizes[k] for k in hidden))
         # lifted before any widening, so blow's zeros stay ints
-        lifted = [lift(net, k, p[0], parents[k]).astype(f.dtype, copy=False)
+        lifted = [_lift(p[0], k, parents[k], sizes).astype(f.dtype,
+                                                           copy=False)
                   for k, (p, f) in enumerate(zip(pairs, fit))]
     else:
-        lifted = [lift(net, k, a, parents[k]) for k, a in enumerate(acts)]
+        lifted = [_lift(a, k, parents[k], sizes) for k, a in enumerate(acts)]
     total = lifted[0].copy() if len(lifted) == 1 else (
         _product if ints else bmp)(lifted[-1:] + lifted[:-1])
     if hidden:
@@ -287,20 +312,14 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def _stage(ids, acts):
-    """Total of the star network whose nodes ``ids`` carry ``acts``:
-    every node but the last is hidden and a parent of the last, and the
-    total is summed over those parents' positions; integers stay
-    integers (:func:`_total` with ``unscale`` false)."""
-    last = ids[-1]
-    net = Network(
-        nodes=[NodeSpec(nid, a.shape[-1], hidden=nid != last)
-               for nid, a in zip(ids, acts)],
-        edges=[(nid, last) for nid in ids[:-1]],
-        order=list(ids),
-        activations=dict(zip(ids, acts)),
-    )
-    return _total(net, range(len(ids) - 1), False)
+def _stage(acts):
+    """Total of the star network whose nodes carry ``acts``: every node
+    but the last is hidden and a parent of the last, and the total is
+    summed over those parents' positions; integers stay integers
+    (:func:`_product_total` with ``unscale`` false).  No network is
+    built or validated: :func:`_staged` has checked what it passes."""
+    k = len(acts) - 1
+    return _product_total(acts, [()] * k + [range(k)], range(k), False)
 
 
 def _staged(a_mat, b_mat, scheme):
@@ -331,10 +350,9 @@ def _staged(a_mat, b_mat, scheme):
         parts, (dh, da, dk, db, df) = zip(*pairs)
         denoms = dh * da, dk * db, dh * da * dk * db * df
     h, a, k, b, f = (_padded(p, r) for p in parts)
-    s1 = _stage(("src", "mix"), (a, h))
-    s2 = _stage(("src", "mix"), (b, k))
-    out = _stage(("lin_a", "lin_b", "out"),
-                 (s1, s2, np.transpose(blow(f), (0, 2, 1))))
+    s1 = _stage((a, h))
+    s2 = _stage((b, k))
+    out = _stage((s1, s2, np.transpose(blow(f), (0, 2, 1))))
     return s1, s2, out, denoms
 
 

@@ -255,6 +255,13 @@ def _forget_view(t, slots, extents):
     return np.broadcast_to(*_inserted(t, slots, extents))
 
 
+def _widened(t, shape):
+    """A fresh array of ``shape`` holding ``t`` broadcast to it."""
+    out = np.empty(shape, dtype=t.dtype)
+    out[...] = t
+    return out
+
+
 def forget(t, slots, extents):
     """Insert free slots at the given 0-based result positions.
 
@@ -263,10 +270,7 @@ def forget(t, slots, extents):
     itself cannot know them).  Erasing the inserted slots from a result
     index recovers the source index.  The result is a fresh array.
     """
-    src, shape = _inserted(t, slots, extents)
-    out = np.empty(shape, dtype=src.dtype)
-    out[...] = src
-    return out
+    return _widened(*_inserted(t, slots, extents))
 
 
 def contraction(t, slots):

@@ -150,7 +150,70 @@ class TestValidate:
             validate(random_network(rng))
 
 
+def composed_lift(net, i):
+    """The lift of node ``i`` as ``forget``, ``blow`` and ``forget``
+    compose it: free slots for the skipped predecessors, ``blow`` unless
+    the node is last, free slots for the later nodes."""
+    q = len(net.order)
+    sizes = [net.node_map()[nid].states for nid in net.order]
+    nid = net.order[i]
+    t = np.asarray(net.activations[nid])
+    parents = parent_positions(net, nid)
+    gaps = [j for j in range(i) if j not in parents]
+    if gaps:
+        t = forget(t, gaps, [sizes[j] for j in gaps])
+    if i != q - 1:
+        t = blow(t)
+    tail = list(range(i + 2, q))
+    if tail:
+        t = forget(t, tail, [sizes[j] for j in tail])
+    return t
+
+
+def with_entries(net, kind, rng):
+    """``net`` with its small Fraction activations made ``kind``: the
+    Fractions themselves, int64 (times 6), Python ints past 2^62 (times
+    6 * 2^64), or floats with about a third of the entries NaN or +-inf."""
+    acts = {}
+    for nid, a in net.activations.items():
+        vals = [v * 6 for v in a.flat]
+        if kind == "fraction":
+            acts[nid] = a
+        elif kind == "int64":
+            acts[nid] = np.array(vals, dtype=np.int64).reshape(a.shape)
+        elif kind == "big":
+            acts[nid] = np.array([int(v) << 64 for v in vals],
+                                 dtype=object).reshape(a.shape)
+        else:
+            out = np.array(vals, dtype=np.float64)
+            odd = rng.random(out.size) < 0.35
+            out[odd] = rng.choice([np.nan, np.inf, -np.inf], odd.sum())
+            acts[nid] = out.reshape(a.shape)
+    return Network(nodes=net.nodes, edges=net.edges, order=net.order,
+                   activations=acts)
+
+
 class TestLift:
+    @pytest.mark.parametrize("kind", ["fraction", "int64", "big", "float"])
+    def test_random_networks_lift_as_forget_blow_forget(self, kind):
+        # entry for entry, in dtype and in each entry's type: Python-int
+        # zeros stay ints, and the zeros beside NaN and inf are written
+        # zeros, not products with 0
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            net = with_entries(random_network(rng, q_max=5), kind, rng)
+            for i in range(len(net.order)):
+                got, want = lift(net, i), composed_lift(net, i)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if kind == "float":
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert list(map(type, got.flat)) == \
+                        list(map(type, want.flat))
+                    assert list(got.flat) == list(want.flat)
+                if kind == "big":
+                    assert {type(v) for v in got.flat} == {int}
+
     def test_chain_source_forgets_tail_after_blow(self):
         rng = np.random.default_rng(14)
         d1 = rng.normal(size=2)
@@ -543,6 +606,50 @@ class TestStrassenPipeline:
             want[:4] = op.reshape(4)
             assert stages[key].dtype == np.float64
             assert stages[key].tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count ``network.validate`` calls and the ``Network`` and
+    ``NodeSpec`` objects constructed."""
+    seen = {"validate": 0, "Network": 0, "NodeSpec": 0}
+
+    def counting(name, call):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "validate",
+                        counting("validate", network.validate))
+    for cls in (Network, NodeSpec):
+        monkeypatch.setattr(cls, "__init__",
+                            counting(cls.__name__, cls.__init__))
+    return seen
+
+
+class TestValidateCalls:
+    @pytest.mark.parametrize("case", PIPELINE_CASES)
+    def test_stages_build_and_validate_no_network(self, case, built):
+        make_scheme, operand, _ = PIPELINE_CASES[case]
+        s = make_scheme()
+        rng = np.random.default_rng(31)
+        a, b = operand(rng), operand(rng)
+        strassen_stages(a, b, s)
+        strassen_pipeline(a, b, s)
+        assert built == {"validate": 0, "Network": 0, "NodeSpec": 0}
+
+    def test_totals_validate_once_per_call(self, built):
+        rng = np.random.default_rng(32)
+        nets = [random_network(rng) for _ in range(20)]
+        nets.append(build_matmul_chain(np.eye(2), np.ones((2, 2))))
+        before = dict(built)
+        for calls, net in enumerate(nets, 1):
+            total_bmp(net)
+            assert built["validate"] == before["validate"] + 2 * calls - 1
+            observed_total(net)
+            assert built["validate"] == before["validate"] + 2 * calls
+        assert built["Network"] == before["Network"]
 
 
 class TestMassBookkeeping:

@@ -286,7 +286,8 @@ class TestBound:
     def test_mixed_networks_never_wrap(self):
         # int64 activations of 2^40 beside Fractions or floats, with no
         # edges, in either order: both routes give the products of the
-        # entries as Python numbers
+        # entries as Python numbers, in one dtype: Fractions in objects,
+        # or float64 as bmp casts integers beside floats
         x = np.array([1 << 40, 1])
         for z in (np.array([Fraction(1), Fraction(1, 2)], dtype=object),
                   np.array([1.0, 0.5])):
@@ -298,8 +299,11 @@ class TestBound:
                 want = np.array([i * j * k for i in a for j in b
                                  for k in c], dtype=object)
                 assert max(want) == 1 << 80
-                assert equal(total_direct(net), want.reshape(2, 2, 2))
-                assert equal(total_bmp(net), want.reshape(2, 2, 2))
+                direct, via_product = total_direct(net), total_bmp(net)
+                assert equal(direct, want.reshape(2, 2, 2))
+                assert equal(via_product, want.reshape(2, 2, 2))
+                assert direct.dtype == via_product.dtype == \
+                    np.result_type(np.float64, z)
 
 
 @pytest.mark.parametrize("kind", KINDS)
