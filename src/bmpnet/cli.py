@@ -14,6 +14,7 @@ own directory) and the produced files.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -39,8 +40,9 @@ def _err(msg):
     print("error: %s" % msg, file=sys.stderr)
 
 
-# dataclass fields whose option key differs, and fields left unexposed
-_RENAMED = {"clip_threshold": "clip", "base_seed": "seed"}
+# fields and parameters whose option key differs, and fields unexposed
+_RENAMED = {"clip_threshold": "clip", "base_seed": "seed", "d_max": "dmax",
+            "f_min": "fmin"}
 _UNEXPOSED = ("beta1", "beta2", "adam_eps")
 
 
@@ -66,8 +68,9 @@ VERIFY_KEYS = {
 
 WELCH_KEYS = {"g1": None, "g2": None, "out": None}
 
-TRAIN_EPS_KEYS = dict(TRAIN_KEYS, **_defaults(EpsSchedule), dmax=2,
-                      fmin=-2, probe_eps=1e-3)
+TRAIN_EPS_KEYS = dict(TRAIN_KEYS, **_defaults(EpsSchedule), **{
+    _RENAMED.get(k, k): p.default for k, p in inspect.signature(
+        train_eps).parameters.items() if k in ("d_max", "f_min", "probe_eps")})
 
 DEMO_KEYS = {"which": None}
 
@@ -455,7 +458,3 @@ def main(argv=None):
     except TrainingDiverged as exc:
         _err(str(exc))
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

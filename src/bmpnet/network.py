@@ -6,8 +6,9 @@ the network's total order) followed by its own state.  The network's
 total tensor multiplies all activations out over every joint state.  It
 can be computed two ways: directly from that definition, or by lifting
 every activation to a common order and taking one Bhattacharya-Mesner
-product.  Both routes must agree entrywise; keeping them separate is the
-point, as each checks the other.
+product.  They agree entrywise on finite activations, and the product
+route refuses a float one holding NaN or inf; keeping them separate is
+the point, as each checks the other.
 """
 
 import math
@@ -150,9 +151,9 @@ def validate(net):
     return every
 
 
-def lift(net, i, t=None, parents=None):
+def lift(net, i, t=None):
     """Lift the activation at order-position ``i`` to an order-q tensor;
-    ``t`` and ``parents``, when given, replace it and its parent positions.
+    ``t``, when given, replaces it.
 
     The lifted tensor is indexed by all q node states, except that for
     every non-final node the slot after its own is the duplicated first
@@ -165,8 +166,7 @@ def lift(net, i, t=None, parents=None):
     sizes = [node_by_id[nid].states for nid in net.order]
     nid = net.order[i]
     t = np.asarray(net.activations[nid] if t is None else t)
-    return _lift(t, i, set(parent_positions(net, nid) if parents is None
-                           else parents), sizes)
+    return _lift(t, i, parent_positions(net, nid), sizes)
 
 
 def _lift(t, i, parents, sizes):
@@ -175,7 +175,7 @@ def _lift(t, i, parents, sizes):
     on slots 0..i, extent 1 at each skipped predecessor, widened by one
     broadcast copy; ``blow`` unless ``i`` is last; then the later slots
     widened by one broadcast copy.  Every free slot is written by copy,
-    never by a product, so NaN and inf meet no zero."""
+    never by a product, so every entry keeps its bits, NaN and inf too."""
     q = len(sizes)
     if len(parents) < i:
         t = _widened(t.reshape([sizes[j] if j in parents else 1
@@ -197,9 +197,8 @@ def total_direct(net):
     implementation the product route is checked against.
     """
     parents = validate(net)
-    node_by_id = net.node_map()
-    sizes = tuple(node_by_id[nid].states for nid in net.order)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    sizes = [a.shape[-1] for a in acts]  # node k's extent
     if not any(map(is_exact, acts)) and any(
             a.dtype.kind not in "iu" for a in acts):
         # integers meet floats as floats, in the dtype bmp casts to
@@ -222,11 +221,16 @@ def total_direct(net):
     return math.prod(views[1:], start=views[0].copy())
 
 
-def _total(net, hidden=(), unscale=True):
-    """:func:`_product_total` of a caller's network, once it validates."""
+def _total(net, hidden=()):
+    """:func:`_product_total` of a caller's network, once it validates and
+    no float activation holds NaN or inf, which ``blow``'s zeros would
+    meet in the product (0 * inf is NaN) where the definition has none."""
     parents = validate(net)
-    return _product_total([np.asarray(net.activations[nid])
-                           for nid in net.order], parents, hidden, unscale)
+    acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    for nid, a in zip(net.order, acts):
+        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+            raise NetworkError("activation of %r is not finite" % nid)
+    return _product_total(acts, parents, hidden)
 
 
 def _product_total(acts, parents, hidden=(), unscale=True):
@@ -234,14 +238,14 @@ def _product_total(acts, parents, hidden=(), unscale=True):
     ``acts`` in order and their parent positions ``parents``, as one
     Bhattacharya-Mesner product of lifted factors, with the order
     positions ``hidden`` (ascending) summed out; a fresh array.  When
-    every activation scales to integers, each is scaled once, one bound,
-    ``l * E * prod(max |a_k|)`` (``l`` the largest node extent, ``E`` the
-    product of the hidden extents), covers every partial sum of the
-    product and of the hidden sum, and the result becomes Fractions once
-    if any activation is exact, unless ``unscale`` is false: then it
-    stays the integers over the product of the denominators.  Other
-    activations (floats, say) are lifted and multiplied by :func:`bmp` as
-    they are.
+    every activation scales to integers, each is scaled and bounded once,
+    then lifted: one bound, ``l * E * prod(max |a_k|)`` (``l`` the largest
+    node extent, ``E`` the product of the hidden extents), covers every
+    partial sum of the product and of the hidden sum; the result becomes
+    Fractions once if any activation is exact, unless ``unscale`` is
+    false: then it stays the integers over the product of the
+    denominators.  Other activations (floats, say) are lifted and
+    multiplied by :func:`bmp` as they are.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
@@ -250,15 +254,10 @@ def _product_total(acts, parents, hidden=(), unscale=True):
     sizes = [a.shape[-1] for a in acts]  # node k's extent
     pairs = [scaled(a) for a in acts]
     ints = all(p is not None for p in pairs)
-    if ints:
-        fit = fit_integers([p[0] for p in pairs], max(sizes) * math.prod(
-            sizes[k] for k in hidden))
-        # lifted before any widening, so blow's zeros stay ints
-        lifted = [_lift(p[0], k, parents[k], sizes).astype(f.dtype,
-                                                           copy=False)
-                  for k, (p, f) in enumerate(zip(pairs, fit))]
-    else:
-        lifted = [_lift(a, k, parents[k], sizes) for k, a in enumerate(acts)]
+    # each activation's bounded integers, or each activation as it is
+    factors = fit_integers([p[0] for p in pairs], max(sizes) * math.prod(
+        sizes[k] for k in hidden)) if ints else acts
+    lifted = [_lift(f, k, parents[k], sizes) for k, f in enumerate(factors)]
     total = lifted[0].copy() if len(lifted) == 1 else (
         _product if ints else bmp)(lifted[-1:] + lifted[:-1])
     if hidden:

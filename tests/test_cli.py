@@ -3,6 +3,7 @@ config-file merging, exit codes, byte-identical reruns, and the flags
 each subcommand's option table declares."""
 
 import argparse
+import inspect
 import json
 import shutil
 import subprocess
@@ -479,6 +480,13 @@ class TestTrainEps:
         assert eps["train_losses"] == plain["train_losses"]
         assert eps["val_losses"] == plain["val_losses"]
         assert eps["scheme"] == plain["scheme"]
+
+    def test_border_defaults_are_train_eps_defaults(self):
+        params = inspect.signature(border.train_eps).parameters
+        keys = cli.TRAIN_EPS_KEYS
+        assert (keys["dmax"], keys["fmin"], keys["probe_eps"]) == (
+            params["d_max"].default, params["f_min"].default,
+            params["probe_eps"].default)
 
 
 class TestConfigFile:

@@ -336,6 +336,55 @@ class TestTwoRoutesAgree:
         for idx in np.ndindex(d.shape):
             assert d[idx] == b[idx]
 
+    def test_random_networks_float(self):
+        # finite floats: the product route multiplies in another order and
+        # adds exact zeros, so it agrees within rounding
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            net = random_network(rng, q_max=5)
+            for nid, act in net.activations.items():
+                net.activations[nid] = rng.standard_normal(act.shape)
+            direct, via_product = total_direct(net), total_bmp(net)
+            assert direct.dtype == via_product.dtype == np.float64
+            np.testing.assert_allclose(via_product, direct, rtol=1e-13,
+                                       atol=0)
+            hidden = tuple(hidden_positions(net))
+            np.testing.assert_allclose(observed_total(net),
+                                       direct.sum(axis=hidden), rtol=1e-12,
+                                       atol=1e-12)
+
+
+class TestNonFinite:
+    """0 * inf is NaN, so the product route, whose lifts hold blow's zeros,
+    refuses a float activation with NaN or inf; the definition has no
+    zero to meet them and totals them as before."""
+
+    @staticmethod
+    def pair(x, z):
+        return Network(nodes=[NodeSpec("x", 2), NodeSpec("z", 2)],
+                       edges=[("x", "z")], order=["x", "z"],
+                       activations={"x": x, "z": z})
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_product_route_refuses_a_float_network(self, bad):
+        net = self.pair(np.array([0.5, 2.0]), np.array([[1, bad], [2, 3]]))
+        for route in (total_bmp, observed_total):
+            with pytest.raises(NetworkError, match="'z' is not finite"):
+                route(net)
+        got = total_direct(net)
+        want = np.array([[0.5, 0.5 * bad], [4, 6]])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_product_route_refuses_inf_beside_fractions(self):
+        net = self.pair(exact_array(["1/2", "2"]),
+                        np.array([[1, np.inf], [2, 3]]))
+        with pytest.raises(NetworkError, match="'z' is not finite"):
+            total_bmp(net)
+        got = total_direct(net)
+        assert got.dtype == object
+        assert list(got.flat) == [0.5, np.inf, 4, 6]
+
 
 class TestMarginalize:
     def test_classical_network_yields_product(self):
