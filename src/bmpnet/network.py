@@ -22,15 +22,14 @@ from .tensor import (
     _product,
     _widened,
     blow,
-    bmp,
+    entry,
     fit_integers,
-    is_exact,
-    scaled,
+    read_mode,
     unscaled,
     zeros_matching,
 )
 # imported only for perfbench/tracing.py, which wraps them in this module
-from .tensor import contraction, forget  # noqa: F401
+from .tensor import bmp, contraction, forget  # noqa: F401
 
 
 class NetworkError(ValueError):
@@ -194,82 +193,67 @@ def total_direct(net):
     """Total tensor straight from the definition: for every joint state,
     multiply each node's activation at its parents' states and its own.
     Exponential in q; meant for small networks and as the reference
-    implementation the product route is checked against.
+    implementation the product route is checked against.  Fractions
+    multiply as they are, integers bounded once for their product, so it
+    widens past 2^62 instead of wrapping, and floats as float64.
     """
     parents = validate(net)
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
     sizes = [a.shape[-1] for a in acts]  # node k's extent
-    if not any(map(is_exact, acts)) and any(
-            a.dtype.kind not in "iu" for a in acts):
-        # integers meet floats as floats, in the dtype bmp casts to
-        dtype = np.result_type(np.float64, *acts)
-        acts = [a.astype(dtype, copy=False) for a in acts]
-    ints = [k for k, a in enumerate(acts) if a.dtype.kind in "iu"]
-    if ints:
-        # their product, widened past 2^62 instead of wrapping
-        for k, a in zip(ints, fit_integers([acts[k] for k in ints], 1)):
-            acts[k] = a
-    if any(map(is_exact, acts)):
-        # numpy scalars in objects, as a per-entry product multiplies them
-        acts = [a if is_exact(a) else np.fromiter(a.flat, object, a.size)
-                .reshape(a.shape) for a in acts]
+    mode = read_mode(acts)[0]
+    acts = fit_integers(acts, 1) if mode == "int" else [a.astype(
+        object if mode == "exact" else np.float64, copy=False) for a in acts]
     # node j's activation on the joint axes, extent 1 off j and its parents
     views = [a.reshape([s if k == j or k in parents[j] else 1
                         for k, s in enumerate(sizes)])
              for j, a in enumerate(acts)]
-    # in the dtype of the product, so that no float is cast to an integer
     return math.prod(views[1:], start=views[0].copy())
 
 
 def _total(net, hidden=()):
-    """:func:`_product_total` of a caller's network, once it validates and
-    no float activation holds NaN or inf, which ``blow``'s zeros would
-    meet in the product (0 * inf is NaN) where the definition has none."""
+    """:func:`_product_total` of a caller's network in its scalar mode,
+    once it validates and no float activation (as float64) holds NaN or
+    inf, which ``blow``'s zeros would meet in the product (0 * inf is
+    NaN) where the definition has none; Fractions once if exact."""
     parents = validate(net)
-    acts = [np.asarray(net.activations[nid]) for nid in net.order]
+    mode, acts, denoms = entry(net.activations[nid] for nid in net.order)
     for nid, a in zip(net.order, acts):
-        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+        if mode == "float" and not np.isfinite(a).all():
             raise NetworkError("activation of %r is not finite" % nid)
-    return _product_total(acts, parents, hidden)
+    total = _product_total(mode, acts, parents, hidden)
+    return unscaled(total, math.prod(denoms)) if mode == "exact" else total
 
 
-def _product_total(acts, parents, hidden=(), unscale=True):
+def _product_total(mode, acts, parents, hidden=()):
     """The total tensor of a valid network, given as its activations
-    ``acts`` in order and their parent positions ``parents``, as one
+    ``acts`` in order, in one call's ``mode`` (:func:`entry`: float64 or
+    integers), and their parent positions ``parents``, as one
     Bhattacharya-Mesner product of lifted factors, with the order
-    positions ``hidden`` (ascending) summed out; a fresh array.  When
-    every activation scales to integers, each is scaled and bounded once,
-    then lifted: one bound, ``l * E * prod(max |a_k|)`` (``l`` the largest
-    node extent, ``E`` the product of the hidden extents), covers every
-    partial sum of the product and of the hidden sum; the result becomes
-    Fractions once if any activation is exact, unless ``unscale`` is
-    false: then it stays the integers over the product of the
-    denominators.  Other activations (floats, say) are lifted and
-    multiplied by :func:`bmp` as they are.
+    positions ``hidden`` (ascending) summed out; a fresh array.  Integers
+    are bounded once, then lifted: one bound, ``l * E * prod(max |a_k|)``
+    (``l`` the largest node extent, ``E`` the product of the hidden
+    extents), covers every partial sum of the product and of the hidden
+    sum, and the result stays integers.
 
     The factor at product position 0 is the lift of the last node; the
     lift of node k sits at position k + 1.  With a single node there is
     nothing to multiply and the lift itself is the total tensor.
     """
     sizes = [a.shape[-1] for a in acts]  # node k's extent
-    pairs = [scaled(a) for a in acts]
-    ints = all(p is not None for p in pairs)
-    # each activation's bounded integers, or each activation as it is
-    factors = fit_integers([p[0] for p in pairs], max(sizes) * math.prod(
-        sizes[k] for k in hidden)) if ints else acts
-    lifted = [_lift(f, k, parents[k], sizes) for k, f in enumerate(factors)]
-    total = lifted[0].copy() if len(lifted) == 1 else (
-        _product if ints else bmp)(lifted[-1:] + lifted[:-1])
+    if mode != "float":
+        acts = fit_integers(acts, max(sizes) * math.prod(
+            sizes[k] for k in hidden))
+    lifted = [_lift(f, k, parents[k], sizes) for k, f in enumerate(acts)]
+    total = lifted[0].copy() if len(lifted) == 1 else _product(
+        lifted[-1:] + lifted[:-1])
     if hidden:
         total = np.asarray(total.sum(axis=tuple(hidden)))
-    if unscale and ints and any(map(is_exact, acts)):
-        return unscaled(total, math.prod(p[1] for p in pairs))
     return total
 
 
 def total_bmp(net):
     """Total tensor as one Bhattacharya-Mesner product of lifted factors
-    (see :func:`_total`); Fractions when the activations are exact."""
+    (see :func:`_total`); Fractions when some activation holds one."""
     return _total(net)
 
 
@@ -311,14 +295,14 @@ def build_matmul_chain(a_mat, b_mat):
     )
 
 
-def _stage(acts):
-    """Total of the star network whose nodes carry ``acts``: every node
-    but the last is hidden and a parent of the last, and the total is
-    summed over those parents' positions; integers stay integers
-    (:func:`_product_total` with ``unscale`` false).  No network is
+def _stage(acts, mode):
+    """Total of the star network whose nodes carry ``acts``, in one
+    call's ``mode``: every node but the last is hidden and a parent of
+    the last, and the total is summed over those parents' positions;
+    integers stay integers (:func:`_product_total`).  No network is
     built or validated: :func:`_staged` has checked what it passes."""
     k = len(acts) - 1
-    return _product_total(acts, [()] * k + [range(k)], range(k), False)
+    return _product_total(mode, acts, [()] * k + [range(k)], range(k))
 
 
 def _staged(a_mat, b_mat, scheme):
@@ -326,11 +310,12 @@ def _staged(a_mat, b_mat, scheme):
     n x n operands, each part (H, vec A, K, vec B, F) zero-padded to r
     along every axis.  Two combination stages give s1 = H^T a and s2 =
     K^T b; the product stage's output node couples them diagonally
-    through F: its entry [s, t, j] is F[s, j] when s == t, else 0.  When
-    every part is an integer or exact array, the stages run on the parts'
-    scaled integers and give integers (Python ints past 2^62), with
-    ``denoms`` the denominators of s1, s2 and out if a part is exact,
-    else None; otherwise on the parts as float64, with ``denoms`` None."""
+    through F: its entry [s, t, j] is F[s, j] when s == t, else 0.  The
+    parts are read in one scalar mode (:func:`entry`): integer and exact
+    parts run as their scaled integers and give integers (Python ints
+    past 2^62), with ``denoms`` the denominators of s1, s2 and out if a
+    part held a Fraction, else None; float parts run as float64, with
+    ``denoms`` None."""
     n = scheme.n
     m, r = n * n, scheme.r
     a_mat, b_mat = np.asarray(a_mat), np.asarray(b_mat)
@@ -339,19 +324,14 @@ def _staged(a_mat, b_mat, scheme):
     if r < m:
         raise scheme_module.RankTooSmall(
             "need r >= n^2 to pad, got r=%d < %d" % (r, m))
-    parts = (scheme.H, a_mat.reshape(m), scheme.K, b_mat.reshape(m), scheme.F)
-    pairs = [scaled(p) for p in parts]
-    denoms = None
-    if any(p is None for p in pairs):
-        # a stage of exact parts would return integers never rescaled
-        parts = [p.astype(np.float64, copy=False) for p in parts]
-    elif any(map(is_exact, parts)):
-        parts, (dh, da, dk, db, df) = zip(*pairs)
-        denoms = dh * da, dk * db, dh * da * dk * db * df
+    mode, parts, (dh, da, dk, db, df) = entry(
+        (scheme.H, a_mat.reshape(m), scheme.K, b_mat.reshape(m), scheme.F))
+    denoms = (dh * da, dk * db, dh * da * dk * db * df) \
+        if mode == "exact" else None
     h, a, k, b, f = (_padded(p, r) for p in parts)
-    s1 = _stage((a, h))
-    s2 = _stage((b, k))
-    out = _stage((s1, s2, np.transpose(blow(f), (0, 2, 1))))
+    s1 = _stage((a, h), mode)
+    s2 = _stage((b, k), mode)
+    out = _stage((s1, s2, np.transpose(blow(f), (0, 2, 1))), mode)
     return s1, s2, out, denoms
 
 

@@ -21,6 +21,7 @@ from .tensor import (
     matrix_from_json,
     matrix_to_json,
     matmul_tensor,
+    read_mode,
 )
 
 
@@ -56,7 +57,8 @@ class BilinearScheme:
         if self.F.shape != (self.r, m):
             raise ShapeMismatch("F must be (r, n^2), got %s" % (self.F.shape,))
         for mat in (self.H, self.K, self.F):
-            if mat.dtype != object and not np.all(np.isfinite(mat)):
+            if read_mode([mat])[0] == "float" and not np.isfinite(
+                    mat.astype(np.float64, copy=False)).all():
                 raise NonFiniteEntries("scheme entries must be finite")
 
 
@@ -132,8 +134,9 @@ def residual_matrix(H, K, F, scale=1):
     (..., m^2, m) matrix in :func:`reconstruct`'s layout: KR is the
     column-wise Khatri-Rao product, F_t has F's columns in T's transposed
     layout, and ``scale`` is subtracted on T's n^3 support only.  D keeps
-    the factors' dtype (float64, int64 or object); leading run axes give
-    each run the same matrix products as alone."""
+    the factors' dtype: float64, or the int64 or Python ints of a scaled
+    exact scheme; leading run axes give each run the same matrix
+    products as alone."""
     m, r = H.shape[-2:]
     n = math.isqrt(m)
     kr = (H[..., :, None, :] * K[..., None, :, :]).reshape(

@@ -1,14 +1,15 @@
 """Dense tensor operators built around the Bhattacharya-Mesner product.
 
-A tensor here is a plain ``numpy.ndarray`` in row-major layout.  The same
-code paths serve two scalar modes: ``float64`` arrays for numerical work,
-and object arrays of ``fractions.Fraction`` for exact rational arithmetic
-where no rounding is tolerated.  Exact products and sums run on scaled
-integers: each exact tensor is converted once to integers over a common
-denominator (:func:`scaled`), the arithmetic runs in int64 while a bound
-computed in Python ints allows it and in Python ints past it
-(:func:`fit_integers`), and the result becomes Fractions once
-(:func:`unscaled`).  Integer arrays, signed or unsigned, stay integers.
+A tensor here is a plain ``numpy.ndarray`` in row-major layout.  Each
+public call decides its scalar mode once, at its entry (:func:`entry`):
+integers (integer arrays, signed or unsigned, and object arrays of
+Python ints), exact (object arrays of Python ints and Fractions, one
+Fraction at least) or float (anything else, each array converted once to
+float64).  Integer and exact products and sums run on scaled integers:
+each array is converted once to integers over a common denominator, the
+arithmetic runs in int64 while a bound computed in Python ints allows it
+and in Python ints past it (:func:`fit_integers`), and the result becomes
+Fractions once (:func:`unscaled`), only when some input held a Fraction.
 Slots (axes) are 0-based throughout.
 """
 
@@ -47,16 +48,11 @@ def exact_array(values):
     return out
 
 
-def is_exact(t):
-    """True when ``t`` is an object array (exact rational mode)."""
-    return np.asarray(t).dtype == object
-
-
 def zeros_matching(shape, like):
     """Zero tensor of the given shape in the scalar mode of ``like``:
     for an object array, int zeros if its first entry is a Python int
     (scaled integers past int64), else Fraction zeros; zeros of its own
-    dtype for an integer array, float64 zeros otherwise."""
+    dtype for an integer array, float64 zeros otherwise, bool included."""
     like = np.asarray(like)
     if like.dtype == object:
         out = np.empty(shape, dtype=object)
@@ -89,33 +85,55 @@ def _core(t):
                             for step in t.strides)]
 
 
-def scaled(t):
-    """Scaled integers of an exact tensor: ``(ints, denom)`` with
-    ``t == ints / denom`` entrywise, ``denom`` the lcm of the entries'
-    denominators.  ``ints`` is int64 when every entry is below 2^62 in
-    magnitude, else an object array of Python ints.  Each stored entry is
-    read once, and a broadcast view gives a broadcast view.  An integer
-    array, signed or unsigned, is its own scaled form, over 1.  None for
-    any other array (float, or an object array holding floats, whose
-    zeros must still meet NaN and inf)."""
-    t = np.asarray(t)
-    if t.dtype.kind in "iu":
-        return t, 1
-    if t.dtype != object:
-        return None
-    core = _core(t)
-    vals = core.ravel().tolist()
-    if not set(map(type, vals)) <= {int, Fraction}:
-        return None
-    denom = math.lcm(*set(map(attrgetter("denominator"), vals)))
-    nums = list(map(attrgetter("numerator"), vals)) if denom == 1 else [
-        v.numerator * (denom // v.denominator) for v in vals]
-    wide = max(map(abs, nums), default=0) >= _INT64_BOUND
-    ints = np.array(nums, dtype=object if wide else np.int64).reshape(
-        core.shape)
-    if core.shape != t.shape:
-        ints = np.broadcast_to(ints, t.shape)
-    return ints, denom
+def read_mode(arrays):
+    """``(mode, stored)``: the scalar mode of one call on the ndarrays
+    ``arrays``, decided once at its entry, and the entries each object
+    array stores, listed once from its core (None for other arrays).
+    "int" when every array is an integer array, signed or unsigned, or
+    an object array of Python ints; "exact" when some other entry is a
+    Fraction; "float" when some array is a float or bool array, or an
+    object array holding anything else (a float, a bool, a numpy
+    scalar)."""
+    stored = [_core(a).ravel().tolist() if a.dtype == object else None
+              for a in arrays]
+    types = set()
+    for a, vals in zip(arrays, stored):
+        types.update({int} if a.dtype.kind in "iu" else
+                     {float} if vals is None else map(type, vals))
+    return ("int" if types <= {int} else "exact" if types <= {int, Fraction}
+            else "float"), stored
+
+
+def entry(arrays):
+    """``(mode, xs, denoms)``: one call's ``arrays`` in its scalar mode
+    (:func:`read_mode`), each object array's entries read once, with
+    ``xs[k] / denoms[k]`` equal to ``arrays[k]`` entrywise.  In float
+    mode each is float64 over 1.  Otherwise each is its scaled integers
+    over the lcm of its entries' denominators: an integer array is its
+    own, over 1, and an object array's are int64 when every one is below
+    2^62 in magnitude, else Python ints.  A broadcast view gives a
+    broadcast view."""
+    arrays = [np.asarray(a) for a in arrays]
+    mode, stored = read_mode(arrays)
+    xs, denoms = [], []
+    for t, vals in zip(arrays, stored):
+        denom = 1
+        if vals is None:
+            x = t.astype(np.float64, copy=False) if mode == "float" else t
+        elif mode == "float":
+            x = np.array(vals, dtype=np.float64)
+        else:
+            denom = math.lcm(*set(map(attrgetter("denominator"), vals)))
+            nums = list(map(attrgetter("numerator"), vals)) if denom == 1 \
+                else [v.numerator * (denom // v.denominator) for v in vals]
+            wide = max(map(abs, nums), default=0) >= _INT64_BOUND
+            x = np.array(nums, dtype=object if wide else np.int64)
+        if vals is not None:
+            x = x.reshape(t.shape) if 0 not in t.strides else \
+                np.broadcast_to(x.reshape(_core(t).shape), t.shape)
+        xs.append(x)
+        denoms.append(denom)
+    return mode, xs, denoms
 
 
 def unscaled(ints, denom):
@@ -137,13 +155,14 @@ def _max_abs(a):
 
 
 def fit_integers(arrays, terms, plus=0):
-    """Integer arrays made ready for a sum of ``terms`` products of one
-    entry of each, plus ``plus``: int64 while ``terms * prod(max |a|) +
-    plus`` (each maximum taken as at least 1, so that every partial
-    product is bounded too), computed in Python ints, stays below 2^62;
-    else object arrays of Python ints.  No result wraps."""
-    wide = any(a.dtype == object for a in arrays) or terms * math.prod(
-        max(_max_abs(a), 1) for a in arrays) + plus >= _INT64_BOUND
+    """Integer arrays (object arrays of Python ints too) made ready for a
+    sum of ``terms`` products of one entry of each, plus ``plus``: int64
+    while ``terms * prod(max |a|) + plus`` (each maximum taken as at
+    least 1, so that every partial product is bounded too), computed in
+    Python ints, stays below 2^62; else object arrays of Python ints.  No
+    result wraps."""
+    wide = terms * math.prod(max(_max_abs(a), 1) for a in arrays) \
+        + plus >= _INT64_BOUND
     return [a.astype(object if wide else np.int64, copy=False)
             for a in arrays]
 
@@ -151,8 +170,8 @@ def fit_integers(arrays, terms, plus=0):
 def _product(factors):
     """The product :func:`bmp` defines, as one ``einsum`` with the shared
     label d in slot k of factor k: of integer factors that
-    :func:`fit_integers` made ready, exact in any order, or of factors
-    cast to one float (or object) dtype."""
+    :func:`fit_integers` made ready, exact in any order, or of float64
+    factors."""
     d = len(factors)
     return np.einsum(*(x for k, f in enumerate(factors) for x in (
         f, [*range(k), d, *range(k + 1, d)])), [*range(d)])
@@ -168,13 +187,13 @@ def bmp(factors):
     that index with ``i_k`` replaced by ``h``.
 
     Requires at least two factors (the order-1 case is degenerate).
-    Every scalar mode is multiplied by one ``einsum`` (:func:`_product`).
-    Exact factors (ints and Fractions) are multiplied as scaled integers
-    (:func:`scaled`), in int64 while ``l * prod(max |f_k|)`` allows it
-    and in Python ints past it, and the result is rescaled once to
-    Fractions; integer arrays give an integer result.  Other factors are
-    first cast to ``np.result_type(np.float64, *factors)``, so integers
-    meet floats as floats, and object arrays holding floats stay object.
+    Every scalar mode (:func:`entry`) is multiplied by one ``einsum``
+    (:func:`_product`).  Integer and exact factors are multiplied as
+    scaled integers, in int64 while ``l * prod(max |f_k|)`` allows it and
+    in Python ints past it, and the result is rescaled once to Fractions
+    when some factor held a Fraction; integers give integers.  Otherwise
+    every factor is multiplied as float64, so integers meet floats as
+    floats and never wrap.
     """
     d = len(factors)
     if d < 2:
@@ -196,14 +215,11 @@ def bmp(factors):
                 "slot %d extents disagree across factors: %s"
                 % (j, sorted(sizes)))
 
-    pairs = [scaled(f) for f in factors]
-    if all(p is not None for p in pairs):
-        out = _product(fit_integers([p[0] for p in pairs], l))
-        if not any(map(is_exact, factors)):
-            return out
-        return unscaled(out, math.prod(p[1] for p in pairs))
-    dtype = np.result_type(np.float64, *factors)
-    return _product([f.astype(dtype, copy=False) for f in factors])
+    mode, xs, denoms = entry(factors)
+    if mode == "float":
+        return _product(xs)
+    out = _product(fit_integers(xs, l))
+    return unscaled(out, math.prod(denoms)) if mode == "exact" else out
 
 
 def blow(t):
@@ -277,9 +293,9 @@ def contraction(t, slots):
     """Sum over the given 0-based slots, dropping them from the order.
 
     An empty slot set returns a copy; contracting every slot yields an
-    order-0 tensor holding the total sum.  Exact and integer tensors are
+    order-0 tensor holding the total sum.  Integer and exact tensors are
     summed as integers, in int64 while ``max |t|`` times the contracted
-    extents allows it.
+    extents allows it; others as float64 (:func:`entry`).
     """
     t = np.asarray(t)
     slots = list(slots)
@@ -287,13 +303,12 @@ def contraction(t, slots):
     if not slots:
         return t.copy()
     axes = tuple(sorted(slots))
-    pair = scaled(t)
-    if pair is None:
-        return np.asarray(t.sum(axis=axes))
-    (ints,) = fit_integers([pair[0]],
-                           math.prod(t.shape[s] for s in axes))
+    mode, (x,), (denom,) = entry([t])
+    if mode == "float":
+        return np.asarray(x.sum(axis=axes))
+    (ints,) = fit_integers([x], math.prod(t.shape[s] for s in axes))
     out = np.asarray(ints.sum(axis=axes))
-    return unscaled(out, pair[1]) if is_exact(t) else out
+    return unscaled(out, denom) if mode == "exact" else out
 
 
 def matmul_tensor(a, b, c, exact=False):
@@ -316,22 +331,16 @@ def matmul_tensor(a, b, c, exact=False):
 
 
 def frobenius_sq(t):
-    """Sum of squared entries: a Fraction in exact mode, summed over
-    scaled integers; a Python int for an integer array; a float
-    otherwise."""
-    t = np.asarray(t)
-    pair = scaled(t)
-    if pair is None:
-        if is_exact(t):
-            # an object array holding floats: the nonzero entries only
-            live = t[t.astype(bool)]
-            return np.add.reduce(live * live, initial=Fraction(0))
-        return float(np.sum(t.astype(np.float64) ** 2))
-    ints, denom = pair
-    flat = np.ravel(ints)
+    """Sum of squared entries (:func:`entry`): a Fraction in exact mode
+    and a Python int in integer mode, summed over scaled integers; a
+    float otherwise."""
+    mode, (x,), (denom,) = entry([t])
+    if mode == "float":
+        return float(np.sum(x ** 2))
+    flat = np.ravel(x)
     flat, _ = fit_integers([flat, flat], flat.size)
     total = int(np.dot(flat, flat))
-    return Fraction(total, denom * denom) if is_exact(t) else total
+    return Fraction(total, denom * denom) if mode == "exact" else total
 
 
 def scalar_to_json(v):

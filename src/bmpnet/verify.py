@@ -19,10 +19,10 @@ from .scheme import reconstruct  # noqa: F401
 from .tensor import (
     ShapeMismatch,
     _max_abs,
+    entry,
     exact_array,
     fit_integers,
     frobenius_sq,
-    scaled,
 )
 # imported only for perfbench/tracing.py, which wraps it in this module
 from .tensor import matmul_tensor  # noqa: F401
@@ -62,34 +62,30 @@ class VerifyReport:
 
 def _residual_sq(scheme, n, factors=None):
     """Squared Frobenius norm of the scheme's :func:`residual_matrix`: a
-    Fraction when every factor is exact, a float otherwise.  Exact
-    factors are scaled to integers over the lcm of their denominators
-    (``factors``, the :func:`scaled` forms of H, K and F, if at hand), D
-    is taken against denom * T, ``denom`` the product of the three, by
+    Fraction when every factor is integer or exact, a float otherwise.
+    The factors are read in one scalar mode (``factors``, the
+    :func:`entry` of H, K and F, if at hand).  Integer and exact factors
+    are scaled to integers over the lcm of their denominators, D is taken
+    against denom * T, ``denom`` the product of the three, by
     :func:`fit_integers` in int64 or Python ints, and the residual is
-    sum(D^2) / denom^2.  Other factors form D in their own dtype."""
+    sum(D^2) / denom^2.  Float factors form D in float64."""
     if scheme.n != n:
         raise ShapeMismatch("scheme is for n=%d, asked about n=%d"
                             % (scheme.n, n))
-    pairs = factors or _scaled_factors(scheme)
-    if all(p is not None for p in pairs):
-        denom = math.prod(p[1] for p in pairs)
-        h, k, f = fit_integers([p[0] for p in pairs], scheme.r, denom)
-        return Fraction(frobenius_sq(residual_matrix(h, k, f, denom)),
-                        denom * denom)
-    return frobenius_sq(residual_matrix(scheme.H, scheme.K, scheme.F))
-
-
-def _scaled_factors(scheme):
-    """:func:`scaled` of H, K and F, each None unless exact."""
-    return [scaled(f) for f in (scheme.H, scheme.K, scheme.F)]
+    mode, xs, denoms = factors or entry([scheme.H, scheme.K, scheme.F])
+    if mode == "float":
+        return frobenius_sq(residual_matrix(*xs))
+    denom = math.prod(denoms)
+    h, k, f = fit_integers(xs, scheme.r, denom)
+    return Fraction(frobenius_sq(residual_matrix(h, k, f, denom)),
+                    denom * denom)
 
 
 def residual_sq_exact(scheme, n):
     """Exact squared residual as a Fraction; zero iff the scheme is a
     true decomposition.  Requires every factor to be integer or exact."""
-    factors = _scaled_factors(scheme)
-    if None in factors:
+    factors = entry([scheme.H, scheme.K, scheme.F])
+    if factors[0] == "float":
         raise ShapeMismatch("exact residual needs integer or exact factors")
     return _residual_sq(scheme, n, factors)
 
@@ -97,21 +93,23 @@ def residual_sq_exact(scheme, n):
 def slot_contribution_norms(scheme, factors=None):
     """Frobenius norm of each rank-1 contribution h_s (x) k_s (x) f_s,
     which factorises as the product of the three vector norms.  Near-zero
-    slots flag wasted rank.  Each factor is converted to floats once, an
-    exact one as ``ints / denom`` (its :func:`scaled` form, from
-    ``factors`` if already at hand) when both are below 2^53: they are
-    doubles exactly, so each quotient is the correctly rounded
-    ``float()`` of its entry.  Other factors convert entry by entry.
-    ``norm`` copies a strided vector to a contiguous one, so every norm
-    is that of the vector's entries listed as floats."""
-    def floats(m, pair):
-        ints, denom = pair or (m, 1)
+    slots flag wasted rank.  Each factor is converted to floats once, from
+    its :func:`entry` form (``factors``, if already at hand): a float one
+    is float64 already, and an exact one converts as ``ints / denom``
+    when both are below 2^53: they are doubles exactly, so each quotient
+    is the correctly rounded ``float()`` of its entry.  Other factors
+    convert entry by entry.  ``norm`` copies a strided vector to a
+    contiguous one, so every norm is that of the vector's entries listed
+    as floats."""
+    def floats(m, ints, denom):
+        if ints.dtype == np.float64:
+            return ints
         if ints.dtype != np.int64 or max(_max_abs(ints), denom) >= 1 << 53:
             return np.asarray(m).astype(np.float64)
         return ints / denom
 
-    H, K, F = map(floats, (scheme.H, scheme.K, scheme.F),
-                  factors or _scaled_factors(scheme))
+    _, xs, denoms = factors or entry([scheme.H, scheme.K, scheme.F])
+    H, K, F = map(floats, (scheme.H, scheme.K, scheme.F), xs, denoms)
     norm = np.linalg.norm
     return [float(norm(h) * norm(k) * norm(f))
             for h, k, f in zip(H.T, K.T, F)]
@@ -119,10 +117,11 @@ def slot_contribution_norms(scheme, factors=None):
 
 def verify_scheme(scheme):
     """Full report: float residual always, exact verdict when every
-    factor is integer or exact, as the residual then is.  Each factor is
-    scaled to integers once, for the residual and the slot norms both."""
-    factors = _scaled_factors(scheme)
-    exact = None not in factors
+    factor is integer or exact, as the residual then is.  The factors are
+    read in one scalar mode and scaled once (:func:`entry`), for the
+    residual and the slot norms both."""
+    factors = entry([scheme.H, scheme.K, scheme.F])
+    exact = factors[0] != "float"
     sq = _residual_sq(scheme, scheme.n, factors)
     return VerifyReport(
         n=scheme.n,

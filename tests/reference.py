@@ -18,8 +18,8 @@ import numpy as np
 
 from bmpnet.network import lift, parent_positions
 from bmpnet.scheme import BilinearScheme, forward_fast_batch, reconstruct
-from bmpnet.tensor import _forget_view, frobenius_sq, is_exact, \
-    matmul_tensor, zeros_matching
+from bmpnet.tensor import _forget_view, frobenius_sq, matmul_tensor, \
+    zeros_matching
 from bmpnet.training import GradBuffers, grad_analytic, mse
 from bmpnet.verify import DEFAULT_GRID
 
@@ -159,23 +159,46 @@ def normalize_each(scheme):
     return BilinearScheme(n=scheme.n, r=scheme.r, H=H, K=K, F=F)
 
 
+def scalar_mode(arrays):
+    """The scalar mode of arrays taken together, read entry by entry:
+    "float" when some entry is neither an integer nor a Fraction (a
+    float, a bool, a float or bool array), else "exact" when some entry
+    is a Fraction, else "int"."""
+    types = set()
+    for a in map(np.asarray, arrays):
+        if a.dtype == object:
+            types |= set(map(type, a.flat))
+        else:
+            types.add(int if a.dtype.kind in "iu" else float)
+    return ("int" if types <= {int} else
+            "exact" if types <= {int, Fraction} else "float")
+
+
 def total_each(net):
     """``network.total_direct`` one joint state at a time: each entry the
-    left-to-right product of the nodes' activation entries at it.  The
-    network is assumed valid."""
+    left-to-right product of the nodes' activation entries at it, taken
+    in the network's :func:`scalar_mode`: Python floats (each entry
+    converted with ``float()``) into a float64 array; Fractions and
+    Python ints into an object array; Python ints into int64 when every
+    entry fits it, else into an object array.  The network is assumed
+    valid."""
     node_by_id = net.node_map()
     sizes = tuple(node_by_id[nid].states for nid in net.order)
     parents = [parent_positions(net, nid) for nid in net.order]
     acts = [np.asarray(net.activations[nid]) for nid in net.order]
-    # exact before float before integer, so that no entry is truncated
-    ref = max(acts, key=lambda a: (is_exact(a), a.dtype.kind not in "iu"))
-    out = zeros_matching(sizes, ref)
+    mode = scalar_mode(acts)
+    scalar = float if mode == "float" else \
+        lambda v: v if isinstance(v, Fraction) else int(v)
+    out = np.empty(sizes, dtype=np.float64 if mode == "float" else object)
     for idx in np.ndindex(sizes):
         val = None
         for j in range(len(sizes)):
-            entry = acts[j][tuple(idx[p] for p in parents[j]) + (idx[j],)]
+            entry = scalar(
+                acts[j][tuple(idx[p] for p in parents[j]) + (idx[j],)])
             val = entry if val is None else val * entry
         out[idx] = val
+    if mode == "int" and all(abs(v) < 1 << 63 for v in out.flat):
+        return out.astype(np.int64)
     return out
 
 
@@ -186,7 +209,7 @@ def residual_sq(scheme):
     with :func:`masked_bmp` and its squares summed as Fractions, the
     reference for ``verify``'s scaled integers."""
     n = scheme.n
-    if not is_exact(scheme.H):
+    if scalar_mode([scheme.H, scheme.K, scheme.F]) == "float":
         return frobenius_sq(reconstruct(scheme) - matmul_tensor(n, n, n))
     m = n * n
     F_t = scheme.F.reshape(scheme.r, n, n).transpose(0, 2, 1).reshape(

@@ -382,7 +382,7 @@ class TestNonFinite:
         with pytest.raises(NetworkError, match="'z' is not finite"):
             total_bmp(net)
         got = total_direct(net)
-        assert got.dtype == object
+        assert got.dtype == np.float64
         assert list(got.flat) == [0.5, np.inf, 4, 6]
 
 

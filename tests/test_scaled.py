@@ -24,8 +24,8 @@ from bmpnet.network import Network, NodeSpec, build_matmul_chain, \
     hidden_positions, observed_total, strassen_pipeline, strassen_stages, \
     total_bmp, total_direct
 from bmpnet.scheme import BilinearScheme, forward_fast
-from bmpnet.tensor import blow, bmp, contraction, fit_integers, \
-    frobenius_sq, scaled, unscaled, zeros_matching
+from bmpnet.tensor import blow, bmp, contraction, entry, fit_integers, \
+    frobenius_sq, unscaled, zeros_matching
 from bmpnet.verify import _residual_sq, known_strassen, verify_scheme
 
 # sixteen primes just above 10^6: any two are coprime
@@ -45,6 +45,13 @@ def big_exact(rng, shape):
         out[idx] = Fraction(0) if zero[idx] else Fraction(
             int(sign[idx] * numer[idx]), int(denom[idx]))
     return out
+
+
+def scaled(t):
+    """``(ints, denom)`` of one integer or exact array as :func:`entry`
+    reads it alone; None for a float one."""
+    mode, (ints,), (denom,) = entry([t])
+    return None if mode == "float" else (ints, denom)
 
 
 def small_exact(rng, shape):
@@ -206,7 +213,8 @@ class TestBound:
     @pytest.mark.parametrize("extents, l", [((2, 0, 3), 2), ((2, 1, 3), 0),
                                             ((0, 0), 0)])
     def test_zero_extent(self, extents, l):
-        # int64 factors, Fractions, and Python ints past 2^62
+        # int64 factors, Fractions, and Python ints past 2^62; factors
+        # that are all empty hold no Fraction, so their zeros are int64
         d = len(extents)
         for scale in (None, 1, 1 << 70):
             factors = []
@@ -218,7 +226,8 @@ class TestBound:
                                else f.astype(object) * Fraction(scale))
             got = bmp(factors)
             assert got.shape == extents
-            assert got.dtype == (np.int64 if scale is None else object)
+            held = scale is not None and any(f.size for f in factors)
+            assert got.dtype == (object if held else np.int64)
             assert equal(got, masked_bmp([f.astype(object)
                                           for f in factors]))
             assert not got.size or not got.any()
@@ -360,10 +369,10 @@ class TestAgainstFractions:
 
     def test_network_totals_convert_each_activation_once(self, kind,
                                                         routes, monkeypatch):
-        # the integer route scales each activation once and leaves bmp to
-        # the float route; no route calls contraction, and no pipeline
-        # pads through the scheme module
-        calls = {"scaled": 0, "bmp": 0, "contraction": 0, "padded": 0}
+        # a total reads its activations in one scalar mode, once; no
+        # route calls bmp or contraction, and no pipeline pads through
+        # the scheme module
+        calls = {"entry": 0, "bmp": 0, "contraction": 0, "padded": 0}
 
         def spy(name, owner, attr):
             fn = getattr(owner, attr)
@@ -373,7 +382,7 @@ class TestAgainstFractions:
                 return fn(*args)
             monkeypatch.setattr(owner, attr, counted)
 
-        for name in ("scaled", "bmp", "contraction"):
+        for name in ("entry", "bmp", "contraction"):
             spy(name, network, name)
         spy("padded", network.scheme_module, "padded_square_factors")
         rng = np.random.default_rng(9)
@@ -382,14 +391,15 @@ class TestAgainstFractions:
             for nid, act in net.activations.items():
                 net.activations[nid] = KINDS[kind](rng, act.shape)
             for total in (total_bmp, observed_total):
-                calls.update(scaled=0, bmp=0, contraction=0)
+                calls.update(entry=0, bmp=0, contraction=0)
                 total(net)
-                assert calls == {"scaled": len(net.order), "bmp": 0,
+                assert calls == {"entry": 1, "bmp": 0,
                                  "contraction": 0, "padded": 0}
         assert took(routes, kind)
-        calls.update(bmp=0, contraction=0)
+        calls.update(entry=0, bmp=0, contraction=0)
         observed_total(build_matmul_chain(np.eye(2), np.ones((2, 2))))
-        assert calls["bmp"] == 1 and calls["contraction"] == 0
+        assert calls == {"entry": 1, "bmp": 0, "contraction": 0,
+                         "padded": 0}
         make = KINDS[kind]
         exact = BilinearScheme(n=2, r=7, H=make(rng, (4, 7)),
                                K=make(rng, (4, 7)), F=make(rng, (7, 4)))

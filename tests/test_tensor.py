@@ -24,7 +24,6 @@ from bmpnet.tensor import (
     exact_array,
     forget,
     frobenius_sq,
-    is_exact,
     matmul_tensor,
     scalar_from_json,
     scalar_to_json,
@@ -116,7 +115,7 @@ class TestBmp:
                         factors.append(f)
                     got = bmp(factors)
                     want = naive_bmp(factors)
-                    assert is_exact(got)
+                    assert got.dtype == object
                     assert got.shape == want.shape
                     for idx in np.ndindex(got.shape):
                         assert got[idx] == want[idx]
@@ -125,8 +124,8 @@ class TestBmp:
     def test_integers_meet_floats_as_floats(self):
         """Integer factors beside a float one are cast to float64 before
         they multiply, so 2^40 * 2^40 does not wrap in int64, in any
-        factor order; float32 and bool give float64, and an object array
-        holding floats stays object."""
+        factor order; float32 and bool give float64, and so does an
+        object array holding a float beside a Fraction."""
         big = np.full((1, 1, 1), 1 << 40, dtype=np.int64)
         ones = np.ones((1, 1, 1))
         for factors in permutations([big, big, ones]):
@@ -135,16 +134,21 @@ class TestBmp:
         assert bmp([np.ones((2, 2), np.float32),
                     np.ones((2, 2), bool)]).dtype == np.float64
         held = np.array([[0.5, Fraction(1, 3)]], dtype=object)
-        assert bmp([held, held.T.copy()]).dtype == object
+        got = bmp([held, held.T.copy()])
+        floats = held.astype(np.float64)
+        assert got.dtype == np.float64
+        assert got.tobytes() == bmp([floats, floats.T.copy()]).tobytes()
 
     def test_zero_times_nan_stays_nan(self):
         """A zero factor does not hide a NaN, in float arrays or in
-        object arrays that hold floats beside Fractions."""
+        object arrays that hold floats beside Fractions, which multiply
+        as float64."""
         zero = np.zeros((1, 1))
         nan = np.full((1, 1), np.nan)
         assert np.isnan(bmp([zero, nan])[0, 0])
         exact_zero = np.array([[Fraction(0)]], dtype=object)
-        assert np.isnan(float(bmp([exact_zero, nan.astype(object)])[0, 0]))
+        got = bmp([exact_zero, nan.astype(object)])
+        assert got.dtype == np.float64 and np.isnan(got[0, 0])
 
     def test_float_bitwise_equals_slot_loop(self):
         """The float product equals the sum taken one index at a time to
@@ -253,14 +257,13 @@ class TestBmp:
 
     def test_exact_broadcast_nan_still_propagates(self):
         """A float NaN in the stored entries of a broadcast object array
-        keeps the product off scaled integers, so 0 * NaN still gives
-        NaN."""
+        makes the product float64, so 0 * NaN still gives NaN."""
         zero = np.full((2, 3), Fraction(0), dtype=object)
         stored = np.array([[Fraction(1), float("nan")]], dtype=object)
         nan_view = np.broadcast_to(stored, (3, 2))
         out = bmp([zero, nan_view])
-        assert out.shape == (3, 3)
-        assert all(np.isnan(float(v)) for v in out.flat)
+        assert out.shape == (3, 3) and out.dtype == np.float64
+        assert np.isnan(out).all()
 
     def test_order3_random_2x2x2(self):
         rng = np.random.default_rng(3)
@@ -310,7 +313,7 @@ class TestBlow:
     def test_exact_mode(self):
         v = exact_array(["1/2", 2])
         out = blow(v)
-        assert is_exact(out)
+        assert out.dtype == object
         assert out[0, 0] == Fraction(1, 2)
         assert out[0, 1] == 0
         assert out[1, 1] == 2
@@ -467,7 +470,7 @@ class TestMatmulTensor:
 
     def test_exact_mode(self):
         out = matmul_tensor(2, 2, 2, exact=True)
-        assert is_exact(out)
+        assert out.dtype == object
         assert out[0, 0, 0] == Fraction(1)
 
     def test_rejects_nonpositive_extent(self):
@@ -478,14 +481,14 @@ class TestMatmulTensor:
 class TestScalarModes:
     def test_exact_array_parses_fraction_strings(self):
         arr = exact_array([["1/2", 2], [0.25, Fraction(3)]])
-        assert is_exact(arr)
+        assert arr.dtype == object
         assert arr[0, 0] == Fraction(1, 2)
         assert arr[1, 0] == Fraction(1, 4)
         assert arr[1, 1] == Fraction(3)
 
     def test_zeros_matching_follows_mode(self):
         z = zeros_matching((2, 2), exact_array([1]))
-        assert is_exact(z)
+        assert z.dtype == object
         assert z[1, 1] == Fraction(0)
         z = zeros_matching((2,), np.zeros(1))
         assert z.dtype == np.float64

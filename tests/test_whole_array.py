@@ -10,10 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmpnet import verify
+from bmpnet import tensor, verify
 from bmpnet.network import Network, NodeSpec, parent_positions, total_direct
 from bmpnet.scheme import BilinearScheme
-from bmpnet.tensor import scaled
 from bmpnet.verify import (
     DEFAULT_GRID,
     known_strassen,
@@ -159,16 +158,17 @@ class TestSlotNorms:
                              ids=["strassen", "float", "kron", "thirds"])
     def test_report_scales_each_factor_once(self, s, monkeypatch):
         # the residual and the slot norms of one report share the
-        # scaled forms of H, K and F, with the bits of each alone
+        # scaled forms of H, K and F, read in one mode, with the bits of
+        # each alone
         calls = []
 
-        def counting(t):
-            calls.append(t)
-            return scaled(t)
+        def counting(arrays):
+            calls.append(arrays)
+            return tensor.entry(arrays)
 
-        monkeypatch.setattr(verify, "scaled", counting)
+        monkeypatch.setattr(verify, "entry", counting)
         report = verify.verify_scheme(s)
-        assert len(calls) == 3
+        assert len(calls) == 1 and len(calls[0]) == 3
         same(report.slot_norms, slot_norms_each(s))
         alone = verify._residual_sq(s, s.n)
         assert report.residual == math.sqrt(float(alone))
@@ -202,7 +202,7 @@ class TestSlotNormsPastTwoToThe53:
         ids=["numerator", "denominator"])
     def test_bits_of_the_reference(self, entry, rest):
         s = lone_slot(entry, rest)
-        ints, denom = scaled(s.H)
+        _, (ints,), (denom,) = tensor.entry([s.H])
         assert ints.dtype == np.int64
         assert max(int(abs(ints).max()), denom) >= 1 << 53
         assert float(ints[0, 0]) / float(denom) != float(entry)
